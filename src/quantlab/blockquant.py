@@ -10,13 +10,23 @@ axis replaced by the block number, and that order is what the FQZ1 file
 format serializes.  All operations are deterministic: ties in the
 nearest-value search go to the lower index, all-zero blocks store a scale
 of zero, and pad nibbles are zero.
+
+The nearest-value search compares each element with 15 decision
+thresholds, one set per code and search dtype (float32 for float32 input,
+float64 otherwise).  The thresholds are derived from, and give the same
+indices as, the double-precision tie rule of ``_nearest_index_reference``.
+Short final blocks are searched at their effective length; only their
+packed row is padded.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -113,7 +123,8 @@ def _blocks_view(values, axis, block_size):
 
     Short final blocks are padded with zeros, which cannot raise a block's
     absmax.  Returns the row matrix and the effective length of the final
-    block along the axis.
+    block along the axis.  ``quantize`` does not pad; the tests use this
+    padded layout as its reference.
     """
     arr = np.asarray(values)
     moved = np.moveaxis(arr, axis, -1)
@@ -158,10 +169,11 @@ def _tail_block_mask(dims, axis, block_size):
     return k == nb_axis - 1, tail
 
 
-def nearest_index(normalized, code_values):
-    """Nearest code index for each element, ties toward the lower index.
+def _nearest_index_reference(normalized, code_values):
+    """The nearest-value rule itself, evaluated in double precision.
 
-    The search runs in double precision regardless of the input dtype.
+    ``nearest_index`` derives its thresholds from this rule and must return
+    the same indices; the tests compare the two.
     """
     x = np.asarray(normalized, dtype=np.float64)
     q = np.asarray(code_values, dtype=np.float64)
@@ -171,6 +183,79 @@ def nearest_index(normalized, code_values):
     # strict inequality: equidistant elements keep the lower index
     use_right = (x - left) > (right - x)
     return (pos - 1 + use_right).astype(np.uint8)
+
+
+_UINT_OF = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
+
+def _to_ordered(x):
+    """Float bit patterns as unsigned keys that sort like the floats."""
+    u = x.view(_UINT_OF[x.dtype])
+    sign = u.dtype.type(1) << (8 * u.itemsize - 1)
+    return np.where(u & sign, ~u, u | sign)
+
+
+def _from_ordered(keys, dtype):
+    """Inverse of _to_ordered."""
+    sign = keys.dtype.type(1) << (8 * keys.itemsize - 1)
+    return np.where(keys & sign, keys ^ sign, ~keys).view(dtype)
+
+
+@functools.lru_cache(maxsize=64)
+def _thresholds(code_bytes, dtype):
+    """Decision thresholds of the reference rule for inputs of ``dtype``.
+
+    The rule is monotone in x, so for k = 1..len(q)-1 the inputs it maps to
+    k or above are exactly those >= some value t_k of ``dtype``.  Each t_k
+    is found by bisection over the ordered bit patterns between -inf (index
+    0) and +inf (the last index), with the rule as the oracle.
+    """
+    q = np.frombuffer(code_bytes, dtype=np.float64)
+    ks = np.arange(1, q.size)
+    inf = np.full(ks.size, np.inf, dtype=dtype)
+    lo, hi = _to_ordered(-inf), _to_ordered(inf)
+    one, two = lo.dtype.type(1), lo.dtype.type(2)
+    while np.any(hi - lo > one):
+        mid = lo + (hi - lo) // two
+        reached = _nearest_index_reference(_from_ordered(mid, dtype), q) >= ks
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+    t = _from_ordered(hi, dtype)
+    t.setflags(write=False)
+    return t
+
+
+# Elements per pass of the threshold loop: the chunk, its hit mask and its
+# output stay in cache across the 15 comparisons.
+_INDEX_CHUNK = 1 << 15
+
+
+def nearest_index(normalized, code_values):
+    """Nearest code index for each element, ties toward the lower index.
+
+    The index is the number of decision thresholds the element reaches.
+    The thresholds are exact for the search dtype -- float32 for float32
+    input, float64 for any other input (which is converted first) -- so the
+    result equals the double-precision rule of ``_nearest_index_reference``
+    for every finite or infinite input.  NaN maps to index 0.
+    """
+    x = np.asarray(normalized)
+    dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
+    q = np.ascontiguousarray(code_values, dtype=np.float64)
+    t = _thresholds(q.tobytes(), dtype)
+    x = x.astype(dtype, copy=False)
+    out = np.empty(x.shape, dtype=np.uint8)
+    flat, dest = x.reshape(-1), out.reshape(-1)
+    hit = np.empty(min(_INDEX_CHUNK, flat.size), dtype=bool)
+    for start in range(0, flat.size, _INDEX_CHUNK):
+        xs = flat[start:start + _INDEX_CHUNK]
+        d = dest[start:start + _INDEX_CHUNK]
+        h = hit[:xs.size]
+        np.greater_equal(xs, t[0], out=d)
+        for tk in t[1:]:
+            np.greater_equal(xs, tk, out=h)
+            np.add(d, h.view(np.uint8), out=d)
+    return out
 
 
 def pack_nibbles(indices):
@@ -199,45 +284,70 @@ def quantize(values, code, block_size, axis=0):
     Each block of ``block_size`` consecutive elements along ``axis`` is
     scaled by its absmax and every element mapped to the nearest code value.
     All-zero blocks store scale 0 and the index of the code value nearest 0.
+    Raises DataError for non-finite input and for a block whose absmax
+    overflows the float32 scale.
     """
     arr = np.asarray(values)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float32)
     if arr.ndim == 0:
         raise DomainError("cannot quantize a scalar")
+    if 0 in arr.shape:
+        raise DomainError(f"cannot quantize an empty tensor of shape {arr.shape}")
     if not -arr.ndim <= axis < arr.ndim:
         raise DomainError(f"axis {axis} out of range for {arr.shape}")
     axis = axis % arr.ndim
     if block_size < 1:
         raise DomainError("block_size must be >= 1")
-    finite = np.isfinite(arr)
-    if not finite.all():
+
+    # View the tensor as (before, axis, after); blocks run along the middle
+    # and (before, block number, after) is row-major block order.
+    length = arr.shape[axis]
+    shape3 = (math.prod(arr.shape[:axis]), length, math.prod(arr.shape[axis + 1:]))
+    arr3 = arr.reshape(shape3)
+    nfull, tail = divmod(length, block_size)
+    parts = []  # (before, blocks, block length, after) views, no padding
+    if nfull:
+        full = arr3[:, :nfull * block_size]
+        parts.append(full.reshape(shape3[0], nfull, block_size, shape3[2]))
+    if tail:
+        parts.append(arr3[:, nfull * block_size:, None].swapaxes(1, 2))
+
+    absmax = [np.abs(p).max(axis=2) for p in parts]
+    # NaN and inf propagate into their block's absmax.
+    if not all(np.isfinite(m).all() for m in absmax):
+        finite = np.isfinite(arr)
         pos = np.unravel_index(int(np.argmax(~finite)), arr.shape)
         raise DataError(
             f"non-finite input value at position {tuple(int(i) for i in pos)}"
         )
+    with np.errstate(over="ignore"):
+        scales = np.concatenate([m.astype(np.float32) for m in absmax], axis=1)
+    overflow = np.isinf(scales).ravel()
+    if overflow.any():
+        raise DataError(f"block {int(np.argmax(overflow))}: absmax exceeds "
+                        "the float32 range of the stored scale")
 
-    rows, tail = _blocks_view(arr, axis, block_size)
-    absmax = np.abs(rows).max(axis=1)
-    scales = absmax.astype(np.float32)
-    # Divide in the tensor's working precision by the stored (float32)
-    # scale so dequantization sees the same quantity; the nearest-value
-    # comparison itself runs in double precision.
-    safe = np.where(scales > 0, scales, np.float32(1.0)).astype(rows.dtype)
-    normalized = rows / safe[:, None]
-    idx = nearest_index(normalized, code.values)
-
-    tail_mask, tail_len = _tail_block_mask(arr.shape, axis, block_size)
-    if tail_mask.any():
-        idx[np.ix_(tail_mask, np.arange(tail_len, block_size))] = 0
-    packed = pack_nibbles(idx)
+    width = (block_size + 1) // 2
+    packed = np.zeros(scales.shape + (width,), dtype=np.uint8)
+    first = 0
+    for p in parts:
+        n = p.shape[1]
+        s = scales[:, first:first + n]
+        # Divide in the tensor's working precision by the stored (float32)
+        # scale so dequantization sees the same quantity.
+        safe = np.where(s > 0, s, np.float32(1.0)).astype(p.dtype)
+        idx = nearest_index(p / safe[:, :, None, :], code.values)
+        row = pack_nibbles(np.moveaxis(idx, 2, -1))
+        packed[:, first:first + n, :, :row.shape[-1]] = row
+        first += n
     return QuantizedTensor(
         dims=arr.shape,
         block_axis=axis,
         block_size=int(block_size),
         code=code,
-        scales=scales,
-        packed=packed,
+        scales=scales.reshape(-1),
+        packed=packed.reshape(-1, width),
     )
 
 
@@ -251,7 +361,9 @@ def _indices_rows(qt):
 def dequantize(qt):
     """Reconstruct a float32 tensor: code value times block scale."""
     idx = _indices_rows(qt)
-    values = qt.code.values[idx].astype(np.float32)
+    # Rounding each code value to float32 before the gather gives the same
+    # elements as gathering in float64 and rounding after.
+    values = qt.code.values.astype(np.float32)[idx]
     values *= qt.scales[:, None]
     return _unblock(values, qt.dims, qt.block_axis, qt.block_size)
 
@@ -272,20 +384,41 @@ def usage_histogram(qt):
 _METRICS = ("mean_abs", "mean_sq", "max_abs")
 
 
-def reconstruction_error(original, reconstructed, metric="mean_abs"):
-    """Elementwise error summary between two same-shape tensors."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(reconstructed, dtype=np.float64)
+def _abs_diff(original, reconstructed):
+    """|original - reconstructed| in double precision, without float64
+    copies of the inputs."""
+    a = np.asarray(original)
+    b = np.asarray(reconstructed)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if metric not in _METRICS:
-        raise DomainError(f"metric must be one of {_METRICS}, got {metric!r}")
-    diff = np.abs(a - b)
+    diff = np.subtract(a, b, dtype=np.float64)
+    return np.abs(diff, out=diff)
+
+
+def _summarize(diff, metric):
     if metric == "mean_abs":
         return float(diff.mean())
     if metric == "mean_sq":
         return float((diff * diff).mean())
     return float(diff.max())
+
+
+def reconstruction_error(original, reconstructed, metric="mean_abs"):
+    """Elementwise error summary between two same-shape tensors.
+
+    The difference is taken in double precision; ``metric`` is one of
+    "mean_abs", "mean_sq" and "max_abs".
+    """
+    if metric not in _METRICS:
+        raise DomainError(f"metric must be one of {_METRICS}, got {metric!r}")
+    return _summarize(_abs_diff(original, reconstructed), metric)
+
+
+def reconstruction_errors(original, reconstructed):
+    """Every ``reconstruction_error`` metric, as {metric: value}, from one
+    difference of the two tensors."""
+    diff = _abs_diff(original, reconstructed)
+    return {m: _summarize(diff, m) for m in _METRICS}
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +443,14 @@ def tensor_write(tensor, path):
 
 
 def _read_exact(fh, n, path, what):
+    """Read n bytes, failing before any allocation if the file is shorter."""
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = max(st.st_size - fh.tell(), 0)
+        if n > left:
+            raise FormatError(
+                f"{path}: truncated {what}: expected {n} bytes, got {left}"
+            )
     data = fh.read(n)
     if len(data) != n:
         raise FormatError(
@@ -406,17 +547,21 @@ def qtensor_read(path):
             raise FormatError(f"{path}: code values are not ascending")
         code = Code16(code_vals, kind=KIND_CUSTOM, params={"source": "fqz1"})
 
-        tail_mask, tail_len = _tail_block_mask(dims, axis, block_size)
-        nb = tail_mask.shape[0]
+        # Body length from the header alone, so a lying header fails in
+        # _read_exact before the per-block arrays below are built.
         full_width = (block_size + 1) // 2
-        tail_width = (tail_len + 1) // 2
-        widths = np.where(tail_mask, tail_width, full_width)
-        body_len = int((4 + widths).sum())
+        nb_axis = -(-dims[axis] // block_size)
+        tail_width = (dims[axis] - (nb_axis - 1) * block_size + 1) // 2
+        runs = math.prod(dims) // dims[axis]
+        body_len = runs * (4 * nb_axis + (nb_axis - 1) * full_width + tail_width)
         body = np.frombuffer(_read_exact(fh, body_len, path, "blocks"), dtype=np.uint8)
         extra = fh.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after blocks")
 
+    tail_mask, _ = _tail_block_mask(dims, axis, block_size)
+    nb = tail_mask.shape[0]
+    widths = np.where(tail_mask, tail_width, full_width)
     starts = np.concatenate(([0], np.cumsum(4 + widths)[:-1]))
     scale_idx = starts[:, None] + np.arange(4)[None, :]
     scales = body[scale_idx].copy().view("<f4").reshape(nb)

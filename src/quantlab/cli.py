@@ -114,11 +114,8 @@ def cmd_quantize(args):
     qt = blockquant.quantize(tensor, code, block_size, axis=args.axis)
     blockquant.qtensor_write(qt, args.output)
     if args.report:
-        recon = blockquant.dequantize(qt)
-        rows = [
-            (m, _fmt(blockquant.reconstruction_error(tensor, recon, m)))
-            for m in ("mean_abs", "mean_sq", "max_abs")
-        ]
+        errors = blockquant.reconstruction_errors(tensor, blockquant.dequantize(qt))
+        rows = [(m, _fmt(errors[m])) for m in ("mean_abs", "mean_sq", "max_abs")]
         _emit(rows, ("metric", "value"), args.csv)
     return EXIT_OK
 

@@ -1,5 +1,9 @@
 """Tests for blockwise quantization, packing, and the binary file formats."""
 
+import contextlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +46,96 @@ class TestNearestIndex:
         np.testing.assert_array_equal(got, expected)
         # np.argmin picks the first minimum, i.e. the lower index
         assert np.all(got == np.arange(15))
+
+
+@pytest.fixture(scope="module")
+def threshold_codes(codes):
+    return {
+        **codes,
+        "af4_4096": qc.af4_code(4096),
+        # endpoints inside (-1, 1): inputs beyond them must still clamp
+        "narrow": qc.Code16(np.concatenate(
+            [np.linspace(-0.9, -0.1, 8), np.geomspace(0.05, 0.8, 8)])),
+    }
+
+
+_SIGNED = {np.dtype(np.float32): np.int32, np.dtype(np.float64): np.int64}
+
+
+def ulp_steps(t, steps):
+    """The values ``steps`` units in the last place away from float t."""
+    dtype = t.dtype
+    bits = int(t.reshape(1).view(_SIGNED[dtype])[0])
+    sign = 1 << (8 * dtype.itemsize - 1)
+    key = bits if bits >= 0 else -(bits & (sign - 1)) - 1  # -0.0 -> -1
+    keys = key + np.asarray(steps, dtype=np.int64)
+    out = np.where(keys >= 0, keys, (-keys - 1) | -sign)
+    return out.astype(_SIGNED[dtype]).view(dtype)
+
+
+def thresholds(code, dtype):
+    return bq._thresholds(code.values.tobytes(), np.dtype(dtype))
+
+
+class TestNearestIndexThresholds:
+    """The threshold search against the double-precision reference rule."""
+
+    @pytest.mark.parametrize("dtype,radius", [(np.float32, 1 << 16),
+                                              (np.float64, 1 << 12)])
+    def test_ulp_neighbourhood_of_every_threshold(self, threshold_codes,
+                                                  dtype, radius):
+        steps = np.arange(-radius, radius + 1)
+        for name, code in threshold_codes.items():
+            t = thresholds(code, dtype)
+            assert t.dtype == dtype and t.shape == (15,)
+            for k, tk in enumerate(t, start=1):
+                below, at = ulp_steps(tk, [-1, 0])
+                ref = bq._nearest_index_reference([below, at], code.values)
+                assert list(ref) == [k - 1, k], (name, k)
+            x = np.concatenate([ulp_steps(tk, steps) for tk in t])
+            np.testing.assert_array_equal(
+                bq.nearest_index(x, code.values),
+                bq._nearest_index_reference(x, code.values), err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, threshold_codes, dtype):
+        fi = np.finfo(dtype)
+        for name, code in threshold_codes.items():
+            q = code.values
+            mids = 0.5 * (q[:-1] + q[1:])
+            x = np.concatenate([
+                [-0.0, 0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                 3 * fi.smallest_subnormal, fi.smallest_normal,
+                 -fi.smallest_normal, -1.0, 1.0, -2.0, 2.0, fi.max, -fi.max,
+                 np.inf, -np.inf],
+                q, mids, np.nextafter(mids, -2.0), np.nextafter(mids, 2.0),
+                q[0] - np.geomspace(1e-9, 10, 8), q[-1] + np.geomspace(1e-9, 10, 8),
+            ]).astype(dtype)
+            np.testing.assert_array_equal(
+                bq.nearest_index(x, q), bq._nearest_index_reference(x, q),
+                err_msg=name)
+
+    def test_float16_and_integers_search_in_double(self, threshold_codes):
+        halves = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+        halves = halves[~np.isnan(halves)]
+        ints = [np.arange(-3, 4, dtype=t) for t in (np.int8, np.int32)]
+        ints.append(np.arange(7, dtype=np.uint8))
+        ints.append(np.array([-(1 << 62), -1, 0, 1, 1 << 62], dtype=np.int64))
+        for name, code in threshold_codes.items():
+            for x in [halves] + ints:
+                got = bq.nearest_index(x, code.values)
+                np.testing.assert_array_equal(
+                    got, bq._nearest_index_reference(x, code.values), err_msg=name)
+                np.testing.assert_array_equal(
+                    got, bq.nearest_index(x.astype(np.float64), code.values))
+
+    def test_shape_and_nan(self, codes):
+        q = codes["nf4"].values
+        x = np.linspace(-1, 1, 24, dtype=np.float32).reshape(2, 3, 4)[:, ::2]
+        got = bq.nearest_index(x, q)
+        assert got.shape == x.shape and got.dtype == np.uint8
+        np.testing.assert_array_equal(got, bq._nearest_index_reference(x, q))
+        assert bq.nearest_index(np.array([np.nan]), q)[0] == 0
 
 
 class TestQuantize:
@@ -108,6 +202,40 @@ class TestQuantize:
         w[2, 3] = np.nan
         with pytest.raises(DataError, match=r"\(2, 3\)"):
             bq.quantize(w, codes["nf4"], 4, axis=1)
+
+    def test_scale_overflowing_float32_rejected(self, codes):
+        w = np.ones((3, 8))
+        w[2, 5] = 1e39
+        with pytest.raises(DataError, match="block 2"):
+            bq.quantize(w, codes["nf4"], 8, axis=1)
+        w[2, 5] = np.finfo(np.float32).max
+        assert bq.quantize(w, codes["nf4"], 8, axis=1).scales[2] == w[2, 5]
+
+    @pytest.mark.parametrize("shape,axis", [((37, 3), 0), ((2, 3, 37), 2),
+                                            ((37,), 0), ((3, 37, 2), 1)])
+    def test_short_tails_match_padded_reference(self, tmp_path, codes,
+                                                shape, axis):
+        rng = np.random.default_rng(22)
+        code = codes["af4"]
+        for dtype in (np.float32, np.float64):
+            w = rng.standard_normal(shape).astype(dtype)
+            for B in (1, 2, 5, 8, 36, 37, 64):
+                qt = bq.quantize(w, code, B, axis=axis)
+                # the padded path: zero-padded rows, then pad nibbles zeroed
+                rows, _ = bq._blocks_view(w, axis, B)
+                scales = np.abs(rows).max(axis=1).astype(np.float32)
+                safe = np.where(scales > 0, scales, np.float32(1)).astype(dtype)
+                idx = bq._nearest_index_reference(rows / safe[:, None], code.values)
+                tail_mask, tail_len = bq._tail_block_mask(w.shape, axis, B)
+                idx[np.ix_(tail_mask, np.arange(tail_len, B))] = 0
+                ref = bq.QuantizedTensor(w.shape, axis, B, code, scales,
+                                         bq.pack_nibbles(idx))
+                np.testing.assert_array_equal(qt.scales, ref.scales)
+                np.testing.assert_array_equal(qt.packed, ref.packed)
+                bq.qtensor_write(qt, tmp_path / "a.fqz")
+                bq.qtensor_write(ref, tmp_path / "b.fqz")
+                assert ((tmp_path / "a.fqz").read_bytes()
+                        == (tmp_path / "b.fqz").read_bytes())
 
     def test_axis_handling(self, codes):
         rng = np.random.default_rng(13)
@@ -186,6 +314,18 @@ class TestReconstructionError:
         with pytest.raises(DomainError):
             bq.reconstruction_error(np.ones(3), np.ones(3), "rmse")
 
+    def test_one_pass_report_matches_each_metric(self, codes):
+        rng = np.random.default_rng(23)
+        w = rng.standard_normal((33, 70)).astype(np.float32)
+        for axis in (0, 1):
+            recon = bq.dequantize(bq.quantize(w, codes["af4"], 16, axis=axis))
+            report = bq.reconstruction_errors(w, recon)
+            assert list(report) == ["mean_abs", "mean_sq", "max_abs"]
+            for metric, value in report.items():
+                assert value == bq.reconstruction_error(w, recon, metric)
+        with pytest.raises(DomainError, match="mismatch"):
+            bq.reconstruction_errors(np.ones(3), np.ones(4))
+
     def test_af4_beats_nf4_at_large_blocks(self, codes):
         rng = np.random.default_rng(17)
         w = rng.standard_normal((512, 4096)).astype(np.float32)
@@ -237,6 +377,28 @@ class TestPacking:
         np.testing.assert_array_equal(packed, [[0x21, 0x43]])
 
 
+@contextlib.contextmanager
+def traced_peak():
+    """Trace Python and numpy allocations; the yielded list receives the
+    peak traced bytes on exit."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
+def lying_fqz1(path, dims, block_size=64, axis=0):
+    """An FQZ1 header declaring ``dims`` followed by no block data."""
+    path.write_bytes(
+        b"FQZ1" + struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims)
+        + struct.pack("<IBB", block_size, axis, 16)
+        + np.linspace(-1, 1, 16).astype("<f4").tobytes())
+    return path
+
+
 class TestTensorFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -262,6 +424,16 @@ class TestTensorFiles:
         path.write_bytes(data[:-7])
         with pytest.raises(FormatError, match="expected 64 bytes, got 57"):
             bq.tensor_read(path)
+
+    @pytest.mark.parametrize("side", [1 << 14, 1 << 19])
+    def test_lying_extents_fail_before_allocating(self, tmp_path, side):
+        path = tmp_path / "lie.fqt"
+        path.write_bytes(b"FQT1" + struct.pack("<BB2I", 0, 2, side, side)
+                         + bytes(64))
+        with pytest.raises(FormatError, match="truncated"):
+            with traced_peak() as peak:
+                bq.tensor_read(path)
+        assert peak[0] < 1 << 20
 
     def test_trailing_bytes(self, tmp_path):
         w = np.ones(3, dtype=np.float32)
@@ -329,6 +501,13 @@ class TestQuantizedTensorFiles:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
             bq.qtensor_read(path)
+
+    def test_lying_extents_fail_before_allocating(self, tmp_path):
+        path = lying_fqz1(tmp_path / "lie.fqz", (1 << 31, 1 << 31))
+        with pytest.raises(FormatError, match="truncated"):
+            with traced_peak() as peak:
+                bq.qtensor_read(path)
+        assert peak[0] < 1 << 20
 
     def test_non_ascending_code_rejected(self, tmp_path, codes):
         w = np.ones(8, dtype=np.float32)

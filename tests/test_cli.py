@@ -2,6 +2,7 @@
 
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -157,6 +158,17 @@ class TestQuantizeDequantize:
                            str(tmp_path / "o.fqz"), "--code", str(nf4_file))
         assert code == 2
         assert "magic" in err
+
+
+    def test_lying_fqz1_header_is_data_error(self, capsys, tmp_path):
+        # header of a 2^31 x 2^31 tensor, no block data
+        src = tmp_path / "lie.fqz"
+        src.write_bytes(b"FQZ1" + struct.pack("<BB2IIBB", 1, 2, 1 << 31, 1 << 31,
+                                              64, 0, 16)
+                        + np.linspace(-1, 1, 16).astype("<f4").tobytes())
+        code, _, err = run(capsys, "dequantize", str(src), str(tmp_path / "o.fqt"))
+        assert code == 2
+        assert "truncated" in err
 
 
 class TestDist:
