@@ -5,18 +5,19 @@ axis (the final block may be short).  Each block stores one float32 scale --
 its largest absolute value -- and one 4-bit code index per element, packed
 two per byte.  Dequantization is ``code.values[index] * scale``.
 
-Blocks are ordered row-major over the tensor's dimensions with the block
-axis replaced by the block number, and that order is what the FQZ1 file
-format serializes.  All operations are deterministic: ties in the
-nearest-value search go to the lower index, all-zero blocks store a scale
-of zero, and pad nibbles are zero.
+One block geometry serves every function here: the tensor is viewed as
+(before, length, after) with blocks along the middle axis, so row-major
+block order -- of ``scales``, of ``packed`` rows and of FQZ1 records -- is
+(before, block number, after).  The full blocks and a short final block are
+processed as separate parts at their own block length; ``packed`` rows are
+``ceil(min(block_size, length) / 2)`` bytes, as wide as the longest block.
 
-The nearest-value search compares each element with 15 decision
+All operations are deterministic: ties in the nearest-value search go to
+the lower index, all-zero blocks store a scale of zero, and pad nibbles are
+zero.  The nearest-value search compares each element with 15 decision
 thresholds, one set per code and search dtype (float32 for float32 input,
 float64 otherwise).  The thresholds are derived from, and give the same
 indices as, the double-precision tie rule of ``_nearest_index_reference``.
-Short final blocks are searched at their effective length; only their
-packed row is padded.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class QuantizedTensor:
     """Blockwise-quantized tensor: scales plus packed 4-bit indices.
 
     ``scales`` holds one float32 absmax per block, in row-major block order.
-    ``packed`` is a (num_blocks, ceil(block_size/2)) uint8 array; the final
-    (possibly short) block of each run is padded with zero nibbles up to the
-    fixed row width, but only its effective bytes are serialized.
+    ``packed`` is a (num_blocks, ceil(min(block_size, dims[block_axis]) / 2))
+    uint8 array, rows as wide as the longest block; a short final block's
+    row is padded with zero nibbles, which are not serialized.
     """
 
     dims: tuple
@@ -89,10 +90,11 @@ class QuantizedTensor:
         if self.block_size < 1:
             raise DomainError("block_size must be >= 1")
         object.__setattr__(self, "dims", dims)
-        nb = _num_blocks(dims, self.block_axis, self.block_size)
+        grid, parts = _geometry(dims, self.block_axis, self.block_size)
+        nb = math.prod(grid)
         if self.scales.shape != (nb,):
             raise DomainError(f"expected {nb} scales, got {self.scales.shape}")
-        row = (self.block_size + 1) // 2
+        row = _width(parts[0][2])
         if self.packed.shape != (nb, row):
             raise DomainError(
                 f"expected packed shape {(nb, row)}, got {self.packed.shape}"
@@ -102,20 +104,39 @@ class QuantizedTensor:
     def num_blocks(self):
         return self.scales.shape[0]
 
-    def block_extent_shape(self):
-        """dims with the block axis replaced by the number of blocks."""
-        shape = list(self.dims)
-        shape[self.block_axis] = -(-shape[self.block_axis] // self.block_size)
-        return tuple(shape)
+
+def _geometry(dims, axis, block_size):
+    """The block layout: the (before, blocks along the axis, after) grid of
+    row-major block order, and the parts -- (first block, block count, block
+    length) for the full blocks, then for a short final block, each only if
+    present."""
+    nfull, tail = divmod(dims[axis], block_size)
+    parts = [(0, nfull, block_size)] if nfull else []
+    if tail:
+        parts.append((nfull, 1, tail))
+    grid = (math.prod(dims[:axis]), nfull + (tail > 0), math.prod(dims[axis + 1:]))
+    return grid, parts
 
 
-def _num_blocks(dims, axis, block_size):
-    per_axis = -(-dims[axis] // block_size)
-    other = 1
-    for i, d in enumerate(dims):
-        if i != axis:
-            other *= d
-    return other * per_axis
+def _width(block_len):
+    """Packed bytes of a block of ``block_len`` indices."""
+    return (block_len + 1) // 2
+
+
+def _part_views(dims, axis, block_size, tensor, *arrays):
+    """Per part: its block length, ``tensor`` (shape ``dims``, or None) as a
+    (before, blocks, block length, after) view, and each of ``arrays`` (one
+    row per block in block order) as a (before, blocks, after, ...) view."""
+    grid, parts = _geometry(dims, axis, block_size)
+    before, _, after = grid
+    if tensor is not None:
+        tensor = tensor.reshape(before, dims[axis], after)
+    arrays = [a.reshape(grid + a.shape[1:]) for a in arrays]
+    for first, n, block_len in parts:
+        start = first * block_size
+        t = None if tensor is None else tensor[
+            :, start:start + n * block_len].reshape(before, n, block_len, after)
+        yield (block_len, t, *(a[:, first:first + n] for a in arrays))
 
 
 def _blocks_view(values, axis, block_size):
@@ -141,32 +162,6 @@ def _blocks_view(values, axis, block_size):
     rows = ordered.reshape(-1, block_size)
     tail = length - (nb_axis - 1) * block_size
     return rows, tail
-
-
-def _unblock(rows, dims, axis, block_size):
-    """Inverse of _blocks_view: rows in block order back to tensor shape."""
-    dims = tuple(dims)
-    nb_axis = -(-dims[axis] // block_size)
-    bshape = list(dims)
-    bshape[axis] = nb_axis
-    ordered = rows.reshape(tuple(bshape) + (block_size,))
-    split = np.moveaxis(ordered, axis, -2)
-    moved = split.reshape(split.shape[:-2] + (nb_axis * block_size,))
-    moved = moved[..., : dims[axis]]
-    return np.moveaxis(moved, -1, axis)
-
-
-def _tail_block_mask(dims, axis, block_size):
-    """Boolean mask over block order marking short final blocks, if any."""
-    bshape = list(dims)
-    nb_axis = -(-dims[axis] // block_size)
-    bshape[axis] = nb_axis
-    nb = int(np.prod(bshape))
-    if dims[axis] % block_size == 0:
-        return np.zeros(nb, dtype=bool), block_size
-    k = np.unravel_index(np.arange(nb), bshape)[axis]
-    tail = dims[axis] - (nb_axis - 1) * block_size
-    return k == nb_axis - 1, tail
 
 
 def _nearest_index_reference(normalized, code_values):
@@ -270,8 +265,9 @@ def pack_nibbles(indices):
 
 
 def unpack_nibbles(packed, length):
-    """Inverse of pack_nibbles, trimming to the requested element count."""
-    b = np.asarray(packed, dtype=np.uint8)
+    """Inverse of pack_nibbles for the first ``length`` elements of each
+    row; bytes past them are not unpacked."""
+    b = np.asarray(packed, dtype=np.uint8)[..., :(length + 1) // 2]
     out = np.empty(b.shape[:-1] + (b.shape[-1] * 2,), dtype=np.uint8)
     out[..., 0::2] = b & 0x0F
     out[..., 1::2] = b >> 4
@@ -300,84 +296,63 @@ def quantize(values, code, block_size, axis=0):
     if block_size < 1:
         raise DomainError("block_size must be >= 1")
 
-    # View the tensor as (before, axis, after); blocks run along the middle
-    # and (before, block number, after) is row-major block order.
-    length = arr.shape[axis]
-    shape3 = (math.prod(arr.shape[:axis]), length, math.prod(arr.shape[axis + 1:]))
-    arr3 = arr.reshape(shape3)
-    nfull, tail = divmod(length, block_size)
-    parts = []  # (before, blocks, block length, after) views, no padding
-    if nfull:
-        full = arr3[:, :nfull * block_size]
-        parts.append(full.reshape(shape3[0], nfull, block_size, shape3[2]))
-    if tail:
-        parts.append(arr3[:, nfull * block_size:, None].swapaxes(1, 2))
+    grid, parts = _geometry(arr.shape, axis, block_size)
+    scales = np.empty(math.prod(grid), dtype=np.float32)
+    packed = np.zeros((scales.size, _width(parts[0][2])), dtype=np.uint8)
+    views = list(_part_views(arr.shape, axis, block_size, arr, scales, packed))
 
-    absmax = [np.abs(p).max(axis=2) for p in parts]
-    # NaN and inf propagate into their block's absmax.
-    if not all(np.isfinite(m).all() for m in absmax):
-        finite = np.isfinite(arr)
-        pos = np.unravel_index(int(np.argmax(~finite)), arr.shape)
-        raise DataError(
-            f"non-finite input value at position {tuple(int(i) for i in pos)}"
-        )
     with np.errstate(over="ignore"):
-        scales = np.concatenate([m.astype(np.float32) for m in absmax], axis=1)
-    overflow = np.isinf(scales).ravel()
-    if overflow.any():
-        raise DataError(f"block {int(np.argmax(overflow))}: absmax exceeds "
+        for _, v, s, _ in views:
+            s[...] = np.abs(v).max(axis=2)
+    # NaN and inf propagate into their block's scale, and so does an absmax
+    # beyond the float32 range.
+    bad = ~np.isfinite(scales)
+    if bad.any():
+        finite = np.isfinite(arr)
+        if not finite.all():
+            flat = int(np.argmax(~finite))
+            pos = tuple(flat // math.prod(arr.shape[k + 1:]) % n
+                        for k, n in enumerate(arr.shape))
+            raise DataError(f"non-finite input value at position {pos}")
+        raise DataError(f"block {int(np.argmax(bad))}: absmax exceeds "
                         "the float32 range of the stored scale")
 
-    width = (block_size + 1) // 2
-    packed = np.zeros(scales.shape + (width,), dtype=np.uint8)
-    first = 0
-    for p in parts:
-        n = p.shape[1]
-        s = scales[:, first:first + n]
+    for block_len, v, s, pk in views:
         # Divide in the tensor's working precision by the stored (float32)
         # scale so dequantization sees the same quantity.
-        safe = np.where(s > 0, s, np.float32(1.0)).astype(p.dtype)
-        idx = nearest_index(p / safe[:, :, None, :], code.values)
-        row = pack_nibbles(np.moveaxis(idx, 2, -1))
-        packed[:, first:first + n, :, :row.shape[-1]] = row
-        first += n
+        safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
+        idx = nearest_index(v / safe[:, :, None, :], code.values)
+        pk[..., :_width(block_len)] = pack_nibbles(np.moveaxis(idx, 2, -1))
     return QuantizedTensor(
         dims=arr.shape,
         block_axis=axis,
         block_size=int(block_size),
         code=code,
-        scales=scales.reshape(-1),
-        packed=packed.reshape(-1, width),
+        scales=scales,
+        packed=packed,
     )
 
 
-def _indices_rows(qt):
-    idx = unpack_nibbles(qt.packed, qt.block_size)
-    if np.any(idx >= 16):
-        raise FormatError("corrupt storage: index >= 16")
-    return idx
-
-
 def dequantize(qt):
-    """Reconstruct a float32 tensor: code value times block scale."""
-    idx = _indices_rows(qt)
+    """Reconstruct a C-contiguous float32 tensor: code value times scale."""
     # Rounding each code value to float32 before the gather gives the same
     # elements as gathering in float64 and rounding after.
-    values = qt.code.values.astype(np.float32)[idx]
-    values *= qt.scales[:, None]
-    return _unblock(values, qt.dims, qt.block_axis, qt.block_size)
+    table = qt.code.values.astype(np.float32)
+    out = np.empty(qt.dims, dtype=np.float32)
+    for block_len, o, s, pk in _part_views(qt.dims, qt.block_axis,
+                                           qt.block_size, out, qt.scales,
+                                           qt.packed):
+        idx = unpack_nibbles(pk, block_len).swapaxes(2, 3)
+        np.multiply(table[idx], s[:, :, None, :], out=o)
+    return out
 
 
 def usage_histogram(qt):
     """Tally how often each code index occurs (pad nibbles excluded)."""
-    idx = _indices_rows(qt)
-    tail_mask, tail_len = _tail_block_mask(qt.dims, qt.block_axis, qt.block_size)
-    if tail_mask.any():
-        full = np.bincount(idx[~tail_mask].ravel(), minlength=16)
-        part = np.bincount(idx[tail_mask, :tail_len].ravel(), minlength=16)
-        counts = full + part
-    else:
-        counts = np.bincount(idx.ravel(), minlength=16)
+    counts = np.zeros(16, dtype=np.int64)
+    for block_len, _, pk in _part_views(qt.dims, qt.block_axis, qt.block_size,
+                                        None, qt.packed):
+        counts += np.bincount(unpack_nibbles(pk, block_len).ravel(), minlength=16)
     return UsageHistogram(tuple(int(c) for c in counts), int(counts.sum()))
 
 
@@ -487,32 +462,59 @@ def tensor_read(path):
 # FQZ1: quantized tensors
 # ---------------------------------------------------------------------------
 
+def _fqz1_body_length(dims, axis, block_size):
+    """Bytes of the per-block records of an FQZ1 file."""
+    (before, _, after), parts = _geometry(dims, axis, block_size)
+    return before * after * sum(n * (4 + _width(block_len))
+                                for _, n, block_len in parts)
+
+
+def _fqz1_records(dims, axis, block_size, body, scale_bytes, packed):
+    """Per part: its FQZ1 records (4 scale bytes, then the packed bytes) as a
+    (before, blocks, after, 4 + bytes) view of ``body``, and its views of
+    ``scale_bytes`` and ``packed``, trimmed to the part's bytes.  Within each
+    ``before`` row the full blocks' records precede the tail block's."""
+    body = body.reshape(math.prod(dims[:axis]), -1)
+    start = 0
+    for block_len, _, sb, pk in _part_views(dims, axis, block_size, None,
+                                            scale_bytes, packed):
+        pk = pk[..., :_width(block_len)]
+        shape = pk.shape[:3] + (4 + pk.shape[3],)
+        size = math.prod(shape[1:])
+        yield body[:, start:start + size].reshape(shape), sb, pk
+        start += size
+
+
 def qtensor_write(qt, path):
     """Write a QuantizedTensor as FQZ1.
 
     Per block, in row-major block order: the float32 absmax followed by the
     packed indices, trimmed to ceil(effective_block_len / 2) bytes for a
-    short final block.
+    short final block.  A block size or extent of 2^32 or more does not fit
+    the header and raises FormatError.
     """
     code_vals = qt.code.values.astype("<f4")
     if np.any(np.diff(code_vals) <= 0):
         raise FormatError(
             "code values collide after float32 rounding; cannot serialize"
         )
-    tail_mask, tail_len = _tail_block_mask(qt.dims, qt.block_axis, qt.block_size)
-    full_width = (qt.block_size + 1) // 2
-    tail_width = (tail_len + 1) // 2
+    for what, v in [("block size", qt.block_size)] + [("extent", d) for d in qt.dims]:
+        if v >= 1 << 32:
+            raise FormatError(f"{what} {v} overflows the 32-bit FQZ1 header")
+    body = np.empty(_fqz1_body_length(qt.dims, qt.block_axis, qt.block_size),
+                    dtype=np.uint8)
+    scale_bytes = np.ascontiguousarray(qt.scales, dtype="<f4").view(np.uint8)
+    for rec, sb, pk in _fqz1_records(qt.dims, qt.block_axis, qt.block_size,
+                                     body, scale_bytes.reshape(-1, 4), qt.packed):
+        rec[..., :4] = sb
+        rec[..., 4:] = pk
     with open(path, "wb") as fh:
         fh.write(FQZ1_MAGIC)
         fh.write(struct.pack("<BB", 1, len(qt.dims)))
         fh.write(struct.pack(f"<{len(qt.dims)}I", *qt.dims))
         fh.write(struct.pack("<IBB", qt.block_size, qt.block_axis, 16))
         fh.write(code_vals.tobytes())
-        scale_bytes = qt.scales.astype("<f4", copy=False).reshape(-1, 1).view(np.uint8)
-        widths = np.where(tail_mask, tail_width, full_width)
-        stream = np.hstack([scale_bytes, qt.packed])
-        keep = np.arange(4 + full_width)[None, :] < (4 + widths)[:, None]
-        fh.write(stream[keep].tobytes())
+        fh.write(body)
 
 
 def qtensor_read(path):
@@ -549,31 +551,24 @@ def qtensor_read(path):
 
         # Body length from the header alone, so a lying header fails in
         # _read_exact before the per-block arrays below are built.
-        full_width = (block_size + 1) // 2
-        nb_axis = -(-dims[axis] // block_size)
-        tail_width = (dims[axis] - (nb_axis - 1) * block_size + 1) // 2
-        runs = math.prod(dims) // dims[axis]
-        body_len = runs * (4 * nb_axis + (nb_axis - 1) * full_width + tail_width)
+        body_len = _fqz1_body_length(dims, axis, block_size)
         body = np.frombuffer(_read_exact(fh, body_len, path, "blocks"), dtype=np.uint8)
         extra = fh.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after blocks")
 
-    tail_mask, _ = _tail_block_mask(dims, axis, block_size)
-    nb = tail_mask.shape[0]
-    widths = np.where(tail_mask, tail_width, full_width)
-    starts = np.concatenate(([0], np.cumsum(4 + widths)[:-1]))
-    scale_idx = starts[:, None] + np.arange(4)[None, :]
-    scales = body[scale_idx].copy().view("<f4").reshape(nb)
-    packed = np.zeros((nb, full_width), dtype=np.uint8)
-    byte_idx = starts[:, None] + 4 + np.arange(full_width)[None, :]
-    valid = np.arange(full_width)[None, :] < widths[:, None]
-    packed[valid] = body[byte_idx[valid]]
+    grid, parts = _geometry(dims, axis, block_size)
+    scale_bytes = np.empty((math.prod(grid), 4), dtype=np.uint8)
+    packed = np.zeros((math.prod(grid), _width(parts[0][2])), dtype=np.uint8)
+    for rec, sb, pk in _fqz1_records(dims, axis, block_size, body,
+                                     scale_bytes, packed):
+        sb[...] = rec[..., :4]
+        pk[...] = rec[..., 4:]
     return QuantizedTensor(
         dims=dims,
         block_axis=int(axis),
         block_size=int(block_size),
         code=code,
-        scales=scales.astype(np.float32),
+        scales=scale_bytes.view("<f4").reshape(-1).astype(np.float32, copy=False),
         packed=packed,
     )

@@ -110,7 +110,8 @@ def cmd_code_gen(args):
 def cmd_quantize(args):
     tensor = blockquant.tensor_read(args.input)
     code = codebook.code_read(args.code)
-    block_size = args.block_size or code.block_size or DEFAULT_BLOCK_SIZE
+    block_size = (args.block_size if args.block_size is not None
+                  else code.block_size or DEFAULT_BLOCK_SIZE)
     qt = blockquant.quantize(tensor, code, block_size, axis=args.axis)
     blockquant.qtensor_write(qt, args.output)
     if args.report:
@@ -262,8 +263,6 @@ def _add_common(parser, block_size_default=None):
                         help="quantization block size B")
     parser.add_argument("--csv", action="store_true",
                         help="emit machine-parseable CSV on stdout")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results never depend on this)")
 
 
 def build_parser():
@@ -336,8 +335,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise _UsageError("--threads must be >= 1")
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -24,6 +24,34 @@ def codes():
     }
 
 
+def unblock(rows, dims, axis, block_size):
+    """Inverse of bq._blocks_view: padded rows in block order back to tensor
+    shape, dropping the padding."""
+    dims = tuple(dims)
+    nb_axis = -(-dims[axis] // block_size)
+    bshape = list(dims)
+    bshape[axis] = nb_axis
+    ordered = rows.reshape(tuple(bshape) + (block_size,))
+    split = np.moveaxis(ordered, axis, -2)
+    moved = split.reshape(split.shape[:-2] + (nb_axis * block_size,))
+    moved = moved[..., : dims[axis]]
+    return np.moveaxis(moved, -1, axis)
+
+
+def tail_block_mask(dims, axis, block_size):
+    """Boolean mask over block order marking short final blocks, if any,
+    and the effective length of the final block."""
+    bshape = list(dims)
+    nb_axis = -(-dims[axis] // block_size)
+    bshape[axis] = nb_axis
+    nb = int(np.prod(bshape))
+    if dims[axis] % block_size == 0:
+        return np.zeros(nb, dtype=bool), block_size
+    k = np.unravel_index(np.arange(nb), bshape)[axis]
+    tail = dims[axis] - (nb_axis - 1) * block_size
+    return k == nb_axis - 1, tail
+
+
 def brute_force_indices(normalized, values):
     """Exhaustive nearest-value scan; first minimal index wins ties."""
     dist = np.abs(np.asarray(normalized, dtype=np.float64)[..., None] - values)
@@ -182,9 +210,7 @@ class TestQuantize:
         err = np.abs(w - bq.dequantize(qt))
         rows, _ = bq._blocks_view(w, 1, 32)
         M = np.abs(rows).max(axis=1)
-        bound = bq._unblock(
-            np.repeat(M[:, None], 32, axis=1), w.shape, 1, 32
-        )
+        bound = unblock(np.repeat(M[:, None], 32, axis=1), w.shape, 1, 32)
         assert np.all(err <= bound * gap / 2 + 1e-12)
 
     def test_partial_final_block_absmax(self, codes):
@@ -217,6 +243,7 @@ class TestQuantize:
                                                 shape, axis):
         rng = np.random.default_rng(22)
         code = codes["af4"]
+        table = code.values.astype(np.float32)
         for dtype in (np.float32, np.float64):
             w = rng.standard_normal(shape).astype(dtype)
             for B in (1, 2, 5, 8, 36, 37, 64):
@@ -226,16 +253,30 @@ class TestQuantize:
                 scales = np.abs(rows).max(axis=1).astype(np.float32)
                 safe = np.where(scales > 0, scales, np.float32(1)).astype(dtype)
                 idx = bq._nearest_index_reference(rows / safe[:, None], code.values)
-                tail_mask, tail_len = bq._tail_block_mask(w.shape, axis, B)
+                tail_mask, tail_len = tail_block_mask(w.shape, axis, B)
                 idx[np.ix_(tail_mask, np.arange(tail_len, B))] = 0
+                # packed rows are as wide as the longest block
+                width = (min(B, shape[axis]) + 1) // 2
                 ref = bq.QuantizedTensor(w.shape, axis, B, code, scales,
-                                         bq.pack_nibbles(idx))
+                                         bq.pack_nibbles(idx)[:, :width])
                 np.testing.assert_array_equal(qt.scales, ref.scales)
                 np.testing.assert_array_equal(qt.packed, ref.packed)
+
+                deq = bq.dequantize(qt)
+                assert deq.dtype == np.float32 and deq.flags.c_contiguous
+                np.testing.assert_array_equal(
+                    deq, unblock(table[idx] * scales[:, None], w.shape, axis, B))
+                effective = unblock(idx, w.shape, axis, B).ravel()
+                assert bq.usage_histogram(qt).counts == tuple(
+                    np.bincount(effective, minlength=16))
+
                 bq.qtensor_write(qt, tmp_path / "a.fqz")
                 bq.qtensor_write(ref, tmp_path / "b.fqz")
                 assert ((tmp_path / "a.fqz").read_bytes()
                         == (tmp_path / "b.fqz").read_bytes())
+                back = bq.qtensor_read(tmp_path / "a.fqz")
+                np.testing.assert_array_equal(back.scales, ref.scales)
+                np.testing.assert_array_equal(back.packed, ref.packed)
 
     def test_axis_handling(self, codes):
         rng = np.random.default_rng(13)
@@ -508,6 +549,36 @@ class TestQuantizedTensorFiles:
             with traced_peak() as peak:
                 bq.qtensor_read(path)
         assert peak[0] < 1 << 20
+
+    def test_block_longer_than_axis_allocates_by_axis(self, tmp_path, codes):
+        w = np.random.default_rng(24).standard_normal((1000, 1)).astype(np.float32)
+        path = tmp_path / "t.fqz"
+        with traced_peak() as peak:
+            qt = bq.quantize(w, codes["nf4"], 1 << 31, axis=1)
+            bq.qtensor_write(qt, path)
+            back = bq.qtensor_read(path)
+        assert peak[0] < 1 << 20
+        assert qt.packed.shape == back.packed.shape == (1000, 1)
+        np.testing.assert_array_equal(back.scales, qt.scales)
+        np.testing.assert_array_equal(back.packed, qt.packed)
+        np.testing.assert_array_equal(bq.dequantize(back), bq.dequantize(qt))
+
+    def test_header_overflow_raises_format_error(self, tmp_path, codes):
+        path = tmp_path / "t.fqz"
+        qt = bq.quantize(np.ones((3, 2), dtype=np.float32), codes["nf4"],
+                         1 << 32, axis=1)
+        with pytest.raises(FormatError, match="block size 4294967296"):
+            bq.qtensor_write(qt, path)
+        # zero-stride arrays stand in for the 2^32 blocks
+        nb = 1 << 32
+        big = bq.QuantizedTensor((2, nb), 0, 2, codes["nf4"],
+                                 np.broadcast_to(np.float32(1), (nb,)),
+                                 np.broadcast_to(np.uint8(0), (nb, 1)))
+        with pytest.raises(FormatError, match="extent 4294967296"):
+            with traced_peak() as peak:
+                bq.qtensor_write(big, path)
+        assert peak[0] < 1 << 20
+        assert not path.exists()
 
     def test_non_ascending_code_rejected(self, tmp_path, codes):
         w = np.ones(8, dtype=np.float32)

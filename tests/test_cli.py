@@ -146,6 +146,34 @@ class TestQuantizeDequantize:
 
         assert mean_abs(af4_file) < mean_abs(nf4_file)
 
+    def test_zero_block_size_is_usage_error(self, capsys, tmp_path,
+                                            tensor_file, nf4_file):
+        code, _, err = run(capsys, "quantize", str(tensor_file),
+                           str(tmp_path / "o.fqz"), "--code", str(nf4_file),
+                           "--block-size", "0")
+        assert code == 1
+        assert err.startswith("error:") and "block_size" in err
+
+    def test_block_size_overflowing_header_is_data_error(
+            self, capsys, tmp_path, tensor_file, nf4_file):
+        out_q = tmp_path / "o.fqz"
+        code, _, err = run(capsys, "quantize", str(tensor_file), str(out_q),
+                           "--code", str(nf4_file), "--block-size", str(1 << 32))
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out_q.exists()
+
+    def test_block_longer_than_axis_roundtrips(self, capsys, tmp_path, nf4_file):
+        w = np.random.default_rng(8).standard_normal((1000, 1)).astype(np.float32)
+        src, out_q, out_t = (tmp_path / n for n in ("w.fqt", "w.fqz", "w2.fqt"))
+        bq.tensor_write(w, src)
+        assert run(capsys, "quantize", str(src), str(out_q), "--code",
+                   str(nf4_file), "--block-size", str(1 << 31),
+                   "--axis", "1")[0] == 0
+        assert run(capsys, "dequantize", str(out_q), str(out_t))[0] == 0
+        np.testing.assert_array_equal(bq.tensor_read(out_t),
+                                      bq.dequantize(bq.qtensor_read(out_q)))
+
     def test_missing_input_is_data_error(self, capsys, tmp_path, nf4_file):
         code, _, err = run(capsys, "quantize", str(tmp_path / "nope.fqt"),
                            str(tmp_path / "o.fqz"), "--code", str(nf4_file))
@@ -302,19 +330,6 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "dist", "cdf", "--frobnicate", "1")[0] == 1
-
-    def test_bad_threads(self, capsys):
-        assert run(capsys, "dist", "absmax-median", "--block-size", "64",
-                   "--threads", "0")[0] == 1
-
-    def test_threads_do_not_change_results(self, capsys):
-        _, out1, _ = run(capsys, "validate", "usage", "--kind", "nf4",
-                         "--block-size", "64", "--n", "1024", "--seed", "1",
-                         "--csv", "--threads", "1")
-        _, out4, _ = run(capsys, "validate", "usage", "--kind", "nf4",
-                         "--block-size", "64", "--n", "1024", "--seed", "1",
-                         "--csv", "--threads", "4")
-        assert out1 == out4
 
     def test_quad_tol_env_round_trips(self, capsys, monkeypatch):
         monkeypatch.setenv("QUANTLAB_QUAD_TOL", "1e-6")
