@@ -28,8 +28,6 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_BLOCK_SIZE = 64
 
-_CLI_KINDS = ("nf4", "af4", "balanced", "balanced-endpoints")
-
 
 class _UsageError(Exception):
     pass
@@ -68,23 +66,11 @@ def _build_code(args, block_size):
     kind = getattr(args, "kind", None)
     if kind is None:
         raise _UsageError("either --code or --kind is required")
-    return _construct_code(kind, getattr(args, "variant", None), block_size)
-
-
-def _construct_code(kind, variant, block_size):
-    if kind == "nf4":
-        return codebook.nf4_code((variant or "quantile-of-average").replace("-", "_"))
-    if block_size is None:
+    needs_block_size, build = codebook.CODE_KINDS[kind]
+    if needs_block_size and block_size is None:
         raise _UsageError(f"--block-size is required for kind {kind!r}")
-    if kind == "af4":
-        return codebook.af4_code(block_size)
-    if kind == "balanced":
-        bins = codebook.uniform_bins(block_size)
-        lo, hi = codebook.feasible_seed_interval(bins)
-        return codebook.balanced_code(0.5 * (lo + hi), bins, block_size=block_size)
-    if kind == "balanced-endpoints":
-        return codebook.balanced_code_with_endpoints(block_size)
-    raise _UsageError(f"unknown code kind {kind!r}")
+    variant = getattr(args, "variant", None) or "quantile-of-average"
+    return build(block_size, variant.replace("-", "_"))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +78,7 @@ def _construct_code(kind, variant, block_size):
 # ---------------------------------------------------------------------------
 
 def cmd_code_gen(args):
-    code = _construct_code(args.kind, args.variant, args.block_size)
+    code = _build_code(args, args.block_size)
     if args.out:
         codebook.code_write(code, args.out)
     if args.csv:
@@ -153,65 +139,33 @@ def cmd_dist(args):
     return EXIT_OK
 
 
+# Each report row: (quantity, n, estimate, stderr, analytic).
 def _validate_usage_rows(code, B, num_blocks, seed):
     stats = montecarlo.usage_statistics(code, B, num_blocks, seed)
     analytic = codebook.code_bin_masses(code, B)
-    rows = []
-    n = stats.histogram.total
-    for j in range(16):
-        est = stats.proportions[j]
-        rows.append((
-            f"usage[{j + 1}]", B, n, _fmt(est), _fmt(stats.stderr[j]),
-            _fmt(analytic[j]), _fmt(abs(est - analytic[j])),
-        ))
-    return rows
+    return [(f"usage[{j + 1}]", stats.histogram.total, stats.proportions[j],
+             stats.stderr[j], analytic[j]) for j in range(16)]
 
 
 def _validate_cdf_rows(B, num_blocks, seed):
     xs = np.linspace(-1.0, 1.0, 33)
     cfg = montecarlo.McConfig(seed=seed, block_size=B, num_blocks=num_blocks)
     est, se = montecarlo.empirical_cdf_stream(cfg, xs, independent_only=True)
-    rows = []
-    for x, p, s in zip(xs, est, se):
-        analytic = distributions.fx_cdf(x, B)
-        rows.append((
-            f"cdf[x={x:g}]", B, num_blocks, _fmt(p), _fmt(s),
-            _fmt(analytic), _fmt(abs(p - analytic)),
-        ))
-    return rows
+    return [(f"cdf[x={x:g}]", num_blocks, p, s, distributions.fx_cdf(x, B))
+            for x, p, s in zip(xs, est, se)]
 
 
 def _validate_l1_rows(code, B, num_blocks, seed):
-    cfg = montecarlo.McConfig(seed=seed, block_size=B, num_blocks=num_blocks)
-    total = 0.0
-    total_sq = 0.0
-    nb = 0
-    for chunk in _iter_l1_block_means(cfg, code):
-        total += chunk.sum()
-        total_sq += (chunk * chunk).sum()
-        nb += chunk.size
-    mean = total / nb
-    var = (total_sq - total * total / nb) / (nb - 1)
-    stderr = float(np.sqrt(max(var, 0.0) / nb))
+    mean, stderr = montecarlo.l1_statistics(code, B, num_blocks, seed)
     analytic = codebook.expected_l1(code, B)
-    return [(
-        "expected_l1", B, nb * B, _fmt(mean), _fmt(stderr),
-        _fmt(analytic), _fmt(abs(mean - analytic)),
-    )]
-
-
-def _iter_l1_block_means(cfg, code):
-    """Per-block mean absolute distance to the nearest code value."""
-    q = code.values
-    for chunk in montecarlo.iter_sample_chunks(cfg):
-        idx = blockquant.nearest_index(chunk.values, q)
-        d = np.abs(chunk.values - q[idx])
-        yield d.mean(axis=1)
+    return [("expected_l1", num_blocks * B, mean, stderr, analytic)]
 
 
 def cmd_validate(args):
     B = args.block_size
-    header = ("quantity", "B", "n", "estimate", "stderr", "analytic", "abs_diff")
+    if args.n < 2:
+        raise _UsageError(
+            f"validate needs --n >= 2 blocks for a standard error, got {args.n}")
     if args.report == "cdf":
         rows = _validate_cdf_rows(B, args.n, args.seed)
     else:
@@ -220,7 +174,10 @@ def cmd_validate(args):
             rows = _validate_usage_rows(code, B, args.n, args.seed)
         else:
             rows = _validate_l1_rows(code, B, args.n, args.seed)
-    _emit(rows, header, args.csv)
+    rows = [(q, B, n, _fmt(est), _fmt(se), _fmt(a), _fmt(abs(est - a)))
+            for q, n, est, se, a in rows]
+    _emit(rows, ("quantity", "B", "n", "estimate", "stderr", "analytic", "abs_diff"),
+          args.csv)
     if args.assert_:
         for row in rows:
             est, se, analytic = float(row[3]), float(row[4]), float(row[5])
@@ -273,7 +230,7 @@ def build_parser():
     p_code = sub.add_parser("code", help="codebook operations")
     code_sub = p_code.add_subparsers(dest="code_command", required=True)
     p_gen = code_sub.add_parser("gen", help="construct a 16-value code")
-    p_gen.add_argument("--kind", required=True, choices=_CLI_KINDS)
+    p_gen.add_argument("--kind", required=True, choices=codebook.CODE_KINDS)
     p_gen.add_argument("--variant",
                        choices=("quantile-of-average", "average-of-quantile"),
                        help="NF4 construction variant")
@@ -308,7 +265,7 @@ def build_parser():
     p_v = sub.add_parser("validate", help="Monte Carlo vs analytic reports")
     p_v.add_argument("report", choices=("usage", "cdf", "l1"))
     p_v.add_argument("--code", help="code16/v1 file")
-    p_v.add_argument("--kind", choices=_CLI_KINDS,
+    p_v.add_argument("--kind", choices=codebook.CODE_KINDS,
                      help="construct this code instead of reading --code")
     p_v.add_argument("--variant",
                      choices=("quantile-of-average", "average-of-quantile"))

@@ -14,6 +14,7 @@ Four families are provided:
 * ``balanced_code_with_endpoints`` -- a balanced code with the values
   nearest to -1, 0 and 1 snapped onto those points.
 
+``CODE_KINDS`` maps the command-line kind names onto these constructors.
 ``expected_l1`` scores any code by its expected absolute reconstruction
 error under the block-size-dependent law of the normalized inputs.
 """
@@ -429,6 +430,13 @@ def feasible_seed_interval(bins, num_scan=BALANCED_SCAN_POINTS):
     return float(feasible[0]), float(feasible[-1])
 
 
+def _midpoint_balanced_code(block_size, settings=None):
+    """Balanced code seeded at the midpoint of the feasible seed interval."""
+    bins = uniform_bins(block_size, settings)
+    lo, hi = feasible_seed_interval(bins)
+    return balanced_code(0.5 * (lo + hi), bins, block_size=block_size)
+
+
 def balanced_code_with_endpoints(block_size, settings=None):
     """Balanced code with the values nearest -1, 0, +1 snapped onto them.
 
@@ -436,10 +444,8 @@ def balanced_code_with_endpoints(block_size, settings=None):
     values.  The replacement trades away exact uniformity of usage for the
     presence of the endpoints in the code.
     """
-    bins = uniform_bins(block_size, settings)
-    lo, hi = feasible_seed_interval(bins)
-    seed = 0.5 * (lo + hi)
-    base = balanced_code(seed, bins, block_size=block_size)
+    base = _midpoint_balanced_code(block_size, settings)
+    seed = base.params["q1_seed"]
     values = np.array(base.values)
     replaced = {}
     for target in (-1.0, 0.0, 1.0):
@@ -452,6 +458,15 @@ def balanced_code_with_endpoints(block_size, settings=None):
         block_size=int(block_size),
         params={"q1_seed": seed, "replaced_positions": replaced},
     )
+
+
+# Command-line kind name -> (needs a block size, build(block_size, variant)).
+CODE_KINDS = {
+    "nf4": (False, lambda B, variant: nf4_code(variant)),
+    "af4": (True, lambda B, variant: af4_code(B)),
+    "balanced": (True, lambda B, variant: _midpoint_balanced_code(B)),
+    "balanced-endpoints": (True, lambda B, variant: balanced_code_with_endpoints(B)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ def _check_block_size(block_size, minimum=1):
     return int(block_size)
 
 
+def _not_nan(name, value):
+    if math.isnan(value := float(value)):
+        raise DomainError(f"{name} must be a number, got nan")
+    return value
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Accuracy budget for quadrature and inverse-CDF root finding.
@@ -278,7 +284,7 @@ class ScaledMaxDistribution:
 
     def fx_cdf(self, x):
         """CDF of the full mixed law (atoms included), right-continuous."""
-        x = float(x)
+        x = _not_nan("x", x)
         if x < -1.0:
             return 0.0
         if x >= 1.0:
@@ -294,9 +300,9 @@ class ScaledMaxDistribution:
         """Inverse of fx_cdf on the continuous region.
 
         Only probabilities strictly between the atom masses are invertible;
-        anything else raises DomainError naming the offending atom.
+        anything else, and NaN, raises DomainError.
         """
-        p = float(p)
+        p = _not_nan("p", p)
         if p <= self.atom_mass:
             raise DomainError(
                 f"p={p:g} falls in the atom at -1 (mass {self.atom_mass:g}); "
@@ -321,7 +327,7 @@ class ScaledMaxDistribution:
         Same atoms and normalization as fx_cdf, but the continuous part is a
         single truncated normal instead of an average over the absmax law.
         """
-        x = float(x)
+        x = _not_nan("x", x)
         if x < -1.0:
             return 0.0
         if x >= 1.0:

@@ -11,6 +11,8 @@ reproducible across platforms.
 Within one block the normalized entries are dependent (they share the
 absmax divisor), so estimators either retain a single designated entry per
 block (``independent_only``) or report block-clustered standard errors.
+The two clustered estimators, ``usage_statistics`` and ``l1_statistics``,
+share one chunked driver, ``_block_moments``.
 """
 
 from __future__ import annotations
@@ -162,13 +164,28 @@ def empirical_cdf_stream(cfg, xs, independent_only=True):
     return p, stderr
 
 
+def _block_moments(cfg, per_block):
+    """Sum over the blocks of cfg of per_block(chunk values) -- one value or
+    row per block -- and the standard error of its mean (NaN for one block)."""
+    total = sq = 0.0
+    for chunk in iter_sample_chunks(cfg):
+        s = per_block(chunk.values)
+        total = total + s.sum(axis=0)
+        sq = sq + (s * s).sum(axis=0)
+    nb = cfg.num_blocks
+    if nb < 2:
+        return total, np.full(np.shape(total), np.nan)
+    var = (sq - total * total / nb) / (nb - 1)
+    return total, np.sqrt(np.maximum(var, 0.0) / nb)
+
+
 @dataclass(frozen=True)
 class UsageStats:
     """Usage histogram plus block-clustered standard errors.
 
     stderr is the standard error of each proportion computed from the
     spread of per-block proportions, which stays valid despite the
-    within-block dependence of the samples.
+    within-block dependence of the samples.  It is NaN when num_blocks is 1.
     """
 
     histogram: UsageHistogram
@@ -182,36 +199,32 @@ class UsageStats:
 
 def usage_statistics(code, block_size, num_blocks, seed, chunk_size=None):
     """Quantize sampled blocks and tally code usage with clustered errors."""
-    cfg = McConfig(
-        seed=seed,
-        block_size=block_size,
-        num_blocks=num_blocks,
-        chunk_size=chunk_size,
-    )
-    counts = np.zeros(16, dtype=np.int64)
-    sum_q = np.zeros(16)
-    sum_q2 = np.zeros(16)
-    for chunk in iter_sample_chunks(cfg):
-        qt = blockquant.quantize(chunk.values, code, block_size, axis=1)
-        idx = blockquant.unpack_nibbles(qt.packed, block_size)
-        nblk = idx.shape[0]
-        flat = idx.ravel().astype(np.int64) + 16 * np.repeat(
-            np.arange(nblk, dtype=np.int64), block_size
-        )
-        per_block = np.bincount(flat, minlength=16 * nblk).reshape(nblk, 16)
-        counts += per_block.sum(axis=0)
-        q = per_block / block_size
-        sum_q += q.sum(axis=0)
-        sum_q2 += (q * q).sum(axis=0)
-    total = int(counts.sum())
-    hist = UsageHistogram(tuple(int(c) for c in counts), total)
-    nb = cfg.num_blocks
-    if nb > 1:
-        var = (sum_q2 - sum_q * sum_q / nb) / (nb - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / nb)
-    else:
-        stderr = np.full(16, np.nan)
-    return UsageStats(histogram=hist, stderr=stderr, num_blocks=nb)
+    cfg = McConfig(seed, block_size, num_blocks, chunk_size)
+
+    def counts(values):
+        # Sampled rows have absmax exactly 1: quantizing is nearest_index.
+        idx = blockquant.nearest_index(values, code.values)
+        idx = idx + 16 * np.arange(len(idx))[:, None]
+        return np.bincount(idx.ravel(), minlength=16 * len(idx)).reshape(
+            -1, 16).astype(np.float64)
+
+    total, stderr = _block_moments(cfg, counts)
+    hist = UsageHistogram(tuple(int(c) for c in total), int(total.sum()))
+    return UsageStats(histogram=hist, stderr=stderr / block_size,
+                      num_blocks=cfg.num_blocks)
+
+
+def l1_statistics(code, block_size, num_blocks, seed):
+    """(mean, clustered stderr) of the distance to the nearest code value
+    over sampled blocks; the stderr is NaN when num_blocks is 1."""
+    cfg = McConfig(seed=seed, block_size=block_size, num_blocks=num_blocks)
+    q = code.values
+
+    def block_means(values):
+        return np.abs(values - q[blockquant.nearest_index(values, q)]).mean(axis=1)
+
+    total, stderr = _block_moments(cfg, block_means)
+    return float(total / cfg.num_blocks), float(stderr)
 
 
 def estimate_usage(code, block_size, num_blocks, seed, chunk_size=None):

@@ -1,11 +1,15 @@
 """Tests for the command-line surface: behavior, formats, and exit codes."""
 
+import contextlib
 import csv
 import io
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantlab.blockquant as bq
 import quantlab.codebook as qc
@@ -66,8 +70,10 @@ class TestCodeGen:
         assert ">= 9" in err
 
     def test_af4_requires_block_size(self, capsys):
-        code, _, err = run(capsys, "code", "gen", "--kind", "af4")
-        assert code == 1
+        for kind in ("af4", "balanced", "balanced-endpoints"):
+            code, out, err = run(capsys, "code", "gen", "--kind", kind)
+            assert code == 1 and out == ""
+            assert err == f"--block-size is required for kind {kind!r}\n"
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "code", "gen", "--kind", "nf4", "--csv")
@@ -230,6 +236,29 @@ class TestDist:
         code, _, err = run(capsys, "dist", "cdf", "--block-size", "32")
         assert code == 1
 
+    @pytest.mark.parametrize("query, flag, B", [
+        ("quantile", "--p", "32"), ("approx-cdf", "--x", "32"),
+        ("cdf", "--x", "1"), ("cdf", "--x", "32"),
+    ])
+    def test_nan_argument_is_usage_error(self, capsys, query, flag, B):
+        code, out, err = run(capsys, "dist", query, "--block-size", B, flag, "nan")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(query=st.sampled_from(["cdf", "approx-cdf", "quantile"]),
+           value=st.floats(), B=st.sampled_from([1, 2, 32, 4096]))
+    def test_any_float_gives_exit_0_or_1(self, query, value, B):
+        flag = "--p" if query == "quantile" else "--x"
+        # "--x=VALUE": argparse reads a separate "-1e-05" or "-inf" as a flag.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["dist", query, "--block-size", str(B), f"{flag}={value!r}"])
+        assert code in (0, 1)
+        if code == 0:
+            assert math.isfinite(float(out.getvalue()))
+
 
 class TestValidate:
     def test_usage_csv_shape(self, capsys):
@@ -295,6 +324,14 @@ class TestValidate:
             results[kind] = (float(rows[0][3]), float(rows[0][5]))
         assert results["af4"][0] < results["nf4"][0]  # MC estimate
         assert results["af4"][1] < results["nf4"][1]  # analytic
+
+    @pytest.mark.parametrize("report", ["usage", "cdf", "l1"])
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_fewer_than_two_blocks_is_usage_error(self, capsys, report, n):
+        code, out, err = run(capsys, "validate", report, "--kind", "nf4",
+                             "--n", n, "--csv", "--assert")
+        assert code == 1 and out == ""
+        assert err == f"validate needs --n >= 2 blocks for a standard error, got {n}\n"
 
     def test_requires_code_or_kind(self, capsys):
         code, _, err = run(capsys, "validate", "usage", "--block-size", "64")

@@ -363,6 +363,9 @@ class TestExpectedL1:
         est = means.mean()
         stderr = means.std(ddof=1) / np.sqrt(means.size)
         assert abs(est - analytic) <= 4 * stderr
+        mc_est, mc_stderr = qmc.l1_statistics(code, B, 1 << 16, seed=11)
+        assert mc_est == pytest.approx(est, rel=1e-12, abs=0)
+        assert mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0)
 
     def test_rejects_bad_points(self):
         dist = qd.ScaledMaxDistribution(32)

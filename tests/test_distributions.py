@@ -336,6 +336,15 @@ class TestFxCdfApprox:
         assert sups[0] > sups[1] > sups[2]
 
 
+@pytest.mark.parametrize("fn, B", [
+    (qd.fx_cdf, 1), (qd.fx_cdf, 32), (qd.fx_cdf_approx, 1),
+    (qd.fx_cdf_approx, 32), (qd.fx_quantile, 1), (qd.fx_quantile, 32),
+])
+def test_nan_argument_is_domain_error(fn, B):
+    with pytest.raises(DomainError, match="nan"):
+        fn(math.nan, B)
+
+
 class TestSettingsAndConcurrency:
     def test_settings_validation(self):
         with pytest.raises(DomainError):

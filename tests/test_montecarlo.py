@@ -1,8 +1,12 @@
 """Tests for the deterministic sampling process and its estimators."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import quantlab.blockquant as bq
 import quantlab.codebook as qc
 import quantlab.distributions as qd
 import quantlab.montecarlo as qmc
@@ -172,6 +176,30 @@ class TestUsage:
         analytic = qc.code_bin_masses(code, B)
         dev = np.abs(stats.proportions - analytic)
         assert np.all(dev <= 4 * np.maximum(stats.stderr, 1e-9))
+
+
+    @pytest.mark.parametrize("B", [5, 64, 100])
+    def test_statistics_match_quantize_oracle(self, B):
+        code = qc.nf4_code()
+        cfg = qmc.McConfig(seed=26, block_size=B, num_blocks=300, chunk_size=77)
+        values = qmc.sample_blocks(cfg).values
+        qt = bq.quantize(values, code, B, axis=1)
+        stats = qmc.usage_statistics(code, B, 300, seed=26, chunk_size=77)
+        assert stats.histogram.counts == bq.usage_histogram(qt).counts
+        idx = bq.unpack_nibbles(qt.packed, B)
+        props = np.array([np.bincount(row, minlength=16) for row in idx]) / B
+        oracle = np.std(props, axis=0, ddof=1) / np.sqrt(300)
+        np.testing.assert_allclose(stats.stderr, oracle, rtol=1e-12, atol=0)
+
+    def test_single_block_has_nan_stderr(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = qmc.usage_statistics(qc.nf4_code(), 64, 1, seed=27)
+            mean, se = qmc.l1_statistics(qc.nf4_code(), 64, 1, seed=27)
+            hist = qmc.estimate_usage(qc.nf4_code(), 64, 1, seed=27)
+        assert hist.total == 64 and stats.histogram.counts == hist.counts
+        assert np.isnan(stats.stderr).all() and math.isnan(se)
+        assert 0.0 < mean < 1.0
 
 
 def _balanced(B):
