@@ -542,12 +542,17 @@ def qtensor_read(path):
             raise FormatError(f"{path}: invalid block size {block_size}")
         if axis >= ndim:
             raise FormatError(f"{path}: block axis {axis} out of range")
-        code_vals = np.frombuffer(
-            _read_exact(fh, 64, path, "code values"), dtype="<f4"
-        ).astype(np.float64)
-        if np.any(np.diff(code_vals) <= 0):
-            raise FormatError(f"{path}: code values are not ascending")
-        code = Code16(code_vals, kind=KIND_CUSTOM, params={"source": "fqz1"})
+        # Non-finite values, signalling NaNs included, fail in Code16.
+        with np.errstate(invalid="ignore"):
+            code_vals = np.frombuffer(
+                _read_exact(fh, 64, path, "code values"), dtype="<f4"
+            ).astype(np.float64)
+            if np.any(np.diff(code_vals) <= 0):
+                raise FormatError(f"{path}: code values are not ascending")
+        try:
+            code = Code16(code_vals, kind=KIND_CUSTOM, params={"source": "fqz1"})
+        except DomainError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
         # Body length from the header alone, so a lying header fails in
         # _read_exact before the per-block arrays below are built.
@@ -564,11 +569,14 @@ def qtensor_read(path):
                                      scale_bytes, packed):
         sb[...] = rec[..., :4]
         pk[...] = rec[..., 4:]
+    scales = scale_bytes.view("<f4").reshape(-1).astype(np.float32, copy=False)
+    if not np.all(np.isfinite(scales)) or np.any(scales < 0):
+        raise FormatError(f"{path}: block scales must be finite and nonnegative")
     return QuantizedTensor(
         dims=dims,
         block_axis=int(axis),
         block_size=int(block_size),
         code=code,
-        scales=scale_bytes.view("<f4").reshape(-1).astype(np.float32, copy=False),
+        scales=scales,
         packed=packed,
     )

@@ -39,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    # argparse takes only plain negative decimals such as -0.5 for values, so
+    # -1e-05 and -inf would read as unknown options.  No option name parses
+    # as a float, so every token that does is a value.
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _emit(rows, header, use_csv):
     if use_csv:

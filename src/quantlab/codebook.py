@@ -90,8 +90,9 @@ class Code16:
             )
         if vals[0] < -1.0 or vals[-1] > 1.0:
             raise DomainError("code values must lie within [-1, 1]")
-        if self.kind not in VALID_KINDS:
-            raise DomainError(f"unknown code kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in VALID_KINDS:
+            raise DomainError(
+                f"unknown kind {self.kind!r}; expected one of {sorted(VALID_KINDS)}")
         if self.kind in _BLOCK_SIZE_REQUIRED and self.block_size is None:
             raise DomainError(f"kind {self.kind!r} requires a block_size")
         if self.kind in _ANCHORED_KINDS:
@@ -181,7 +182,7 @@ class EscapedSupportError(ConstructionError):
     """
 
 
-def stationarity_step(a_prev, a_cur, block_size, settings=None):
+def stationarity_step(a_prev, a_cur, block_size):
     """Advance the median-condition recurrence by one code value.
 
     Given consecutive code values a_prev < a_cur, returns the unique a_next
@@ -200,7 +201,7 @@ def stationarity_step(a_prev, a_cur, block_size, settings=None):
     mid = 0.5 * (a_prev + a_cur)
     if not mid > -1.0:
         raise DomainError(f"midpoint {mid} must lie above the support point -1")
-    dist = scaled_max_distribution(block_size, settings)
+    dist = scaled_max_distribution(block_size)
     rho = 2.0 * dist.fx_cdf(a_cur) - dist.fx_cdf(mid)
     if rho >= 1.0 - dist.atom_mass:
         raise EscapedSupportError(
@@ -210,26 +211,19 @@ def stationarity_step(a_prev, a_cur, block_size, settings=None):
     return 2.0 * dist.fx_quantile(rho) - a_cur
 
 
-def _run_trajectory(left, seed, num_steps, block_size, settings):
-    """Iterate the recurrence from (left, seed); returns the full value list."""
-    vals = [left, seed]
-    for _ in range(num_steps):
-        vals.append(stationarity_step(vals[-2], vals[-1], block_size, settings))
-    return vals
-
-
-def _shoot_side(left, lo, hi, num_steps, target, block_size, settings,
-                shooting_tol):
+def _shoot_side(left, lo, hi, num_steps, target, block_size):
     """Find the seed in (lo, hi) whose trajectory endpoint hits target.
 
     Coarse scan to bracket a sign change of endpoint - target, then
-    bisection until the endpoint residual is below shooting_tol.  Seeds
-    whose trajectory escapes the support count as overshoots.
+    bisection until the endpoint residual is below DEFAULT_SHOOTING_TOL.
+    Seeds whose trajectory escapes the support count as overshoots.
     """
 
     def residual(seed):
+        vals = [left, seed]
         try:
-            vals = _run_trajectory(left, seed, num_steps, block_size, settings)
+            for _ in range(num_steps):
+                vals.append(stationarity_step(vals[-2], vals[-1], block_size))
         except EscapedSupportError:
             return None, None  # overshoot
         return vals[-1] - target, vals
@@ -260,7 +254,7 @@ def _shoot_side(left, lo, hi, num_steps, target, block_size, settings,
     for _ in range(200):
         s_mid = 0.5 * (s_lo + s_hi)
         r_mid, vals = residual(s_mid)
-        if r_mid is not None and abs(r_mid) < shooting_tol:
+        if r_mid is not None and abs(r_mid) < DEFAULT_SHOOTING_TOL:
             return s_mid, vals
         if r_mid is None or r_mid > 0.0:
             s_hi = s_mid
@@ -270,12 +264,11 @@ def _shoot_side(left, lo, hi, num_steps, target, block_size, settings,
             break
     raise ConstructionError(
         f"shooting bisection stalled in [{s_lo!r}, {s_hi!r}] without reaching "
-        f"|residual| < {shooting_tol:g}"
+        f"|residual| < {DEFAULT_SHOOTING_TOL:g}"
     )
 
 
-def af4_code(block_size, settings=None, *, shooting_tol=DEFAULT_SHOOTING_TOL,
-             mass_tol=DEFAULT_MASS_TOL):
+def af4_code(block_size):
     """Expected-L1 stationary code containing -1, 0 and 1, for one block size.
 
     The values between the fixed points are pinned down by requiring every
@@ -288,10 +281,8 @@ def af4_code(block_size, settings=None, *, shooting_tol=DEFAULT_SHOOTING_TOL,
     """
     if block_size < 2:
         raise DomainError("af4 requires block size >= 2")
-    seed_neg, neg_vals = _shoot_side(
-        -1.0, -1.0, 0.0, 6, 0.0, block_size, settings, shooting_tol)
-    seed_pos, pos_vals = _shoot_side(
-        0.0, 0.0, 1.0, 7, 1.0, block_size, settings, shooting_tol)
+    seed_neg, neg_vals = _shoot_side(-1.0, -1.0, 0.0, 6, 0.0, block_size)
+    seed_pos, pos_vals = _shoot_side(0.0, 0.0, 1.0, 7, 1.0, block_size)
     values = np.concatenate([
         [-1.0], neg_vals[1:7], [0.0], pos_vals[1:8], [1.0],
     ])
@@ -302,26 +293,27 @@ def af4_code(block_size, settings=None, *, shooting_tol=DEFAULT_SHOOTING_TOL,
         params={
             "seed_negative": seed_neg,
             "seed_positive": seed_pos,
-            "shooting_tol": shooting_tol,
-            "mass_tol": mass_tol,
+            "shooting_tol": DEFAULT_SHOOTING_TOL,
+            "mass_tol": DEFAULT_MASS_TOL,
         },
     )
-    residuals = median_condition_residuals(code, block_size, settings)
-    if np.max(residuals) >= mass_tol:
+    residuals = median_condition_residuals(code, block_size)
+    if np.max(residuals) >= DEFAULT_MASS_TOL:
         raise ConstructionError(
             f"af4 construction left a median-condition residual of "
-            f"{np.max(residuals):.3g} >= {mass_tol:g} for block size {block_size}"
+            f"{np.max(residuals):.3g} >= {DEFAULT_MASS_TOL:g} "
+            f"for block size {block_size}"
         )
     return code
 
 
-def median_condition_residuals(code, block_size, settings=None):
+def median_condition_residuals(code, block_size):
     """|left bin mass - right bin mass| for each of the 13 interior values.
 
     Interior means positions 2..7 and 9..15; the fixed values -1, 0, 1 carry
     no stationarity condition.
     """
-    dist = scaled_max_distribution(block_size, settings)
+    dist = scaled_max_distribution(block_size)
     v = np.asarray(code.values if isinstance(code, Code16) else code, dtype=float)
     residuals = []
     for j in list(range(1, 7)) + list(range(8, 15)):
@@ -336,7 +328,7 @@ def median_condition_residuals(code, block_size, settings=None):
 # Balanced (uniform-usage) codes
 # ---------------------------------------------------------------------------
 
-def uniform_bins(block_size, settings=None):
+def uniform_bins(block_size):
     """Bin edges holding exactly 1/16 of the mixed law's mass each.
 
     The outer edges are pinned to +/-1 so the atoms fall inside the
@@ -348,7 +340,7 @@ def uniform_bins(block_size, settings=None):
             f"uniform bins require block size >= 9 so the atoms fit inside "
             f"the outer bins; got {block_size}"
         )
-    dist = scaled_max_distribution(block_size, settings)
+    dist = scaled_max_distribution(block_size)
     edges = np.empty(17)
     edges[0], edges[16] = -1.0, 1.0
     for k in range(1, 16):
@@ -410,13 +402,13 @@ def balanced_code(q1_seed, bins, *, block_size=None):
     )
 
 
-def feasible_seed_interval(bins, num_scan=BALANCED_SCAN_POINTS):
+def feasible_seed_interval(bins):
     """Scan the first bin for seeds that produce a feasible balanced code.
 
     Returns (lo, hi), the extremes of the feasible seeds found.
     """
     edges = bins.edges
-    seeds = np.linspace(edges[0], edges[1], num_scan)
+    seeds = np.linspace(edges[0], edges[1], BALANCED_SCAN_POINTS)
     feasible = []
     for s in seeds:
         q = _reflect(s, edges)
@@ -424,27 +416,27 @@ def feasible_seed_interval(bins, num_scan=BALANCED_SCAN_POINTS):
             feasible.append(s)
     if not feasible:
         raise ConstructionError(
-            f"no feasible balanced-code seed among {num_scan} scanned values "
-            f"in [{edges[0]:.6g}, {edges[1]:.6g}]"
+            f"no feasible balanced-code seed among {BALANCED_SCAN_POINTS} "
+            f"scanned values in [{edges[0]:.6g}, {edges[1]:.6g}]"
         )
     return float(feasible[0]), float(feasible[-1])
 
 
-def _midpoint_balanced_code(block_size, settings=None):
+def _midpoint_balanced_code(block_size):
     """Balanced code seeded at the midpoint of the feasible seed interval."""
-    bins = uniform_bins(block_size, settings)
+    bins = uniform_bins(block_size)
     lo, hi = feasible_seed_interval(bins)
     return balanced_code(0.5 * (lo + hi), bins, block_size=block_size)
 
 
-def balanced_code_with_endpoints(block_size, settings=None):
+def balanced_code_with_endpoints(block_size):
     """Balanced code with the values nearest -1, 0, +1 snapped onto them.
 
     Uses the midpoint of the feasible seed interval, then replaces three
     values.  The replacement trades away exact uniformity of usage for the
     presence of the endpoints in the code.
     """
-    base = _midpoint_balanced_code(block_size, settings)
+    base = _midpoint_balanced_code(block_size)
     seed = base.params["q1_seed"]
     values = np.array(base.values)
     replaced = {}
@@ -473,16 +465,16 @@ CODE_KINDS = {
 # Scoring and analytic usage
 # ---------------------------------------------------------------------------
 
-def expected_l1(code, block_size, settings=None):
+def expected_l1(code, block_size):
     """E[min_j |X - q_j|] under the mixed law for the given block size."""
     values = code.values if isinstance(code, Code16) else np.asarray(code, float)
-    dist = scaled_max_distribution(block_size, settings)
+    dist = scaled_max_distribution(block_size)
     return dist.expected_min_abs_distance(values)
 
 
-def code_bin_masses(code, block_size, settings=None):
+def code_bin_masses(code, block_size):
     """Probability of each code value being selected, under the mixed law."""
-    dist = scaled_max_distribution(block_size, settings)
+    dist = scaled_max_distribution(block_size)
     edges = code.bin_edges()
     cdf_at = np.array([dist.fx_cdf(e) for e in edges[1:-1]])
     return np.diff(np.concatenate(([0.0], cdf_at, [1.0])))
@@ -516,7 +508,9 @@ def code_read(path):
     """Read a code16/v1 JSON document; validates structure and monotonicity."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bad UTF-8 and over-long integers;
+        # deeply nested arrays exhaust the decoder's recursion limit.
         raise FormatError(f"{path}: not a valid code16/v1 document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "code16/v1":
         raise FormatError(f"{path}: missing or wrong format marker 'code16/v1'")
@@ -524,8 +518,11 @@ def code_read(path):
     if not isinstance(values, list) or len(values) != 16:
         n = len(values) if isinstance(values, list) else "none"
         raise FormatError(f"{path}: expected 16 code values, got {n}")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise FormatError(f"{path}: code values must be numbers")
+    # Exact int/float comparisons: no NaN, infinity or out-of-range integer
+    # reaches the float conversion.
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and -1 <= v <= 1 for v in values):
+        raise FormatError(f"{path}: code values must be numbers in [-1, 1]")
     arr = np.array(values, dtype=float)
     bad = np.flatnonzero(np.diff(arr) <= 0)
     if bad.size:
@@ -534,15 +531,12 @@ def code_read(path):
             f"index {int(bad[0]) + 1}"
         )
     kind = doc.get("kind")
-    if kind not in VALID_KINDS:
-        raise FormatError(
-            f"{path}: unknown kind {kind!r}; expected one of {sorted(VALID_KINDS)}"
-        )
     block_size = doc.get("block_size")
     if block_size is not None and (
         isinstance(block_size, bool) or not isinstance(block_size, int)
+        or block_size < 1
     ):
-        raise FormatError(f"{path}: block_size must be an integer or null")
+        raise FormatError(f"{path}: block_size must be a positive integer or null")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FormatError(f"{path}: params must be an object")

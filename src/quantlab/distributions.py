@@ -20,6 +20,10 @@ The integral is evaluated by adaptive Gauss-Legendre quadrature: the node
 count is doubled until two successive estimates agree within the requested
 absolute tolerance.  Tail truncation of the m-range is chosen so that the
 omitted absmax mass is far below the quadrature tolerance.
+
+Accuracy is decided in this module alone.  The module-level functions, and
+through them every other module, use ``default_settings()``, so the
+QUANTLAB_QUAD_TOL environment variable is the one accuracy override.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ DEFAULT_TAIL_CUT = 1e-12
 QUAD_TOL_ENV = "QUANTLAB_QUAD_TOL"
 
 
-def _check_block_size(block_size, minimum=1):
+def _check_block_size(block_size):
     if isinstance(block_size, bool) or not isinstance(block_size, (int, np.integer)):
         raise DomainError(f"block size must be an integer, got {block_size!r}")
-    if block_size < minimum:
-        raise DomainError(f"block size must be >= {minimum}, got {block_size}")
+    if block_size < 1:
+        raise DomainError(f"block size must be >= 1, got {block_size}")
     return int(block_size)
 
 
@@ -191,38 +195,30 @@ class ScaledMaxDistribution:
     the degenerate two-atom case: ``fx_cdf`` still works but ``gb_cdf``
     raises, since there is no continuous part to describe.
 
-    Instances precompute quadrature rules lazily and are safe to share
-    across threads.
+    ``settings`` defaults to ``default_settings()``.  Instances precompute
+    quadrature rules lazily and are safe to share across threads.
     """
 
-    def __init__(self, block_size, settings=None, tail_cut=DEFAULT_TAIL_CUT):
+    def __init__(self, block_size, settings=None):
         self.block_size = _check_block_size(block_size)
         self.settings = settings if settings is not None else default_settings()
-        if not (0.0 < tail_cut <= 1e-6):
-            raise DomainError(f"tail_cut must be in (0, 1e-6], got {tail_cut}")
-        self.tail_cut = float(tail_cut)
         self.atom_mass = 1.0 / (2.0 * self.block_size)
         # Constant stand-in for the absmax used by the closed-form
         # approximation: the median of the absmax law.
         self.m_typical = halfnormal_quantile(2.0 ** (-1.0 / self.block_size))
         B = self.block_size
         if B >= 2:
-            # m-range outside of which the absmax mass is below ~tail_cut;
+            # m-range outside of which the absmax mass is below ~DEFAULT_TAIL_CUT;
             # the integrand is then evaluated only on [m_lo, m_hi].
-            self.m_lo = halfnormal_quantile(self.tail_cut ** (1.0 / (B - 1)))
-            self.m_hi = -float(ndtri(self.tail_cut / (2.0 * B)))
-            # For expectation integrals 1/thorn(m) appears in the integrand,
-            # so the lower cut keeps thorn(m)^B (not ^(B-1)) below tail_cut.
-            self._m_lo_expect = halfnormal_quantile(self.tail_cut ** (1.0 / B))
+            self.m_lo = halfnormal_quantile(DEFAULT_TAIL_CUT ** (1.0 / (B - 1)))
+            self.m_hi = -float(ndtri(DEFAULT_TAIL_CUT / (2.0 * B)))
+            # For expectation integrals 1/thorn(m) appears in the integrand, so
+            # the lower cut keeps thorn(m)^B (not ^(B-1)) below DEFAULT_TAIL_CUT.
+            self._m_lo_expect = halfnormal_quantile(DEFAULT_TAIL_CUT ** (1.0 / B))
         else:
             self.m_lo = self.m_hi = self._m_lo_expect = None
         self._rules = {}
         self._lock = threading.Lock()
-
-    @property
-    def quad_tol(self):
-        """Absolute tolerance the quadrature refines to."""
-        return self.settings.abs_tol
 
     # -- quadrature machinery -------------------------------------------
 
@@ -282,19 +278,21 @@ class ScaledMaxDistribution:
 
         return self._integrate(node_func, self.m_lo)
 
-    def fx_cdf(self, x):
-        """CDF of the full mixed law (atoms included), right-continuous."""
+    def _with_atoms(self, x, continuous_cdf):
+        """Mixed-law CDF at x, right-continuous, given the CDF of the
+        continuous part on (-1, 1)."""
         x = _not_nan("x", x)
         if x < -1.0:
             return 0.0
         if x >= 1.0:
             return 1.0
-        if self.block_size == 1:
+        if self.block_size == 1 or x == -1.0:
             return self.atom_mass
-        if x == -1.0:
-            return self.atom_mass
-        B = self.block_size
-        return self.atom_mass + (1.0 - 1.0 / B) * self.gb_cdf(x)
+        return self.atom_mass + (1.0 - 1.0 / self.block_size) * continuous_cdf(x)
+
+    def fx_cdf(self, x):
+        """CDF of the full mixed law (atoms included), right-continuous."""
+        return self._with_atoms(x, self.gb_cdf)
 
     def fx_quantile(self, p):
         """Inverse of fx_cdf on the continuous region.
@@ -327,19 +325,8 @@ class ScaledMaxDistribution:
         Same atoms and normalization as fx_cdf, but the continuous part is a
         single truncated normal instead of an average over the absmax law.
         """
-        x = _not_nan("x", x)
-        if x < -1.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
-        if self.block_size == 1:
-            return self.atom_mass
-        if x == -1.0:
-            return self.atom_mass
-        B = self.block_size
         m0 = self.m_typical
-        psi = trunc_normal_cdf(x * m0, m0)
-        return self.atom_mass + (1.0 - 1.0 / B) * psi
+        return self._with_atoms(x, lambda t: trunc_normal_cdf(t * m0, m0))
 
     # -- expectations ------------------------------------------------------
 
@@ -385,32 +372,31 @@ class ScaledMaxDistribution:
 
 
 @lru_cache(maxsize=None)
-def _cached_dist(block_size, settings, tail_cut):
-    return ScaledMaxDistribution(block_size, settings, tail_cut)
+def _cached_dist(block_size, settings):
+    return ScaledMaxDistribution(block_size, settings)
 
 
-def scaled_max_distribution(block_size, settings=None, tail_cut=DEFAULT_TAIL_CUT):
-    """Shared, cached ScaledMaxDistribution instance for the given inputs."""
-    if settings is None:
-        settings = default_settings()
-    return _cached_dist(block_size, settings, tail_cut)
+def scaled_max_distribution(block_size):
+    """Shared, cached ScaledMaxDistribution for a block size, at the
+    accuracy of ``default_settings()`` (read on every call)."""
+    return _cached_dist(block_size, default_settings())
 
 
-def gb_cdf(x, block_size, settings=None):
+def gb_cdf(x, block_size):
     """CDF of the continuous part of the normalized-entry law."""
-    return scaled_max_distribution(block_size, settings).gb_cdf(x)
+    return scaled_max_distribution(block_size).gb_cdf(x)
 
 
-def fx_cdf(x, block_size, settings=None):
+def fx_cdf(x, block_size):
     """CDF of the normalized-entry law (atoms at +/-1 included)."""
-    return scaled_max_distribution(block_size, settings).fx_cdf(x)
+    return scaled_max_distribution(block_size).fx_cdf(x)
 
 
-def fx_quantile(p, block_size, settings=None):
+def fx_quantile(p, block_size):
     """Inverse CDF on the continuous region; atoms raise DomainError."""
-    return scaled_max_distribution(block_size, settings).fx_quantile(p)
+    return scaled_max_distribution(block_size).fx_quantile(p)
 
 
-def fx_cdf_approx(x, block_size, settings=None):
+def fx_cdf_approx(x, block_size):
     """Closed-form approximation of fx_cdf with the absmax held at its median."""
-    return scaled_max_distribution(block_size, settings).fx_cdf_approx(x)
+    return scaled_max_distribution(block_size).fx_cdf_approx(x)

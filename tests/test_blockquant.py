@@ -6,6 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import quantlab.blockquant as bq
 import quantlab.codebook as qc
@@ -212,6 +215,39 @@ class TestQuantize:
         M = np.abs(rows).max(axis=1)
         bound = unblock(np.repeat(M[:, None], 32, axis=1), w.shape, 1, 32)
         assert np.all(err <= bound * gap / 2 + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, codes, tmp_path_factory, data):
+        dtype = data.draw(st.sampled_from([np.float16, np.float32, np.float64]))
+        shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+        axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+        B = data.draw(st.integers(1, shape[axis] + 3))
+        w = data.draw(hnp.arrays(dtype, shape, elements=st.floats(
+            -1e4, 1e4, width=8 * np.dtype(dtype).itemsize)))
+        code = codes[data.draw(st.sampled_from(sorted(codes)))]
+
+        qt = bq.quantize(w, code, B, axis=axis)
+        path = tmp_path_factory.getbasetemp() / "round-trip.fqz"
+        bq.qtensor_write(qt, path)
+        back = bq.qtensor_read(path)
+        assert back.dims == qt.dims == shape
+        np.testing.assert_array_equal(back.scales, qt.scales)
+        np.testing.assert_array_equal(back.packed, qt.packed)
+
+        # Largest distance from a point of [-1, 1] to its nearest code value;
+        # the slack covers rounding of the ratio in the input dtype and of the
+        # float32 scale and product, plus float32 subnormal products.
+        q = code.values
+        half_gap = max(np.diff(q).max() / 2, q[0] + 1, 1 - q[-1])
+        k = axis % len(shape)
+        rows, _ = bq._blocks_view(np.abs(w.astype(np.float64)), k, B)
+        absmax = unblock(np.repeat(rows.max(axis=1)[:, None], B, axis=1),
+                         shape, k, B)
+        slack = np.finfo(dtype).eps + 2.0 ** -21
+        err = np.abs(w.astype(np.float64) - bq.dequantize(qt))
+        assert np.all(err <= absmax * (half_gap + slack) + 2.0 ** -140)
+        assert bq.usage_histogram(qt).total == w.size
 
     def test_partial_final_block_absmax(self, codes):
         code = codes["nf4"]
@@ -592,4 +628,25 @@ class TestQuantizedTensorFiles:
             data[offset + 4:offset + 8], data[offset:offset + 4])
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="ascending"):
+            bq.qtensor_read(path)
+
+    # (byte offset from the end of the 16 code values, little-endian float32
+    # bits); 0x7FA00000 is a signalling NaN, whose cast to float64 warns.
+    @pytest.mark.parametrize("where, bits", [
+        (-4, 0x7FC00000), (-4, 0x7FA00000), (-4, 0x7F800000), (-4, 0x3FC00000),
+        (-64, 0xBFC00000), (0, 0x7FA00000), (0, 0x7F800000), (0, 0xBF800000),
+    ], ids=["code-nan", "code-snan", "code-inf", "code-1.5", "code-minus-1.5",
+            "scale-snan", "scale-inf", "scale-negative"])
+    def test_bad_code_values_and_scales_are_format_errors(self, tmp_path, codes,
+                                                          where, bits):
+        qt = bq.quantize(np.ones(8, dtype=np.float32), codes["nf4"], 8, axis=0)
+        path = tmp_path / "t.fqz"
+        bq.qtensor_write(qt, path)
+        data = bytearray(path.read_bytes())
+        # code values end after 4 magic + 2 header + 4 extent + 6 block
+        # header + 64 code bytes; the first block's scale follows
+        offset = 4 + 2 + 4 + 6 + 64 + where
+        data[offset:offset + 4] = struct.pack("<I", bits)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
             bq.qtensor_read(path)

@@ -245,19 +245,29 @@ class TestDist:
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("x, expected", [
+        ("-1e-05", 0.4999906839), ("-inf", 0.0), ("-0.5", 0.1272210111)])
+    def test_negative_value_as_separate_token(self, capsys, x, expected):
+        code, out, err = run(capsys, "dist", "cdf", "--block-size", "32", "--x", x)
+        assert code == 0 and err == ""
+        assert float(out) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(query=st.sampled_from(["cdf", "approx-cdf", "quantile"]),
            value=st.floats(), B=st.sampled_from([1, 2, 32, 4096]))
     def test_any_float_gives_exit_0_or_1(self, query, value, B):
         flag = "--p" if query == "quantile" else "--x"
-        # "--x=VALUE": argparse reads a separate "-1e-05" or "-inf" as a flag.
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(["dist", query, "--block-size", str(B), f"{flag}={value!r}"])
+        results = []
+        for args in ([f"{flag}={value!r}"], [flag, repr(value)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["dist", query, "--block-size", str(B), *args])
+            results.append((code, out.getvalue(), err.getvalue()))
+        assert results[0] == results[1]
+        code, out, _ = results[0]
         assert code in (0, 1)
         if code == 0:
-            assert math.isfinite(float(out.getvalue()))
+            assert math.isfinite(float(out))
 
 
 class TestValidate:

@@ -375,6 +375,10 @@ class TestExpectedL1:
             dist.expected_min_abs_distance([-2.0, 0.0])
 
 
+def json_list(vals):
+    return "[" + ", ".join(str(v) for v in vals) + "]"
+
+
 class TestCodeFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         code = qc.af4_code(64)
@@ -452,9 +456,25 @@ class TestCodeFile:
         with pytest.raises(FormatError, match="numbers"):
             qc.code_read(path)
 
-
-def json_list(vals):
-    return "[" + ", ".join(str(v) for v in vals) + "]"
+    @pytest.mark.parametrize("field, text", [
+        ("values", "[" * 100000 + "]" * 100000),
+        ("values", json_list([10**400] + np.linspace(-1, 1, 16).tolist()[1:])),
+        ("values", json_list(["NaN"] + np.linspace(-1, 1, 16).tolist()[1:])),
+        ("values", json_list(np.linspace(-1, 1, 16).tolist()[:-1] + ["1e999"])),
+        ("block_size", "-5"),
+        ("block_size", "0"),
+        ("kind", '["custom"]'),
+    ], ids=["deep-nesting", "int-overflow", "nan", "inf", "block-size-negative",
+            "block-size-zero", "kind-list"])
+    def test_malformed_fields_are_format_errors(self, tmp_path, field, text):
+        doc = {"format": '"code16/v1"', "kind": '"custom"', "block_size": "null",
+               "values": json_list(np.linspace(-1, 1, 16).tolist()),
+               "params": "{}", field: text}
+        path = tmp_path / "bad.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items())
+                        + "}")
+        with pytest.raises(FormatError):
+            qc.code_read(path)
 
 
 class TestCodeInvariantsAcrossBlockSizes:
