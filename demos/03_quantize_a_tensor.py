@@ -13,7 +13,7 @@ from quantlab import (
     qtensor_read,
     qtensor_write,
     quantize,
-    reconstruction_error,
+    reconstruction_errors,
     tensor_read,
     tensor_write,
     usage_histogram,
@@ -30,8 +30,8 @@ print(f"tensor {weights.shape} -> {qt.num_blocks} blocks of {B}")
 print(f"scales: {qt.scales.shape} float32, packed indices: {qt.packed.shape} bytes")
 
 recon = dequantize(qt)
-for metric in ("mean_abs", "mean_sq", "max_abs"):
-    print(f"  {metric:>8}: {reconstruction_error(weights, recon, metric):.6f}")
+for metric, value in reconstruction_errors(weights, recon).items():
+    print(f"  {metric:>8}: {value:.6f}")
 
 # Storage cost: 4 bits per element plus 4 bytes per block.
 bits = (qt.packed.size + 4 * qt.scales.size) * 8 / weights.size
@@ -46,10 +46,10 @@ print("  " + " ".join(f"{100 * p:.1f}" for p in hist.proportions))
 # Larger blocks: fewer scales, bigger error; AF4 tuned for the block size
 # claws some of it back.
 B = 4096
-err_nf4 = reconstruction_error(
-    weights, dequantize(quantize(weights, nf4, B, axis=0)))
-err_af4 = reconstruction_error(
-    weights, dequantize(quantize(weights, af4_code(B), B, axis=0)))
+err_nf4 = reconstruction_errors(
+    weights, dequantize(quantize(weights, nf4, B, axis=0)))["mean_abs"]
+err_af4 = reconstruction_errors(
+    weights, dequantize(quantize(weights, af4_code(B), B, axis=0)))["mean_abs"]
 print(f"\nmean_abs at B=4096:  NF4 {err_nf4:.6f}   AF4-4096 {err_af4:.6f}")
 
 # Files: FQT1 holds plain float32 tensors, FQZ1 the quantized form.  Both

@@ -9,33 +9,35 @@ from quantlab import (
     McConfig,
     balanced_code,
     ci_halfwidth,
-    empirical_cdf,
-    estimate_usage,
+    empirical_cdf_stream,
     feasible_seed_interval,
     fx_cdf,
     nf4_code,
-    sample_blocks,
+    sample_block_values,
     uniform_bins,
     usage_statistics,
 )
 
 # --- the generative process ---------------------------------------------------
 cfg = McConfig(seed=2024, block_size=32, num_blocks=1 << 16)
-batch = sample_blocks(cfg)
-v = batch.values
+v = sample_block_values(cfg)  # one row per block
 print(f"{cfg.num_blocks} blocks of {cfg.block_size}")
 print(f"  exactly one |x| = 1 per block: {bool((np.abs(v) == 1.0).sum(1).all())}")
 print(f"  share of entries at -1: {np.mean(v == -1.0):.5f}  (expect {1/64:.5f})")
 
 # Determinism: the same config always produces identical bits.
-again = sample_blocks(cfg)
-print(f"  re-draw identical: {np.array_equal(v, again.values)}")
+again = sample_block_values(cfg)
+print(f"  re-draw identical: {np.array_equal(v, again)}")
+# ... and any sub-range of blocks reproduces on its own.
+part = sample_block_values(cfg, 1000, 1010)
+print(f"  blocks 1000-1009 alone identical: {np.array_equal(v[1000:1010], part)}")
 
 # --- empirical CDF vs the exact mixed CDF --------------------------------------
-# One retained sample per block keeps the binomial error bar honest.
+# One retained sample per block (entry 0) keeps the binomial error bar
+# honest; the estimate streams over the run in chunks.
 print("\nempirical vs exact CDF (B=32):")
-for x in (-0.5, 0.0, 0.5, 0.9):
-    p, se = empirical_cdf(batch, x, independent_only=True)
+xs = (-0.5, 0.0, 0.5, 0.9)
+for x, p, se in zip(xs, *empirical_cdf_stream(cfg, xs)):
     exact = fx_cdf(x, 32)
     print(f"  x={x:+.1f}: {p:.5f} +- {se:.5f}   exact {exact:.5f}   "
           f"z = {(p - exact) / se:+.2f}")
@@ -45,7 +47,7 @@ print(f"\nci_halfwidth(0.8728, 2^30) = {ci_halfwidth(0.8728, 2**30):.1e}")
 
 # --- usage histograms -----------------------------------------------------------
 # NF4 does NOT use its 16 values equally; a balanced code does.
-nf4_hist = estimate_usage(nf4_code(), 64, 1 << 15, seed=7)
+nf4_hist = usage_statistics(nf4_code(), 64, 1 << 15, seed=7).histogram
 print("\nNF4 usage at B=64 (%):")
 print("  " + " ".join(f"{100 * p:.1f}" for p in nf4_hist.proportions))
 

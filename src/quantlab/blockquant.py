@@ -356,44 +356,19 @@ def usage_histogram(qt):
     return UsageHistogram(tuple(int(c) for c in counts), int(counts.sum()))
 
 
-_METRICS = ("mean_abs", "mean_sq", "max_abs")
-
-
-def _abs_diff(original, reconstructed):
-    """|original - reconstructed| in double precision, without float64
-    copies of the inputs."""
+def reconstruction_errors(original, reconstructed):
+    """Error summaries between two same-shape tensors, from one double
+    precision difference: {"mean_abs", "mean_sq", "max_abs"}."""
     a = np.asarray(original)
     b = np.asarray(reconstructed)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
+    # No float64 copies of the inputs: subtract straight into double.
     diff = np.subtract(a, b, dtype=np.float64)
-    return np.abs(diff, out=diff)
-
-
-def _summarize(diff, metric):
-    if metric == "mean_abs":
-        return float(diff.mean())
-    if metric == "mean_sq":
-        return float((diff * diff).mean())
-    return float(diff.max())
-
-
-def reconstruction_error(original, reconstructed, metric="mean_abs"):
-    """Elementwise error summary between two same-shape tensors.
-
-    The difference is taken in double precision; ``metric`` is one of
-    "mean_abs", "mean_sq" and "max_abs".
-    """
-    if metric not in _METRICS:
-        raise DomainError(f"metric must be one of {_METRICS}, got {metric!r}")
-    return _summarize(_abs_diff(original, reconstructed), metric)
-
-
-def reconstruction_errors(original, reconstructed):
-    """Every ``reconstruction_error`` metric, as {metric: value}, from one
-    difference of the two tensors."""
-    diff = _abs_diff(original, reconstructed)
-    return {m: _summarize(diff, m) for m in _METRICS}
+    diff = np.abs(diff, out=diff)
+    return {"mean_abs": float(diff.mean()),
+            "mean_sq": float((diff * diff).mean()),
+            "max_abs": float(diff.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +418,8 @@ def tensor_read(path):
         dtype_tag, ndim = struct.unpack("<BB", _read_exact(fh, 2, path, "header"))
         if dtype_tag != _FQT1_DTYPE_F32:
             raise FormatError(f"{path}: unsupported dtype tag {dtype_tag}")
+        if ndim == 0:
+            raise FormatError(f"{path}: FQT1 tensor with no dimensions")
         dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "extents"))
         if any(d == 0 for d in dims):
             raise FormatError(f"{path}: zero extent in {dims}")

@@ -160,7 +160,7 @@ def _validate_usage_rows(code, B, num_blocks, seed):
 def _validate_cdf_rows(B, num_blocks, seed):
     xs = np.linspace(-1.0, 1.0, 33)
     cfg = montecarlo.McConfig(seed=seed, block_size=B, num_blocks=num_blocks)
-    est, se = montecarlo.empirical_cdf_stream(cfg, xs, independent_only=True)
+    est, se = montecarlo.empirical_cdf_stream(cfg, xs)
     return [(f"cdf[x={x:g}]", num_blocks, p, s, distributions.fx_cdf(x, B))
             for x, p, s in zip(xs, est, se)]
 
@@ -204,10 +204,9 @@ def cmd_validate(args):
 def cmd_mc_sample(args):
     B = args.block_size
     cfg = montecarlo.McConfig(seed=args.seed, block_size=B, num_blocks=args.n)
-    batch = montecarlo.sample_blocks(cfg)
+    v = montecarlo.sample_block_values(cfg)
     if args.out:
-        blockquant.tensor_write(batch.values, args.out)
-    v = batch.values
+        blockquant.tensor_write(v, args.out)
     n = v.size
     rows = []
     for name, hits in (
@@ -216,7 +215,7 @@ def cmd_mc_sample(args):
         ("atom_pos_frac", v == 1.0),
     ):
         p = float(hits.mean())
-        rows.append((name, B, n, _fmt(p), _fmt(float(np.sqrt(p * (1 - p) / n)))))
+        rows.append((name, B, n, _fmt(p), _fmt(montecarlo.ci_halfwidth(p, n, z=1.0))))
     _emit(rows, ("quantity", "B", "n", "estimate", "stderr"), args.csv)
     return EXIT_OK
 

@@ -93,6 +93,12 @@ class Code16:
         if not isinstance(self.kind, str) or self.kind not in VALID_KINDS:
             raise DomainError(
                 f"unknown kind {self.kind!r}; expected one of {sorted(VALID_KINDS)}")
+        if self.block_size is not None and (
+            isinstance(self.block_size, bool) or not isinstance(self.block_size, int)
+            or self.block_size < 1
+        ):
+            raise DomainError(
+                f"block_size must be a positive integer or None, got {self.block_size!r}")
         if self.kind in _BLOCK_SIZE_REQUIRED and self.block_size is None:
             raise DomainError(f"kind {self.kind!r} requires a block_size")
         if self.kind in _ANCHORED_KINDS:
@@ -530,17 +536,11 @@ def code_read(path):
             f"{path}: values are not strictly increasing; first inversion at "
             f"index {int(bad[0]) + 1}"
         )
-    kind = doc.get("kind")
-    block_size = doc.get("block_size")
-    if block_size is not None and (
-        isinstance(block_size, bool) or not isinstance(block_size, int)
-        or block_size < 1
-    ):
-        raise FormatError(f"{path}: block_size must be a positive integer or null")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FormatError(f"{path}: params must be an object")
     try:
-        return Code16(arr, kind=kind, block_size=block_size, params=params)
+        return Code16(arr, kind=doc.get("kind"), block_size=doc.get("block_size"),
+                      params=params)
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -3,22 +3,22 @@
 Blocks of standard normals are produced by a counter-based stream (Philox)
 keyed on the run seed, with block k owning the counter range
 [k * ceil(B/4), (k+1) * ceil(B/4)).  Every block is therefore reproducible
-in isolation and results never depend on how the run is chunked or
-parallelized.  Normals come from inverting the Gaussian CDF on uniform
+in isolation and the sampled values never depend on how the run is chunked
+or parallelized.  Normals come from inverting the Gaussian CDF on uniform
 64-bit draws, which is slower than ziggurat-style samplers but exactly
-reproducible across platforms.
+reproducible across platforms.  Samples are plain (blocks, B) arrays.
 
 Within one block the normalized entries are dependent (they share the
-absmax divisor), so estimators either retain a single designated entry per
-block (``independent_only``) or report block-clustered standard errors.
-The two clustered estimators, ``usage_statistics`` and ``l1_statistics``,
-share one chunked driver, ``_block_moments``.
+absmax divisor).  The CDF estimator therefore keeps one designated entry
+per block (entry 0), which makes its binomial error valid; the usage and
+L1 estimators report standard errors clustered by block.  All three run on
+one chunked driver, ``_block_moments``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,53 +27,25 @@ from . import blockquant
 from .blockquant import UsageHistogram
 from .errors import DomainError
 
-DEFAULT_CHUNK_ELEMENTS = 1 << 21
+# Elements per generated chunk; only batching depends on it, never values.
+CHUNK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Deterministic sampling plan.
-
-    chunk_size (blocks per generated chunk) only affects batching, never
-    values.  block_offset shifts which absolute block indices this config
-    covers, so sub-ranges of a larger run can be regenerated exactly.
-    """
+    """Deterministic sampling plan: num_blocks blocks of block_size normals
+    from the stream keyed on seed."""
 
     seed: int
     block_size: int
     num_blocks: int
-    chunk_size: int | None = None
-    block_offset: int = 0
 
     def __post_init__(self):
         if self.block_size < 1:
             raise DomainError("block_size must be >= 1")
         if self.num_blocks < 1:
             raise DomainError("num_blocks must be >= 1")
-        if self.block_offset < 0:
-            raise DomainError("block_offset must be >= 0")
-        if self.chunk_size is None:
-            object.__setattr__(
-                self,
-                "chunk_size",
-                max(1, DEFAULT_CHUNK_ELEMENTS // self.block_size),
-            )
-        if self.chunk_size < 1:
-            raise DomainError("chunk_size must be >= 1")
         object.__setattr__(self, "seed", int(self.seed) % (1 << 64))
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Normalized samples, one row per block; row maxima are exactly +/-1."""
-
-    config: McConfig
-    values: np.ndarray
-
-    @property
-    def independent_samples(self):
-        """The designated per-block entry (position 0), i.i.d. across blocks."""
-        return self.values[:, 0]
 
 
 def _raw_block_range(seed, block_size, start, stop):
@@ -89,19 +61,15 @@ def _raw_block_range(seed, block_size, start, stop):
 
 
 def sample_block_values(cfg, start=0, stop=None):
-    """Values for blocks [start, stop) of the run, shape (stop-start, B).
-
-    Counting is relative to the config; block_offset is applied on top.
-    """
+    """Normalized values for blocks [start, stop) of the run, shape
+    (stop-start, B); every row's absmax is exactly 1."""
     if stop is None:
         stop = cfg.num_blocks
     if not 0 <= start <= stop <= cfg.num_blocks:
         raise DomainError(f"invalid block range [{start}, {stop})")
     if start == stop:
         return np.empty((0, cfg.block_size))
-    lo = cfg.block_offset + start
-    hi = cfg.block_offset + stop
-    u = _raw_block_range(cfg.seed, cfg.block_size, lo, hi)
+    u = _raw_block_range(cfg.seed, cfg.block_size, start, stop)
     z = ndtri(u)
     absmax = np.abs(z).max(axis=1)
     # The extreme entry divides to exactly +/-1; everything else stays
@@ -109,56 +77,25 @@ def sample_block_values(cfg, start=0, stop=None):
     return z / absmax[:, None]
 
 
-def sample_blocks(cfg):
-    """Materialize the whole run as one SampleBatch."""
-    return SampleBatch(config=cfg, values=sample_block_values(cfg))
-
-
 def iter_sample_chunks(cfg):
-    """Yield the run as chunk_size-block SampleBatches (values identical to
-    sample_blocks; only the batching differs)."""
-    for start in range(0, cfg.num_blocks, cfg.chunk_size):
-        stop = min(start + cfg.chunk_size, cfg.num_blocks)
-        sub = replace(
-            cfg,
-            num_blocks=stop - start,
-            block_offset=cfg.block_offset + start,
-            chunk_size=cfg.chunk_size,
-        )
-        yield SampleBatch(config=sub, values=sample_block_values(cfg, start, stop))
+    """Yield the run as consecutive (blocks, B) arrays of about
+    CHUNK_ELEMENTS elements (at least one block each)."""
+    step = max(1, CHUNK_ELEMENTS // cfg.block_size)
+    for start in range(0, cfg.num_blocks, step):
+        yield sample_block_values(cfg, start, min(start + step, cfg.num_blocks))
 
 
-def empirical_cdf(batch, x, independent_only=True):
-    """Empirical P[X <= x] with its binomial standard error.
+def empirical_cdf_stream(cfg, xs):
+    """Empirical P[X <= x] for each x in xs, from entry 0 of every block,
+    with its binomial standard error: (p, stderr) arrays aligned with xs.
 
-    With independent_only the estimate uses one designated sample per block,
-    making the binomial error valid.  With all samples the estimate is
-    labeled the same way but the dependence within blocks means the reported
-    error understates the truth.
-    """
-    if batch.values.size == 0:
-        raise DomainError("empty sample batch")
-    data = batch.independent_samples if independent_only else batch.values.ravel()
-    n = data.size
-    p = float(np.count_nonzero(data <= x)) / n
-    stderr = math.sqrt(p * (1.0 - p) / n)
-    return p, stderr
-
-
-def empirical_cdf_stream(cfg, xs, independent_only=True):
-    """Chunked empirical_cdf over a full config, for runs too big to hold.
-
-    Returns (p, stderr) arrays aligned with xs.
+    Entry 0 is i.i.d. across blocks; counting every entry would report an
+    error that understates the truth, since entries within a block are
+    dependent.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    counts = np.zeros(xs.shape, dtype=np.int64)
-    n = 0
-    for chunk in iter_sample_chunks(cfg):
-        data = (
-            chunk.independent_samples if independent_only else chunk.values.ravel()
-        )
-        counts += (data[:, None] <= xs[None, :]).sum(axis=0)
-        n += data.size
+    counts, _ = _block_moments(cfg, lambda v: v[:, :1] <= xs)
+    n = cfg.num_blocks
     p = counts / n
     stderr = np.sqrt(p * (1.0 - p) / n)
     return p, stderr
@@ -166,12 +103,18 @@ def empirical_cdf_stream(cfg, xs, independent_only=True):
 
 def _block_moments(cfg, per_block):
     """Sum over the blocks of cfg of per_block(chunk values) -- one value or
-    row per block -- and the standard error of its mean (NaN for one block)."""
+    row per block -- and the standard error of its mean (NaN for one block).
+
+    Integer-valued results (counts) sum exactly, whatever the chunking;
+    float results round by chunk in their last bits."""
     total = sq = 0.0
-    for chunk in iter_sample_chunks(cfg):
-        s = per_block(chunk.values)
+    for values in iter_sample_chunks(cfg):
+        s = per_block(values)
         total = total + s.sum(axis=0)
         sq = sq + (s * s).sum(axis=0)
+        # Release this chunk before the generator draws the next one, so
+        # that two chunks are never alive at once.
+        del values, s
     nb = cfg.num_blocks
     if nb < 2:
         return total, np.full(np.shape(total), np.nan)
@@ -197,9 +140,9 @@ class UsageStats:
         return self.histogram.proportions
 
 
-def usage_statistics(code, block_size, num_blocks, seed, chunk_size=None):
+def usage_statistics(code, block_size, num_blocks, seed):
     """Quantize sampled blocks and tally code usage with clustered errors."""
-    cfg = McConfig(seed, block_size, num_blocks, chunk_size)
+    cfg = McConfig(seed, block_size, num_blocks)
 
     def counts(values):
         # Sampled rows have absmax exactly 1: quantizing is nearest_index.
@@ -225,11 +168,6 @@ def l1_statistics(code, block_size, num_blocks, seed):
 
     total, stderr = _block_moments(cfg, block_means)
     return float(total / cfg.num_blocks), float(stderr)
-
-
-def estimate_usage(code, block_size, num_blocks, seed, chunk_size=None):
-    """UsageHistogram of a code over sampled blocks (deterministic in seed)."""
-    return usage_statistics(code, block_size, num_blocks, seed, chunk_size).histogram
 
 
 def ci_halfwidth(p, n, z=1.96):

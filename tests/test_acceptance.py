@@ -62,9 +62,7 @@ def test_criterion_04_cdf_anchors_with_monte_carlo():
     approx = qd.fx_cdf_approx(0.5, 32)
     exact = qd.fx_cdf(0.5, 32)
     cfg = qmc.McConfig(seed=20240404, block_size=32, num_blocks=1 << 24)
-    (estimate,), (stderr,) = qmc.empirical_cdf_stream(
-        cfg, [0.5], independent_only=True
-    )
+    (estimate,), (stderr,) = qmc.empirical_cdf_stream(cfg, [0.5])
     ok = (
         abs(approx - 0.8712) <= 0.0005
         and abs(estimate - 0.8728) <= 0.001
@@ -79,7 +77,7 @@ def test_criterion_04_cdf_anchors_with_monte_carlo():
 
 def test_criterion_05_nf4_usage_nonuniform():
     t0 = time.perf_counter()
-    hist = qmc.estimate_usage(qc.nf4_code(), 64, 1 << 20, seed=51)
+    hist = qmc.usage_statistics(qc.nf4_code(), 64, 1 << 20, seed=51).histogram
     props = hist.proportions
     ok = props.min() < 0.04 and props.max() > 0.07
     _check(5, 120.0, t0, ok,
@@ -191,7 +189,7 @@ def test_criterion_10_large_block_improvement():
 
     def mean_abs(code, B):
         qt = bq.quantize(w, code, B, axis=0)
-        return bq.reconstruction_error(w, bq.dequantize(qt), "mean_abs")
+        return bq.reconstruction_errors(w, bq.dequantize(qt))["mean_abs"]
 
     err_nf4_4096 = mean_abs(nf4, 4096)
     err_af4_4096 = mean_abs(qc.af4_code(4096), 4096)

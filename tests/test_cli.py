@@ -113,9 +113,11 @@ class TestQuantizeDequantize:
         assert run(capsys, "dequantize", str(out_q), str(out_t))[0] == 0
         original = bq.tensor_read(tensor_file)
         recon = bq.tensor_read(out_t)
-        # reported errors match a recomputation from the two tensor files
-        for metric in ("mean_abs", "mean_sq", "max_abs"):
-            again = bq.reconstruction_error(original, recon, metric)
+        # reported errors match a numpy recomputation from the two files
+        diff = np.abs(original.astype(np.float64) - recon.astype(np.float64))
+        oracle = {"mean_abs": diff.mean(), "mean_sq": (diff ** 2).mean(),
+                  "max_abs": diff.max()}
+        for metric, again in oracle.items():
             assert reported[metric] == pytest.approx(again, rel=1e-9)
 
     def test_lattice_exact_zero_error(self, capsys, tmp_path, nf4_file):
@@ -192,6 +194,19 @@ class TestQuantizeDequantize:
                            str(tmp_path / "o.fqz"), "--code", str(nf4_file))
         assert code == 2
         assert "magic" in err
+
+    def test_zero_dimensional_fqt1_is_data_error(self, capsys, tmp_path,
+                                                 nf4_file):
+        # FQT1, dtype tag 0, ndim 0, then one float32: tensor_write never
+        # writes a 0-d header
+        bad = tmp_path / "scalar.fqt"
+        bad.write_bytes(b"FQT1" + struct.pack("<BBf", 0, 0, 1.5))
+        out_q = tmp_path / "o.fqz"
+        code, _, err = run(capsys, "quantize", str(bad), str(out_q),
+                           "--code", str(nf4_file))
+        assert code == 2
+        assert err.startswith("error:") and "no dimensions" in err
+        assert not out_q.exists()
 
 
     def test_lying_fqz1_header_is_data_error(self, capsys, tmp_path):
@@ -298,8 +313,8 @@ class TestValidate:
 
         real = qmc.usage_statistics
 
-        def biased(code, B, num_blocks, seed, chunk_size=None):
-            stats = real(code, B, num_blocks, seed, chunk_size)
+        def biased(code, B, num_blocks, seed):
+            stats = real(code, B, num_blocks, seed)
             return qmc.UsageStats(
                 histogram=stats.histogram,
                 stderr=np.full(16, 1e-6),

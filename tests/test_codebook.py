@@ -68,6 +68,15 @@ class TestCode16Validation:
         with pytest.raises(DomainError, match="block_size"):
             qc.Code16(NF4_DERIVED, kind=qc.KIND_AF4)
 
+    @pytest.mark.parametrize("block_size", [-5, 0, 2.5, True])
+    def test_block_size_must_be_positive_int(self, block_size):
+        # code_write would write a file code_read rejects (2.5 as "2")
+        with pytest.raises(DomainError, match="block_size must be"):
+            qc.Code16(np.linspace(-1, 1, 16), block_size=block_size)
+
+    def test_block_size_one_is_valid(self):
+        assert qc.Code16(np.linspace(-1, 1, 16), block_size=1).block_size == 1
+
     def test_values_read_only(self):
         code = qc.nf4_code()
         with pytest.raises(ValueError):
@@ -215,9 +224,8 @@ class TestUniformBins:
         B = 64
         bins = qc.uniform_bins(B)
         cfg = qmc.McConfig(seed=99, block_size=B, num_blocks=1 << 15)
-        batch = qmc.sample_blocks(cfg)
-        for k in (1, 4, 8, 12, 15):
-            p, se = qmc.empirical_cdf(batch, bins.edges[k], independent_only=True)
+        ks = np.array([1, 4, 8, 12, 15])
+        for k, p, se in zip(ks, *qmc.empirical_cdf_stream(cfg, bins.edges[ks])):
             assert abs(p - k / 16) <= 4 * se
 
 
@@ -290,8 +298,8 @@ class TestBalancedWithEndpoints:
         lo, hi = qc.feasible_seed_interval(bins)
         balanced = qc.balanced_code(0.5 * (lo + hi), bins, block_size=B)
         endpoints = qc.balanced_code_with_endpoints(B)
-        h_bal = qmc.estimate_usage(balanced, B, nblocks, seed=5)
-        h_end = qmc.estimate_usage(endpoints, B, nblocks, seed=5)
+        h_bal = qmc.usage_statistics(balanced, B, nblocks, seed=5).histogram
+        h_end = qmc.usage_statistics(endpoints, B, nblocks, seed=5).histogram
         dev_bal = np.abs(h_bal.proportions - 1 / 16).max()
         dev_end = np.abs(h_end.proportions - 1 / 16).max()
         assert dev_end > dev_bal
@@ -356,8 +364,8 @@ class TestExpectedL1:
         for chunk in qmc.iter_sample_chunks(cfg):
             import quantlab.blockquant as bq
 
-            idx = bq.nearest_index(chunk.values, q)
-            d = np.abs(chunk.values - q[idx])
+            idx = bq.nearest_index(chunk, q)
+            d = np.abs(chunk - q[idx])
             means.append(d.mean(axis=1))
         means = np.concatenate(means)
         est = means.mean()
@@ -463,9 +471,11 @@ class TestCodeFile:
         ("values", json_list(np.linspace(-1, 1, 16).tolist()[:-1] + ["1e999"])),
         ("block_size", "-5"),
         ("block_size", "0"),
+        ("block_size", "2.5"),
+        ("block_size", "true"),
         ("kind", '["custom"]'),
     ], ids=["deep-nesting", "int-overflow", "nan", "inf", "block-size-negative",
-            "block-size-zero", "kind-list"])
+            "block-size-zero", "block-size-float", "block-size-bool", "kind-list"])
     def test_malformed_fields_are_format_errors(self, tmp_path, field, text):
         doc = {"format": '"code16/v1"', "kind": '"custom"', "block_size": "null",
                "values": json_list(np.linspace(-1, 1, 16).tolist()),
