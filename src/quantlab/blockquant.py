@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import KIND_CUSTOM, Code16
+from .codebook import Code16
 from .errors import DataError, DomainError, FormatError
 
 FQT1_MAGIC = b"FQT1"
@@ -137,31 +137,6 @@ def _part_views(dims, axis, block_size, tensor, *arrays):
         t = None if tensor is None else tensor[
             :, start:start + n * block_len].reshape(before, n, block_len, after)
         yield (block_len, t, *(a[:, first:first + n] for a in arrays))
-
-
-def _blocks_view(values, axis, block_size):
-    """Rearrange a tensor into (num_blocks, block_size) rows in block order.
-
-    Short final blocks are padded with zeros, which cannot raise a block's
-    absmax.  Returns the row matrix and the effective length of the final
-    block along the axis.  ``quantize`` does not pad; the tests use this
-    padded layout as its reference.
-    """
-    arr = np.asarray(values)
-    moved = np.moveaxis(arr, axis, -1)
-    length = moved.shape[-1]
-    nb_axis = -(-length // block_size)
-    pad = nb_axis * block_size - length
-    if pad:
-        width = [(0, 0)] * (moved.ndim - 1) + [(0, pad)]
-        moved = np.pad(moved, width)
-    split = moved.reshape(moved.shape[:-1] + (nb_axis, block_size))
-    # Put the block counter back at the block axis so a plain ravel yields
-    # row-major block order.
-    ordered = np.moveaxis(split, -2, axis)
-    rows = ordered.reshape(-1, block_size)
-    tail = length - (nb_axis - 1) * block_size
-    return rows, tail
 
 
 def _nearest_index_reference(normalized, code_values):
@@ -527,7 +502,7 @@ def qtensor_read(path):
             if np.any(np.diff(code_vals) <= 0):
                 raise FormatError(f"{path}: code values are not ascending")
         try:
-            code = Code16(code_vals, kind=KIND_CUSTOM, params={"source": "fqz1"})
+            code = Code16(code_vals, params={"source": "fqz1"})
         except DomainError as exc:
             raise FormatError(f"{path}: {exc}") from exc
 

@@ -260,7 +260,6 @@ def build_parser():
     p_d = sub.add_parser("dequantize", help="FQZ1 quantized tensor -> FQT1 tensor")
     p_d.add_argument("input")
     p_d.add_argument("output")
-    _add_common(p_d)
     p_d.set_defaults(func=cmd_dequantize)
 
     p_dist = sub.add_parser("dist", help="distribution queries")

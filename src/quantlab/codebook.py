@@ -14,7 +14,9 @@ Four families are provided:
 * ``balanced_code_with_endpoints`` -- a balanced code with the values
   nearest to -1, 0 and 1 snapped onto those points.
 
-``CODE_KINDS`` maps the command-line kind names onto these constructors.
+``KINDS`` is the table of code16 ``kind`` labels and the rules each one
+imposes on a ``Code16``; ``CODE_KINDS`` maps the command-line kind names
+onto the constructors.
 ``expected_l1`` scores any code by its expected absolute reconstruction
 error under the block-size-dependent law of the normalized inputs.
 """
@@ -31,35 +33,15 @@ from scipy.special import ndtri
 from .distributions import scaled_max_distribution
 from .errors import ConstructionError, DomainError, FormatError
 
-KIND_NF4_QUANTILE_OF_AVERAGE = "nf4_quantile_of_average"
-KIND_NF4_AVERAGE_OF_QUANTILE = "nf4_average_of_quantile"
-KIND_AF4 = "af4"
-KIND_BALANCED = "balanced"
-KIND_BALANCED_WITH_ENDPOINTS = "balanced_with_endpoints"
-KIND_CUSTOM = "custom"
-
-VALID_KINDS = frozenset({
-    KIND_NF4_QUANTILE_OF_AVERAGE,
-    KIND_NF4_AVERAGE_OF_QUANTILE,
-    KIND_AF4,
-    KIND_BALANCED,
-    KIND_BALANCED_WITH_ENDPOINTS,
-    KIND_CUSTOM,
-})
-
-# Kinds whose definition is tied to a particular block size.
-_BLOCK_SIZE_REQUIRED = frozenset({
-    KIND_AF4,
-    KIND_BALANCED,
-    KIND_BALANCED_WITH_ENDPOINTS,
-})
-
-# Kinds that must contain -1, 0, 1 exactly (at positions 1, 8, 16).
-_ANCHORED_KINDS = frozenset({
-    KIND_NF4_QUANTILE_OF_AVERAGE,
-    KIND_NF4_AVERAGE_OF_QUANTILE,
-    KIND_AF4,
-})
+# code16 kind -> (needs a block size, holds -1, 0, 1 at positions 1, 8, 16).
+KINDS = {
+    "nf4_quantile_of_average": (False, True),
+    "nf4_average_of_quantile": (False, True),
+    "af4": (True, True),
+    "balanced": (True, False),
+    "balanced_with_endpoints": (True, False),
+    "custom": (False, False),
+}
 
 DEFAULT_SHOOTING_TOL = 1e-9
 DEFAULT_MASS_TOL = 1e-6
@@ -72,7 +54,7 @@ class Code16:
     """An ordered 16-value codebook in [-1, 1] plus provenance metadata."""
 
     values: np.ndarray
-    kind: str = KIND_CUSTOM
+    kind: str = "custom"
     block_size: int | None = None
     params: dict = field(default_factory=dict)
 
@@ -90,22 +72,21 @@ class Code16:
             )
         if vals[0] < -1.0 or vals[-1] > 1.0:
             raise DomainError("code values must lie within [-1, 1]")
-        if not isinstance(self.kind, str) or self.kind not in VALID_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise DomainError(
-                f"unknown kind {self.kind!r}; expected one of {sorted(VALID_KINDS)}")
+                f"unknown kind {self.kind!r}; expected one of {sorted(KINDS)}")
+        needs_block_size, anchored = KINDS[self.kind]
         if self.block_size is not None and (
             isinstance(self.block_size, bool) or not isinstance(self.block_size, int)
             or self.block_size < 1
         ):
             raise DomainError(
                 f"block_size must be a positive integer or None, got {self.block_size!r}")
-        if self.kind in _BLOCK_SIZE_REQUIRED and self.block_size is None:
+        if needs_block_size and self.block_size is None:
             raise DomainError(f"kind {self.kind!r} requires a block_size")
-        if self.kind in _ANCHORED_KINDS:
-            if vals[0] != -1.0 or vals[7] != 0.0 or vals[15] != 1.0:
-                raise DomainError(
-                    f"kind {self.kind!r} must contain -1, 0, 1 at positions 1, 8, 16"
-                )
+        if anchored and (vals[0] != -1.0 or vals[7] != 0.0 or vals[15] != 1.0):
+            raise DomainError(
+                f"kind {self.kind!r} must contain -1, 0, 1 at positions 1, 8, 16")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "params", dict(self.params))
@@ -294,7 +275,7 @@ def af4_code(block_size):
     ])
     code = Code16(
         values,
-        kind=KIND_AF4,
+        kind="af4",
         block_size=int(block_size),
         params={
             "seed_negative": seed_neg,
@@ -320,7 +301,7 @@ def median_condition_residuals(code, block_size):
     no stationarity condition.
     """
     dist = scaled_max_distribution(block_size)
-    v = np.asarray(code.values if isinstance(code, Code16) else code, dtype=float)
+    v = code.values
     residuals = []
     for j in list(range(1, 7)) + list(range(8, 15)):
         f_cur = dist.fx_cdf(v[j])
@@ -402,7 +383,7 @@ def balanced_code(q1_seed, bins, *, block_size=None):
         )
     return Code16(
         q,
-        kind=KIND_BALANCED if block_size is not None else KIND_CUSTOM,
+        kind="balanced" if block_size is not None else "custom",
         block_size=block_size,
         params={"q1_seed": q1_seed, "construction": "balanced_reflection"},
     )
@@ -452,7 +433,7 @@ def balanced_code_with_endpoints(block_size):
         values[idx] = target
     return Code16(
         values,
-        kind=KIND_BALANCED_WITH_ENDPOINTS,
+        kind="balanced_with_endpoints",
         block_size=int(block_size),
         params={"q1_seed": seed, "replaced_positions": replaced},
     )
@@ -473,9 +454,7 @@ CODE_KINDS = {
 
 def expected_l1(code, block_size):
     """E[min_j |X - q_j|] under the mixed law for the given block size."""
-    values = code.values if isinstance(code, Code16) else np.asarray(code, float)
-    dist = scaled_max_distribution(block_size)
-    return dist.expected_min_abs_distance(values)
+    return scaled_max_distribution(block_size).expected_min_abs_distance(code.values)
 
 
 def code_bin_masses(code, block_size):

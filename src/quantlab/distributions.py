@@ -21,9 +21,11 @@ count is doubled until two successive estimates agree within the requested
 absolute tolerance.  Tail truncation of the m-range is chosen so that the
 omitted absmax mass is far below the quadrature tolerance.
 
-Accuracy is decided in this module alone.  The module-level functions, and
-through them every other module, use ``default_settings()``, so the
-QUANTLAB_QUAD_TOL environment variable is the one accuracy override.
+Accuracy is decided in this module alone, and no function or class takes
+an accuracy argument.  ``quad_tol()`` is the one quadrature tolerance:
+DEFAULT_ABS_TOL, or the QUANTLAB_QUAD_TOL environment variable when set.
+Refinement stops after MAX_REFINEMENTS node doublings, and quantiles are
+bracketed to DEFAULT_ROOT_TOL.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +47,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 DEFAULT_ABS_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_TAIL_CUT = 1e-12
+#: Node doublings the adaptive quadrature may try before giving up.
+MAX_REFINEMENTS = 6
 
 #: Environment variable that overrides the default quadrature tolerance.
 QUAD_TOL_ENV = "QUANTLAB_QUAD_TOL"
@@ -65,39 +68,18 @@ def _not_nan(name, value):
     return value
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Accuracy budget for quadrature and inverse-CDF root finding.
-
-    abs_tol: absolute tolerance on integrated probabilities.
-    max_subdivisions: how many node-doubling refinements are allowed before
-        the quadrature gives up.
-    root_tol: absolute x-tolerance for inverse-CDF bracketing.
-    """
-
-    abs_tol: float = DEFAULT_ABS_TOL
-    max_subdivisions: int = 6
-    root_tol: float = DEFAULT_ROOT_TOL
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise DomainError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not (self.root_tol > 0):
-            raise DomainError(f"root_tol must be > 0, got {self.root_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-def default_settings() -> QuadratureSettings:
-    """Default settings, honoring the QUANTLAB_QUAD_TOL environment override."""
+def quad_tol():
+    """The quadrature tolerance: QUANTLAB_QUAD_TOL if set, else DEFAULT_ABS_TOL."""
     env = os.environ.get(QUAD_TOL_ENV)
     if env is None:
-        return QuadratureSettings()
+        return DEFAULT_ABS_TOL
     try:
         abs_tol = float(env)
     except ValueError:
         raise DomainError(f"{QUAD_TOL_ENV} must be a number, got {env!r}") from None
-    return QuadratureSettings(abs_tol=abs_tol)
+    if not (abs_tol > 0):
+        raise DomainError(f"{QUAD_TOL_ENV} must be > 0, got {env!r}")
+    return abs_tol
 
 
 def normal_cdf(x):
@@ -195,17 +177,17 @@ class ScaledMaxDistribution:
     the degenerate two-atom case: ``fx_cdf`` still works but ``gb_cdf``
     raises, since there is no continuous part to describe.
 
-    ``settings`` defaults to ``default_settings()``.  Instances precompute
-    quadrature rules lazily and are safe to share across threads.
+    The quadrature tolerance is ``quad_tol()`` at construction.  Instances
+    precompute quadrature rules lazily and are safe to share across threads.
     """
 
-    def __init__(self, block_size, settings=None):
+    def __init__(self, block_size):
         self.block_size = _check_block_size(block_size)
-        self.settings = settings if settings is not None else default_settings()
+        self.abs_tol = quad_tol()
         self.atom_mass = 1.0 / (2.0 * self.block_size)
         # Constant stand-in for the absmax used by the closed-form
         # approximation: the median of the absmax law.
-        self.m_typical = halfnormal_quantile(2.0 ** (-1.0 / self.block_size))
+        self.m_typical = absmax_median(self.block_size)
         B = self.block_size
         if B >= 2:
             # m-range outside of which the absmax mass is below ~DEFAULT_TAIL_CUT;
@@ -246,16 +228,16 @@ class ScaledMaxDistribution:
         n = self._BASE_NODES
         prev = node_func(*self._rule(n, lo))
         deltas = []
-        for _ in range(self.settings.max_subdivisions):
+        for _ in range(MAX_REFINEMENTS):
             n *= 2
             cur = node_func(*self._rule(n, lo))
             deltas.append(abs(cur - prev))
-            if deltas[-1] <= self.settings.abs_tol:
+            if deltas[-1] <= self.abs_tol:
                 return cur
             prev = cur
         raise NumericalError(
-            f"quadrature did not converge to abs_tol={self.settings.abs_tol:g} "
-            f"within {self.settings.max_subdivisions} refinements "
+            f"quadrature did not converge to abs_tol={self.abs_tol:g} "
+            f"within {MAX_REFINEMENTS} refinements "
             f"(final {n} nodes, successive deltas {deltas})"
         )
 
@@ -311,13 +293,8 @@ class ScaledMaxDistribution:
                 f"p={p:g} falls in the atom at +1 (mass {self.atom_mass:g}); "
                 "no unique quantile exists there"
             )
-        root = brentq(
-            lambda x: self.fx_cdf(x) - p,
-            -1.0,
-            1.0,
-            xtol=self.settings.root_tol,
-        )
-        return float(root)
+        return float(brentq(lambda x: self.fx_cdf(x) - p, -1.0, 1.0,
+                            xtol=DEFAULT_ROOT_TOL))
 
     def fx_cdf_approx(self, x):
         """Closed-form CDF that freezes the absmax at its median.
@@ -372,14 +349,15 @@ class ScaledMaxDistribution:
 
 
 @lru_cache(maxsize=None)
-def _cached_dist(block_size, settings):
-    return ScaledMaxDistribution(block_size, settings)
+def _cached_dist(block_size, abs_tol):
+    return ScaledMaxDistribution(block_size)
 
 
 def scaled_max_distribution(block_size):
     """Shared, cached ScaledMaxDistribution for a block size, at the
-    accuracy of ``default_settings()`` (read on every call)."""
-    return _cached_dist(block_size, default_settings())
+    accuracy of ``quad_tol()`` (read on every call)."""
+    # The tolerance is in the key so that a changed override gets a new instance.
+    return _cached_dist(block_size, quad_tol())
 
 
 def gb_cdf(x, block_size):

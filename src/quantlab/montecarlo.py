@@ -25,24 +25,29 @@ from scipy.special import ndtri
 
 from . import blockquant
 from .blockquant import UsageHistogram
+from .distributions import _check_block_size
 from .errors import DomainError
 
 # Elements per generated chunk; only batching depends on it, never values.
 CHUNK_ELEMENTS = 1 << 21
+# Largest block size McConfig accepts: one block fits in one default chunk.
+MAX_BLOCK_SIZE = 1 << 21
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Deterministic sampling plan: num_blocks blocks of block_size normals
-    from the stream keyed on seed."""
+    from the stream keyed on seed.  block_size is an integer from 1 to
+    MAX_BLOCK_SIZE."""
 
     seed: int
     block_size: int
     num_blocks: int
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise DomainError("block_size must be >= 1")
+        if _check_block_size(self.block_size) > MAX_BLOCK_SIZE:
+            raise DomainError(
+                f"block size must be <= {MAX_BLOCK_SIZE}, got {self.block_size}")
         if self.num_blocks < 1:
             raise DomainError("num_blocks must be >= 1")
         object.__setattr__(self, "seed", int(self.seed) % (1 << 64))

@@ -27,8 +27,33 @@ def codes():
     }
 
 
+def blocks_view(values, axis, block_size):
+    """Rearrange a tensor into (num_blocks, block_size) rows in block order.
+
+    Short final blocks are padded with zeros, which cannot raise a block's
+    absmax.  Returns the row matrix and the effective length of the final
+    block along the axis.  ``bq.quantize`` does not pad; this padded layout
+    is its reference.
+    """
+    arr = np.asarray(values)
+    moved = np.moveaxis(arr, axis, -1)
+    length = moved.shape[-1]
+    nb_axis = -(-length // block_size)
+    pad = nb_axis * block_size - length
+    if pad:
+        width = [(0, 0)] * (moved.ndim - 1) + [(0, pad)]
+        moved = np.pad(moved, width)
+    split = moved.reshape(moved.shape[:-1] + (nb_axis, block_size))
+    # Put the block counter back at the block axis so a plain ravel yields
+    # row-major block order.
+    ordered = np.moveaxis(split, -2, axis)
+    rows = ordered.reshape(-1, block_size)
+    tail = length - (nb_axis - 1) * block_size
+    return rows, tail
+
+
 def unblock(rows, dims, axis, block_size):
-    """Inverse of bq._blocks_view: padded rows in block order back to tensor
+    """Inverse of blocks_view: padded rows in block order back to tensor
     shape, dropping the padding."""
     dims = tuple(dims)
     nb_axis = -(-dims[axis] // block_size)
@@ -211,7 +236,7 @@ class TestQuantize:
         w = rng.standard_normal((64, 129))
         qt = bq.quantize(w, code, 32, axis=1)
         err = np.abs(w - bq.dequantize(qt))
-        rows, _ = bq._blocks_view(w, 1, 32)
+        rows, _ = blocks_view(w, 1, 32)
         M = np.abs(rows).max(axis=1)
         bound = unblock(np.repeat(M[:, None], 32, axis=1), w.shape, 1, 32)
         assert np.all(err <= bound * gap / 2 + 1e-12)
@@ -241,7 +266,7 @@ class TestQuantize:
         q = code.values
         half_gap = max(np.diff(q).max() / 2, q[0] + 1, 1 - q[-1])
         k = axis % len(shape)
-        rows, _ = bq._blocks_view(np.abs(w.astype(np.float64)), k, B)
+        rows, _ = blocks_view(np.abs(w.astype(np.float64)), k, B)
         absmax = unblock(np.repeat(rows.max(axis=1)[:, None], B, axis=1),
                          shape, k, B)
         slack = np.finfo(dtype).eps + 2.0 ** -21
@@ -285,7 +310,7 @@ class TestQuantize:
             for B in (1, 2, 5, 8, 36, 37, 64):
                 qt = bq.quantize(w, code, B, axis=axis)
                 # the padded path: zero-padded rows, then pad nibbles zeroed
-                rows, _ = bq._blocks_view(w, axis, B)
+                rows, _ = blocks_view(w, axis, B)
                 scales = np.abs(rows).max(axis=1).astype(np.float32)
                 safe = np.where(scales > 0, scales, np.float32(1)).astype(dtype)
                 idx = bq._nearest_index_reference(rows / safe[:, None], code.values)

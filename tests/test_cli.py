@@ -219,6 +219,17 @@ class TestQuantizeDequantize:
         assert code == 2
         assert "truncated" in err
 
+    @pytest.mark.parametrize("option", [["--block-size", "7"], ["--csv"]])
+    def test_dequantize_rejects_unused_options(self, capsys, tmp_path, option):
+        src = tmp_path / "w.fqz"
+        w = np.linspace(-2, 2, 64, dtype=np.float32).reshape(8, 8)
+        bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 8), src)
+        out_t = tmp_path / "w.fqt"
+        code, out, err = run(capsys, "dequantize", str(src), str(out_t), *option)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+        assert not out_t.exists()
+
 
 class TestDist:
     def test_absmax_median(self, capsys):
@@ -361,6 +372,18 @@ class TestValidate:
     def test_requires_code_or_kind(self, capsys):
         code, _, err = run(capsys, "validate", "usage", "--block-size", "64")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "cdf", "--n", "2"),
+    ("mc", "sample", "--n", "2"),
+])
+def test_unsampleable_block_size_is_usage_error(capsys, argv):
+    # 2^40 entries per block would ask for terabytes before the first draw
+    code, out, err = run(capsys, *argv, "--block-size", str(1 << 40))
+    assert code == 1 and out == ""
+    assert err.startswith("error: block size must be <=")
+    assert err.count("\n") == 1
 
 
 class TestMcSample:

@@ -62,11 +62,11 @@ class TestCode16Validation:
         vals = np.array(NF4_DERIVED)
         vals[7] = 1e-9
         with pytest.raises(DomainError, match="positions"):
-            qc.Code16(vals, kind=qc.KIND_AF4, block_size=64)
+            qc.Code16(vals, kind="af4", block_size=64)
 
     def test_block_size_required_for_af4_and_balanced(self):
         with pytest.raises(DomainError, match="block_size"):
-            qc.Code16(NF4_DERIVED, kind=qc.KIND_AF4)
+            qc.Code16(NF4_DERIVED, kind="af4")
 
     @pytest.mark.parametrize("block_size", [-5, 0, 2.5, True])
     def test_block_size_must_be_positive_int(self, block_size):
@@ -405,7 +405,7 @@ class TestCodeFile:
             qc.nf4_code("average_of_quantile"),
             qc.balanced_code(0.5 * (lo + hi), bins, block_size=64),
             qc.balanced_code_with_endpoints(64),
-            qc.Code16(np.linspace(-1, 1, 16), kind=qc.KIND_CUSTOM),
+            qc.Code16(np.linspace(-1, 1, 16), kind="custom"),
         ]
         for i, code in enumerate(codes):
             path = tmp_path / f"code{i}.json"

@@ -250,9 +250,10 @@ class TestGbCdf:
         with pytest.raises(DomainError):
             qd.gb_cdf(0.0, 1)  # degenerate: no continuous part
 
-    def test_non_convergence_reports(self):
-        settings = qd.QuadratureSettings(abs_tol=1e-16, max_subdivisions=1)
-        dist = qd.ScaledMaxDistribution(32, settings)
+    def test_non_convergence_reports(self, monkeypatch):
+        monkeypatch.setenv(qd.QUAD_TOL_ENV, "1e-16")
+        monkeypatch.setattr(qd, "MAX_REFINEMENTS", 1)
+        dist = qd.ScaledMaxDistribution(32)
         with pytest.raises(NumericalError, match="did not converge"):
             dist.gb_cdf(0.37)
 
@@ -346,20 +347,25 @@ def test_nan_argument_is_domain_error(fn, B):
 
 
 class TestSettingsAndConcurrency:
-    def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            qd.QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            qd.QuadratureSettings(root_tol=-1e-9)
-        with pytest.raises(DomainError):
-            qd.QuadratureSettings(max_subdivisions=0)
+    def test_settings_validation(self, monkeypatch):
+        for bad in ("0", "-1e-9", "nan"):
+            monkeypatch.setenv(qd.QUAD_TOL_ENV, bad)
+            with pytest.raises(DomainError, match="must be > 0"):
+                qd.quad_tol()
+            with pytest.raises(DomainError):
+                qd.ScaledMaxDistribution(32)
 
     def test_env_override(self, monkeypatch):
+        monkeypatch.delenv(qd.QUAD_TOL_ENV, raising=False)
+        assert qd.quad_tol() == qd.DEFAULT_ABS_TOL
+        default = qd.scaled_max_distribution(64)
         monkeypatch.setenv(qd.QUAD_TOL_ENV, "1e-6")
-        assert qd.default_settings().abs_tol == 1e-6
+        assert qd.quad_tol() == 1e-6
+        loose = qd.scaled_max_distribution(64)
+        assert loose.abs_tol == 1e-6 and loose is not default
         monkeypatch.setenv(qd.QUAD_TOL_ENV, "bogus")
         with pytest.raises(DomainError):
-            qd.default_settings()
+            qd.quad_tol()
 
     def test_concurrent_calls_agree(self):
         dist = qd.ScaledMaxDistribution(128)

@@ -55,6 +55,19 @@ class TestReproducibility:
         with pytest.raises(DomainError):
             qmc.McConfig(seed=0, block_size=4, num_blocks=0)
 
+    @pytest.mark.parametrize("block_size", [2.5, True, "8", -3])
+    def test_block_size_must_be_positive_int(self, block_size):
+        with pytest.raises(DomainError, match="block size must be"):
+            qmc.McConfig(seed=0, block_size=block_size, num_blocks=3)
+
+    def test_block_size_capped_at_one_chunk(self):
+        cap = qmc.MAX_BLOCK_SIZE
+        assert cap == qmc.CHUNK_ELEMENTS
+        assert qmc.McConfig(seed=0, block_size=cap, num_blocks=1).block_size == cap
+        for block_size in (cap + 1, 1 << 40):
+            with pytest.raises(DomainError, match=f"<= {cap}"):
+                qmc.McConfig(seed=0, block_size=block_size, num_blocks=2)
+
 
 class TestGenerativeProcess:
     def test_block_size_one_is_signs(self):
