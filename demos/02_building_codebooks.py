@@ -6,6 +6,9 @@
 # expected-L1-optimal AF4 adapts to it, and exactly-uniform usage is
 # possible but not desirable.
 
+import os
+import tempfile
+
 import numpy as np
 
 from quantlab import (
@@ -73,5 +76,7 @@ print(f"  but its expected L1 error is {expected_l1(bwe, B):.6f} "
       f"vs {expected_l1(balanced, B):.6f} for the exactly-balanced one")
 
 # Codes serialize to a small JSON document (code16/v1):
-code_write(af4_code(64), "af4-64.json")
-print("\nwrote af4-64.json")
+with tempfile.TemporaryDirectory() as td:
+    path = os.path.join(td, "af4-64.json")
+    code_write(af4_code(64), path)
+    print(f"\nwrote af4-64.json ({os.path.getsize(path)} bytes)")

@@ -46,19 +46,22 @@ for x, p, se in zip(xs, *empirical_cdf_stream(cfg, xs)):
 print(f"\nci_halfwidth(0.8728, 2^30) = {ci_halfwidth(0.8728, 2**30):.1e}")
 
 # --- usage histograms -----------------------------------------------------------
-# NF4 does NOT use its 16 values equally; a balanced code does.
-nf4_hist = usage_statistics(nf4_code(), 64, 1 << 15, seed=7).histogram
+# NF4 does NOT use its 16 values equally; a balanced code does.  Like the
+# CDF above, every estimator takes a McConfig and returns (estimate, stderr).
+cfg = McConfig(seed=7, block_size=64, num_blocks=1 << 15)
+nf4_props, _ = usage_statistics(cfg, nf4_code())
 print("\nNF4 usage at B=64 (%):")
-print("  " + " ".join(f"{100 * p:.1f}" for p in nf4_hist.proportions))
+print("  " + " ".join(f"{100 * p:.1f}" for p in nf4_props))
 
 B = 4096
 bins = uniform_bins(B)
 lo, hi = feasible_seed_interval(bins)
 balanced = balanced_code(0.5 * (lo + hi), bins, block_size=B)
-stats = usage_statistics(balanced, B, 1 << 9, seed=7)
-dev = np.abs(stats.proportions - 1 / 16)
+cfg = McConfig(seed=7, block_size=B, num_blocks=1 << 9)
+props, stderr = usage_statistics(cfg, balanced)
+dev = np.abs(props - 1 / 16)
 print(f"\nbalanced code at B={B}: max |usage - 6.25%| = {dev.max():.2e} "
-      f"(4 sigma = {4 * stats.stderr.max():.2e})")
+      f"(4 sigma = {4 * stderr.max():.2e})")
 
 # The CLI wraps these comparisons with an assertion gate:
 #   quantlab validate usage --kind nf4 --block-size 64 --n 65536 --csv --assert

@@ -32,11 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Code16
-from .errors import DataError, DomainError, FormatError
+from .errors import DataError, DomainError, FormatError, check_block_size
 
 FQT1_MAGIC = b"FQT1"
 FQZ1_MAGIC = b"FQZ1"
 _FQT1_DTYPE_F32 = 0
+# numpy arrays have at most 64 dimensions: a header declaring more
+# describes no array.
+_MAX_NDIM = 64
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,8 @@ class QuantizedTensor:
             raise DomainError(f"invalid dims {self.dims}")
         if not 0 <= self.block_axis < len(dims):
             raise DomainError(f"block_axis {self.block_axis} out of range for {dims}")
-        if self.block_size < 1:
-            raise DomainError("block_size must be >= 1")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "block_size", check_block_size(self.block_size))
         grid, parts = _geometry(dims, self.block_axis, self.block_size)
         nb = math.prod(grid)
         if self.scales.shape != (nb,):
@@ -268,8 +270,7 @@ def quantize(values, code, block_size, axis=0):
     if not -arr.ndim <= axis < arr.ndim:
         raise DomainError(f"axis {axis} out of range for {arr.shape}")
     axis = axis % arr.ndim
-    if block_size < 1:
-        raise DomainError("block_size must be >= 1")
+    block_size = check_block_size(block_size)
 
     grid, parts = _geometry(arr.shape, axis, block_size)
     scales = np.empty(math.prod(grid), dtype=np.float32)
@@ -301,7 +302,7 @@ def quantize(values, code, block_size, axis=0):
     return QuantizedTensor(
         dims=arr.shape,
         block_axis=axis,
-        block_size=int(block_size),
+        block_size=block_size,
         code=code,
         scales=scales,
         packed=packed,
@@ -355,8 +356,6 @@ def tensor_write(tensor, path):
     arr = np.ascontiguousarray(np.asarray(tensor, dtype=np.float32))
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if arr.ndim > 255:
-        raise FormatError(f"too many dimensions for FQT1: {arr.ndim}")
     for d in arr.shape:
         if d >= 1 << 32:
             raise FormatError(f"extent {d} overflows the 32-bit FQT1 header")
@@ -367,8 +366,14 @@ def tensor_write(tensor, path):
         fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
+# Bytes per read from a pipe or other non-regular file, whose length is
+# unknown until its end: a lying header costs at most what the input holds.
+_PIPE_PIECE = 1 << 20
+
+
 def _read_exact(fh, n, path, what):
-    """Read n bytes, failing before any allocation if the file is shorter."""
+    """Read n bytes, failing before any allocation if a regular file is
+    shorter; other inputs are read in pieces of at most _PIPE_PIECE bytes."""
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         left = max(st.st_size - fh.tell(), 0)
@@ -376,7 +381,16 @@ def _read_exact(fh, n, path, what):
             raise FormatError(
                 f"{path}: truncated {what}: expected {n} bytes, got {left}"
             )
-    data = fh.read(n)
+        data = fh.read(n)
+    else:
+        pieces, got = [], 0
+        while got < n:
+            piece = fh.read(min(n - got, _PIPE_PIECE))
+            if not piece:
+                break
+            pieces.append(piece)
+            got += len(piece)
+        data = b"".join(pieces)
     if len(data) != n:
         raise FormatError(
             f"{path}: truncated {what}: expected {n} bytes, got {len(data)}"
@@ -395,15 +409,12 @@ def tensor_read(path):
             raise FormatError(f"{path}: unsupported dtype tag {dtype_tag}")
         if ndim == 0:
             raise FormatError(f"{path}: FQT1 tensor with no dimensions")
+        if ndim > _MAX_NDIM:
+            raise FormatError(f"{path}: {ndim} dimensions, more than {_MAX_NDIM}")
         dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "extents"))
         if any(d == 0 for d in dims):
             raise FormatError(f"{path}: zero extent in {dims}")
-        count = 1
-        for d in dims:
-            count *= d
-        if count > (1 << 40):
-            raise FormatError(f"{path}: dimension overflow: {count} elements")
-        payload = _read_exact(fh, 4 * count, path, "payload")
+        payload = _read_exact(fh, 4 * math.prod(dims), path, "payload")
         extra = fh.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after payload")
@@ -482,6 +493,8 @@ def qtensor_read(path):
         version, ndim = struct.unpack("<BB", _read_exact(fh, 2, path, "header"))
         if version != 1:
             raise FormatError(f"{path}: unsupported FQZ1 version {version}")
+        if ndim > _MAX_NDIM:
+            raise FormatError(f"{path}: {ndim} dimensions, more than {_MAX_NDIM}")
         dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "extents"))
         if any(d == 0 for d in dims):
             raise FormatError(f"{path}: zero extent in {dims}")

@@ -149,43 +149,30 @@ def cmd_dist(args):
     return EXIT_OK
 
 
-# Each report row: (quantity, n, estimate, stderr, analytic).
-def _validate_usage_rows(code, B, num_blocks, seed):
-    stats = montecarlo.usage_statistics(code, B, num_blocks, seed)
-    analytic = codebook.code_bin_masses(code, B)
-    return [(f"usage[{j + 1}]", stats.histogram.total, stats.proportions[j],
-             stats.stderr[j], analytic[j]) for j in range(16)]
-
-
-def _validate_cdf_rows(B, num_blocks, seed):
-    xs = np.linspace(-1.0, 1.0, 33)
-    cfg = montecarlo.McConfig(seed=seed, block_size=B, num_blocks=num_blocks)
-    est, se = montecarlo.empirical_cdf_stream(cfg, xs)
-    return [(f"cdf[x={x:g}]", num_blocks, p, s, distributions.fx_cdf(x, B))
-            for x, p, s in zip(xs, est, se)]
-
-
-def _validate_l1_rows(code, B, num_blocks, seed):
-    mean, stderr = montecarlo.l1_statistics(code, B, num_blocks, seed)
-    analytic = codebook.expected_l1(code, B)
-    return [("expected_l1", num_blocks * B, mean, stderr, analytic)]
-
-
 def cmd_validate(args):
     B = args.block_size
     if args.n < 2:
         raise _UsageError(
             f"validate needs --n >= 2 blocks for a standard error, got {args.n}")
+    code = None if args.report == "cdf" else _build_code(args, B)
+    cfg = montecarlo.McConfig(seed=args.seed, block_size=B, num_blocks=args.n)
+    # One row per quantity; n counts blocks for cdf (entry 0 of each block)
+    # and sampled entries for usage and l1.
     if args.report == "cdf":
-        rows = _validate_cdf_rows(B, args.n, args.seed)
+        xs = np.linspace(-1.0, 1.0, 33)
+        names, n = [f"cdf[x={x:g}]" for x in xs], args.n
+        est, se = montecarlo.empirical_cdf_stream(cfg, xs)
+        analytic = [distributions.fx_cdf(x, B) for x in xs]
+    elif args.report == "usage":
+        names, n = [f"usage[{j + 1}]" for j in range(16)], args.n * B
+        est, se = montecarlo.usage_statistics(cfg, code)
+        analytic = codebook.code_bin_masses(code, B)
     else:
-        code = _build_code(args, B)
-        if args.report == "usage":
-            rows = _validate_usage_rows(code, B, args.n, args.seed)
-        else:
-            rows = _validate_l1_rows(code, B, args.n, args.seed)
-    rows = [(q, B, n, _fmt(est), _fmt(se), _fmt(a), _fmt(abs(est - a)))
-            for q, n, est, se, a in rows]
+        names, n = ["expected_l1"], args.n * B
+        mean, stderr = montecarlo.l1_statistics(cfg, code)
+        est, se, analytic = [mean], [stderr], [codebook.expected_l1(code, B)]
+    rows = [(q, B, n, _fmt(e), _fmt(s), _fmt(a), _fmt(abs(e - a)))
+            for q, e, s, a in zip(names, est, se, analytic)]
     _emit(rows, ("quantity", "B", "n", "estimate", "stderr", "analytic", "abs_diff"),
           args.csv)
     if args.assert_:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import scaled_max_distribution
-from .errors import ConstructionError, DomainError, FormatError
+from .errors import ConstructionError, DomainError, FormatError, check_block_size
 
 # code16 kind -> (needs a block size, holds -1, 0, 1 at positions 1, 8, 16).
 KINDS = {
@@ -76,12 +76,8 @@ class Code16:
             raise DomainError(
                 f"unknown kind {self.kind!r}; expected one of {sorted(KINDS)}")
         needs_block_size, anchored = KINDS[self.kind]
-        if self.block_size is not None and (
-            isinstance(self.block_size, bool) or not isinstance(self.block_size, int)
-            or self.block_size < 1
-        ):
-            raise DomainError(
-                f"block_size must be a positive integer or None, got {self.block_size!r}")
+        if self.block_size is not None:
+            object.__setattr__(self, "block_size", check_block_size(self.block_size))
         if needs_block_size and self.block_size is None:
             raise DomainError(f"kind {self.kind!r} requires a block_size")
         if anchored and (vals[0] != -1.0 or vals[7] != 0.0 or vals[15] != 1.0):
@@ -276,7 +272,7 @@ def af4_code(block_size):
     code = Code16(
         values,
         kind="af4",
-        block_size=int(block_size),
+        block_size=block_size,
         params={
             "seed_negative": seed_neg,
             "seed_positive": seed_pos,
@@ -434,7 +430,7 @@ def balanced_code_with_endpoints(block_size):
     return Code16(
         values,
         kind="balanced_with_endpoints",
-        block_size=int(block_size),
+        block_size=block_size,
         params={"q1_seed": seed, "replaced_positions": replaced},
     )
 
@@ -476,7 +472,7 @@ def code_write(code, path):
     IEEE doubles exactly.
     """
     vals = ",\n    ".join(format(float(v), ".17g") for v in code.values)
-    bs = "null" if code.block_size is None else str(int(code.block_size))
+    bs = "null" if code.block_size is None else str(code.block_size)
     text = (
         "{\n"
         '  "format": "code16/v1",\n'

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfc, erfinv, ndtr, ndtri
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_block_size
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -52,14 +52,6 @@ MAX_REFINEMENTS = 6
 
 #: Environment variable that overrides the default quadrature tolerance.
 QUAD_TOL_ENV = "QUANTLAB_QUAD_TOL"
-
-
-def _check_block_size(block_size):
-    if isinstance(block_size, bool) or not isinstance(block_size, (int, np.integer)):
-        raise DomainError(f"block size must be an integer, got {block_size!r}")
-    if block_size < 1:
-        raise DomainError(f"block size must be >= 1, got {block_size}")
-    return int(block_size)
 
 
 def _not_nan(name, value):
@@ -136,7 +128,7 @@ def trunc_normal_cdf(x, m):
 
 def absmax_median(block_size):
     """Median of max(|Z_1|, ..., |Z_B|) for i.i.d. standard normals."""
-    B = _check_block_size(block_size)
+    B = check_block_size(block_size)
     return halfnormal_quantile(0.5 ** (1.0 / B))
 
 
@@ -149,7 +141,7 @@ def _halfnormal_log_cdf(m):
 
 def absmax_pdf(m, block_size):
     """Density of the block absmax: 2B * halfnormal_cdf(m)^(B-1) * phi(m)."""
-    B = _check_block_size(block_size)
+    B = check_block_size(block_size)
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0):
         raise DomainError(f"absmax_pdf requires m >= 0, got {m}")
@@ -182,7 +174,7 @@ class ScaledMaxDistribution:
     """
 
     def __init__(self, block_size):
-        self.block_size = _check_block_size(block_size)
+        self.block_size = check_block_size(block_size)
         self.abs_tol = quad_tol()
         self.atom_mass = 1.0 / (2.0 * self.block_size)
         # Constant stand-in for the absmax used by the closed-form

@@ -8,11 +8,12 @@ or parallelized.  Normals come from inverting the Gaussian CDF on uniform
 64-bit draws, which is slower than ziggurat-style samplers but exactly
 reproducible across platforms.  Samples are plain (blocks, B) arrays.
 
+Every estimator takes a ``McConfig`` first and returns ``(estimate,
+stderr)``, both computed by one chunked driver, ``_block_moments``.
 Within one block the normalized entries are dependent (they share the
 absmax divisor).  The CDF estimator therefore keeps one designated entry
 per block (entry 0), which makes its binomial error valid; the usage and
-L1 estimators report standard errors clustered by block.  All three run on
-one chunked driver, ``_block_moments``.
+L1 estimators report standard errors clustered by block.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import blockquant
-from .blockquant import UsageHistogram
-from .distributions import _check_block_size
-from .errors import DomainError
+from .errors import DomainError, check_block_size
 
 # Elements per generated chunk; only batching depends on it, never values.
 CHUNK_ELEMENTS = 1 << 21
@@ -45,7 +44,8 @@ class McConfig:
     num_blocks: int
 
     def __post_init__(self):
-        if _check_block_size(self.block_size) > MAX_BLOCK_SIZE:
+        object.__setattr__(self, "block_size", check_block_size(self.block_size))
+        if self.block_size > MAX_BLOCK_SIZE:
             raise DomainError(
                 f"block size must be <= {MAX_BLOCK_SIZE}, got {self.block_size}")
         if self.num_blocks < 1:
@@ -127,27 +127,9 @@ def _block_moments(cfg, per_block):
     return total, np.sqrt(np.maximum(var, 0.0) / nb)
 
 
-@dataclass(frozen=True)
-class UsageStats:
-    """Usage histogram plus block-clustered standard errors.
-
-    stderr is the standard error of each proportion computed from the
-    spread of per-block proportions, which stays valid despite the
-    within-block dependence of the samples.  It is NaN when num_blocks is 1.
-    """
-
-    histogram: UsageHistogram
-    stderr: np.ndarray
-    num_blocks: int
-
-    @property
-    def proportions(self):
-        return self.histogram.proportions
-
-
-def usage_statistics(code, block_size, num_blocks, seed):
-    """Quantize sampled blocks and tally code usage with clustered errors."""
-    cfg = McConfig(seed, block_size, num_blocks)
+def usage_statistics(cfg, code):
+    """Share of the sampled entries nearest each code value, with standard
+    errors clustered by block: (proportions, stderr), two arrays of 16."""
 
     def counts(values):
         # Sampled rows have absmax exactly 1: quantizing is nearest_index.
@@ -157,15 +139,12 @@ def usage_statistics(code, block_size, num_blocks, seed):
             -1, 16).astype(np.float64)
 
     total, stderr = _block_moments(cfg, counts)
-    hist = UsageHistogram(tuple(int(c) for c in total), int(total.sum()))
-    return UsageStats(histogram=hist, stderr=stderr / block_size,
-                      num_blocks=cfg.num_blocks)
+    return total / (cfg.num_blocks * cfg.block_size), stderr / cfg.block_size
 
 
-def l1_statistics(code, block_size, num_blocks, seed):
-    """(mean, clustered stderr) of the distance to the nearest code value
-    over sampled blocks; the stderr is NaN when num_blocks is 1."""
-    cfg = McConfig(seed=seed, block_size=block_size, num_blocks=num_blocks)
+def l1_statistics(cfg, code):
+    """Mean distance of a sampled entry to its nearest code value, with the
+    standard error clustered by block: (mean, stderr) floats."""
     q = code.values
 
     def block_means(values):

@@ -77,8 +77,8 @@ def test_criterion_04_cdf_anchors_with_monte_carlo():
 
 def test_criterion_05_nf4_usage_nonuniform():
     t0 = time.perf_counter()
-    hist = qmc.usage_statistics(qc.nf4_code(), 64, 1 << 20, seed=51).histogram
-    props = hist.proportions
+    cfg = qmc.McConfig(seed=51, block_size=64, num_blocks=1 << 20)
+    props, _ = qmc.usage_statistics(cfg, qc.nf4_code())
     ok = props.min() < 0.04 and props.max() > 0.07
     _check(5, 120.0, t0, ok,
            f"NF4 usage at B=64 over 2^20 blocks: min {props.min():.4f} (< 0.04), "
@@ -92,13 +92,14 @@ def test_criterion_06_balanced_uniformity():
     bins = qc.uniform_bins(B)
     lo, hi = qc.feasible_seed_interval(bins)
     balanced = qc.balanced_code(0.5 * (lo + hi), bins, block_size=B)
-    stats = qmc.usage_statistics(balanced, B, nblocks, seed=61)
-    dev = np.abs(stats.proportions - 0.0625)
-    uniform_ok = bool(np.all(dev <= 4 * stats.stderr))
+    cfg = qmc.McConfig(seed=61, block_size=B, num_blocks=nblocks)
+    props, stderr = qmc.usage_statistics(cfg, balanced)
+    dev = np.abs(props - 0.0625)
+    uniform_ok = bool(np.all(dev <= 4 * stderr))
 
     endpoints = qc.balanced_code_with_endpoints(B)
-    stats_end = qmc.usage_statistics(endpoints, B, nblocks, seed=61)
-    dev_end = np.abs(stats_end.proportions - 0.0625)
+    props_end, _ = qmc.usage_statistics(cfg, endpoints)
+    dev_end = np.abs(props_end - 0.0625)
     less_uniform = float(dev_end.max()) > float(dev.max())
     ok = uniform_ok and less_uniform
     _check(6, 120.0, t0, ok,

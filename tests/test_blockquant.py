@@ -348,6 +348,19 @@ class TestQuantize:
         with pytest.raises(DomainError):
             bq.quantize(w, codes["nf4"], 4, axis=3)
 
+    @pytest.mark.parametrize("block_size", [2.5, True, 0, -3])
+    def test_block_size_must_be_positive_int(self, codes, block_size):
+        w = np.ones((4, 8), dtype=np.float32)
+        with pytest.raises(DomainError, match="block size must be"):
+            bq.quantize(w, codes["nf4"], block_size, axis=1)
+
+    def test_numpy_integer_block_size_is_stored_as_int(self, codes):
+        w = np.ones((4, 8), dtype=np.float32)
+        qt = bq.quantize(w, codes["nf4"], np.int64(4), axis=1)
+        assert qt.block_size == 4 and type(qt.block_size) is int
+        with pytest.raises(DomainError, match="block size must be"):
+            bq.QuantizedTensor(qt.dims, 1, 4.0, qt.code, qt.scales, qt.packed)
+
     def test_idempotence(self, codes):
         rng = np.random.default_rng(14)
         w = rng.standard_normal((16, 64)).astype(np.float32)
@@ -551,6 +564,17 @@ class TestTensorFiles:
         with pytest.raises(FormatError, match="no dimensions"):
             bq.tensor_read(path)
 
+    def test_more_dimensions_than_numpy_allows(self, tmp_path):
+        def unit_tensor(ndim):  # one element, ndim extents of 1
+            path = tmp_path / f"{ndim}.fqt"
+            path.write_bytes(b"FQT1" + struct.pack(f"<BB{ndim}I", 0, ndim, *[1] * ndim)
+                             + bytes(4))
+            return path
+
+        assert bq.tensor_read(unit_tensor(64)).shape == (1,) * 64
+        with pytest.raises(FormatError, match="65 dimensions"):
+            bq.tensor_read(unit_tensor(65))
+
 
 class TestQuantizedTensorFiles:
     @pytest.mark.parametrize(
@@ -616,6 +640,11 @@ class TestQuantizedTensorFiles:
             with traced_peak() as peak:
                 bq.qtensor_read(path)
         assert peak[0] < 1 << 20
+
+    def test_more_dimensions_than_numpy_allows(self, tmp_path):
+        path = lying_fqz1(tmp_path / "t.fqz", (1,) * 65)
+        with pytest.raises(FormatError, match="65 dimensions"):
+            bq.qtensor_read(path)
 
     def test_block_longer_than_axis_allocates_by_axis(self, tmp_path, codes):
         w = np.random.default_rng(24).standard_normal((1000, 1)).astype(np.float32)

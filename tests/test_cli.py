@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import math
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,7 +163,7 @@ class TestQuantizeDequantize:
                            str(tmp_path / "o.fqz"), "--code", str(nf4_file),
                            "--block-size", "0")
         assert code == 1
-        assert err.startswith("error:") and "block_size" in err
+        assert err.startswith("error:") and "block size" in err
 
     def test_block_size_overflowing_header_is_data_error(
             self, capsys, tmp_path, tensor_file, nf4_file):
@@ -324,13 +327,9 @@ class TestValidate:
 
         real = qmc.usage_statistics
 
-        def biased(code, B, num_blocks, seed):
-            stats = real(code, B, num_blocks, seed)
-            return qmc.UsageStats(
-                histogram=stats.histogram,
-                stderr=np.full(16, 1e-6),
-                num_blocks=stats.num_blocks,
-            )
+        def biased(cfg, code):
+            props, _ = real(cfg, code)
+            return props, np.full(16, 1e-6)
 
         monkeypatch.setattr(cli.montecarlo, "usage_statistics", biased)
         code, out, err = run(capsys, "validate", "usage", "--kind", "nf4",
@@ -369,6 +368,17 @@ class TestValidate:
         assert code == 1 and out == ""
         assert err == f"validate needs --n >= 2 blocks for a standard error, got {n}\n"
 
+    @pytest.mark.parametrize("report, rows, n", [
+        ("cdf", 33, 5), ("usage", 16, 5 * 3), ("l1", 1, 5 * 3)])
+    def test_n_column(self, capsys, report, rows, n):
+        # cdf keeps entry 0 of each block; usage and l1 count every entry
+        code, out, _ = run(capsys, "validate", report, "--kind", "nf4",
+                           "--block-size", "3", "--n", "5", "--csv")
+        assert code == 0
+        _, body = parse_csv(out)
+        assert len(body) == rows
+        assert {(r[1], r[2]) for r in body} == {("3", str(n))}
+
     def test_requires_code_or_kind(self, capsys):
         code, _, err = run(capsys, "validate", "usage", "--block-size", "64")
         assert code == 1
@@ -384,6 +394,41 @@ def test_unsampleable_block_size_is_usage_error(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: block size must be <=")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["quantize", "dequantize"])
+def test_lying_header_on_a_pipe_is_a_format_error(capsys, tmp_path, command):
+    # The header declares 256 MiB (FQT1) or 144 MiB (FQZ1) of payload, the
+    # pipe holds 8 bytes of it.  A pipe has no size to check up front, so
+    # the reader takes it in bounded pieces.
+    code_path = tmp_path / "nf4.json"
+    qc.code_write(qc.nf4_code(), code_path)
+    if command == "quantize":
+        data = b"FQT1" + struct.pack("<BBI", 0, 1, 1 << 26)
+        options = ("--code", str(code_path))
+    else:
+        data = (b"FQZ1" + struct.pack("<BBIIBB", 1, 1, 1 << 28, 64, 0, 16)
+                + qc.nf4_code().values.astype("<f4").tobytes())
+        options = ()
+    fifo = tmp_path / "input"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data + bytes(8),),
+                              daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, str(fifo), str(tmp_path / "out"),
+                             *options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "truncated" in err
+    assert err.count("\n") == 1
+    assert peak < 8 << 20
 
 
 class TestMcSample:

@@ -71,11 +71,15 @@ class TestCode16Validation:
     @pytest.mark.parametrize("block_size", [-5, 0, 2.5, True])
     def test_block_size_must_be_positive_int(self, block_size):
         # code_write would write a file code_read rejects (2.5 as "2")
-        with pytest.raises(DomainError, match="block_size must be"):
+        with pytest.raises(DomainError, match="block size must be"):
             qc.Code16(np.linspace(-1, 1, 16), block_size=block_size)
 
     def test_block_size_one_is_valid(self):
         assert qc.Code16(np.linspace(-1, 1, 16), block_size=1).block_size == 1
+
+    def test_numpy_integer_block_size_is_stored_as_int(self):
+        code = qc.Code16(np.linspace(-1, 1, 16), block_size=np.int64(64))
+        assert code.block_size == 64 and type(code.block_size) is int
 
     def test_values_read_only(self):
         code = qc.nf4_code()
@@ -298,10 +302,11 @@ class TestBalancedWithEndpoints:
         lo, hi = qc.feasible_seed_interval(bins)
         balanced = qc.balanced_code(0.5 * (lo + hi), bins, block_size=B)
         endpoints = qc.balanced_code_with_endpoints(B)
-        h_bal = qmc.usage_statistics(balanced, B, nblocks, seed=5).histogram
-        h_end = qmc.usage_statistics(endpoints, B, nblocks, seed=5).histogram
-        dev_bal = np.abs(h_bal.proportions - 1 / 16).max()
-        dev_end = np.abs(h_end.proportions - 1 / 16).max()
+        cfg = qmc.McConfig(seed=5, block_size=B, num_blocks=nblocks)
+        props_bal, _ = qmc.usage_statistics(cfg, balanced)
+        props_end, _ = qmc.usage_statistics(cfg, endpoints)
+        dev_bal = np.abs(props_bal - 1 / 16).max()
+        dev_end = np.abs(props_end - 1 / 16).max()
         assert dev_end > dev_bal
 
 
@@ -371,7 +376,7 @@ class TestExpectedL1:
         est = means.mean()
         stderr = means.std(ddof=1) / np.sqrt(means.size)
         assert abs(est - analytic) <= 4 * stderr
-        mc_est, mc_stderr = qmc.l1_statistics(code, B, 1 << 16, seed=11)
+        mc_est, mc_stderr = qmc.l1_statistics(cfg, code)
         assert mc_est == pytest.approx(est, rel=1e-12, abs=0)
         assert mc_stderr == pytest.approx(stderr, rel=1e-12, abs=0)
 

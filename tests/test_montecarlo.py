@@ -60,6 +60,10 @@ class TestReproducibility:
         with pytest.raises(DomainError, match="block size must be"):
             qmc.McConfig(seed=0, block_size=block_size, num_blocks=3)
 
+    def test_numpy_integer_block_size_is_stored_as_int(self):
+        cfg = qmc.McConfig(seed=0, block_size=np.int64(64), num_blocks=2)
+        assert cfg.block_size == 64 and type(cfg.block_size) is int
+
     def test_block_size_capped_at_one_chunk(self):
         cap = qmc.MAX_BLOCK_SIZE
         assert cap == qmc.CHUNK_ELEMENTS
@@ -158,38 +162,42 @@ class TestEmpiricalCdf:
 class TestUsage:
     def test_determinism(self):
         code = qc.nf4_code()
-        a = qmc.usage_statistics(code, 64, 512, seed=21)
-        b = qmc.usage_statistics(code, 64, 512, seed=21)
-        assert a.histogram.counts == b.histogram.counts
-        assert np.array_equal(a.stderr, b.stderr)
+        cfg = qmc.McConfig(seed=21, block_size=64, num_blocks=512)
+        props_a, se_a = qmc.usage_statistics(cfg, code)
+        props_b, se_b = qmc.usage_statistics(cfg, code)
+        assert np.array_equal(props_a, props_b)
+        assert np.array_equal(se_a, se_b)
 
     def test_nf4_band_at_64(self):
-        hist = qmc.usage_statistics(qc.nf4_code(), 64, 1 << 14, seed=22).histogram
-        props = hist.proportions
+        cfg = qmc.McConfig(seed=22, block_size=64, num_blocks=1 << 14)
+        props, _ = qmc.usage_statistics(cfg, qc.nf4_code())
         assert 0.01 < props.min() < 0.04
         assert 0.07 < props.max() < 0.11
 
     def test_balanced_uniform_at_4096(self):
         B = 4096
-        stats = qmc.usage_statistics(_balanced(B), B, 1 << 9, seed=23)
-        dev = np.abs(stats.proportions - 1 / 16)
-        assert np.all(dev <= 4 * stats.stderr)
+        cfg = qmc.McConfig(seed=23, block_size=B, num_blocks=1 << 9)
+        props, stderr = qmc.usage_statistics(cfg, _balanced(B))
+        dev = np.abs(props - 1 / 16)
+        assert np.all(dev <= 4 * stderr)
 
     def test_outermost_usage_covers_extremes(self):
         code = qc.nf4_code()  # contains +/-1
         B = 64
         nblocks = 1 << 12
-        hist = qmc.usage_statistics(code, B, nblocks, seed=24).histogram
-        combined = hist.proportions[0] + hist.proportions[15]
+        cfg = qmc.McConfig(seed=24, block_size=B, num_blocks=nblocks)
+        props, _ = qmc.usage_statistics(cfg, code)
+        combined = props[0] + props[15]
         assert combined >= 1 / B
 
     def test_usage_matches_analytic_masses(self):
         B = 64
         code = qc.nf4_code()
-        stats = qmc.usage_statistics(code, B, 1 << 14, seed=25)
+        cfg = qmc.McConfig(seed=25, block_size=B, num_blocks=1 << 14)
+        props, stderr = qmc.usage_statistics(cfg, code)
         analytic = qc.code_bin_masses(code, B)
-        dev = np.abs(stats.proportions - analytic)
-        assert np.all(dev <= 4 * np.maximum(stats.stderr, 1e-9))
+        dev = np.abs(props - analytic)
+        assert np.all(dev <= 4 * np.maximum(stderr, 1e-9))
 
 
     @pytest.mark.parametrize("B", [5, 64, 100])
@@ -199,20 +207,21 @@ class TestUsage:
         values = qmc.sample_block_values(cfg)
         qt = bq.quantize(values, code, B, axis=1)
         monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 77 * B)
-        stats = qmc.usage_statistics(code, B, 300, seed=26)
-        assert stats.histogram.counts == bq.usage_histogram(qt).counts
+        usage, stderr = qmc.usage_statistics(cfg, code)
+        assert np.array_equal(usage, bq.usage_histogram(qt).proportions)
         idx = bq.unpack_nibbles(qt.packed, B)
         props = np.array([np.bincount(row, minlength=16) for row in idx]) / B
         oracle = np.std(props, axis=0, ddof=1) / np.sqrt(300)
-        np.testing.assert_allclose(stats.stderr, oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stderr, oracle, rtol=1e-12, atol=0)
 
     def test_single_block_has_nan_stderr(self):
+        cfg = qmc.McConfig(seed=27, block_size=64, num_blocks=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats = qmc.usage_statistics(qc.nf4_code(), 64, 1, seed=27)
-            mean, se = qmc.l1_statistics(qc.nf4_code(), 64, 1, seed=27)
-        assert stats.histogram.total == 64
-        assert np.isnan(stats.stderr).all() and math.isnan(se)
+            props, stderr = qmc.usage_statistics(cfg, qc.nf4_code())
+            mean, se = qmc.l1_statistics(cfg, qc.nf4_code())
+        assert (props * 64).sum() == 64
+        assert np.isnan(stderr).all() and math.isnan(se)
         assert 0.0 < mean < 1.0
 
 
@@ -230,17 +239,16 @@ class TestChunkBoundaries:
         def estimates():
             cfg = qmc.McConfig(seed=28, block_size=B, num_blocks=nb)
             return (qmc.empirical_cdf_stream(cfg, xs),
-                    qmc.usage_statistics(code, B, nb, seed=28),
-                    qmc.l1_statistics(code, B, nb, seed=28))
+                    qmc.usage_statistics(cfg, code),
+                    qmc.l1_statistics(cfg, code))
 
-        (p, se), usage, l1 = estimates()
+        (p, se), (u, u_se), l1 = estimates()
         for elements in (1, B, 7 * B + 1, nb * B):
             monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", elements)
-            (p2, se2), usage2, l1_2 = estimates()
+            (p2, se2), (u2, u_se2), l1_2 = estimates()
             # Counts are exact integers, so these match bit for bit.
             assert np.array_equal(p2, p) and np.array_equal(se2, se)
-            assert usage2.histogram.counts == usage.histogram.counts
-            assert np.array_equal(usage2.stderr, usage.stderr)
+            assert np.array_equal(u2, u) and np.array_equal(u_se2, u_se)
             # Block means are floats: where chunks split their sum, the
             # last bits round differently.
             assert l1_2 == pytest.approx(l1, rel=1e-12, abs=0)
