@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one block-size rule.
+"""Exception types shared across the package, and the one integer rule
+(block sizes, Monte Carlo seeds and block counts).
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific type that applies rather than bare ValueError/RuntimeError.
@@ -36,8 +37,14 @@ def check_block_size(block_size):
 
     Python and numpy integers pass; bools, floats and strings do not.
     """
-    if isinstance(block_size, bool) or not isinstance(block_size, numbers.Integral):
-        raise DomainError(f"block size must be an integer, got {block_size!r}")
-    if block_size < 1:
-        raise DomainError(f"block size must be >= 1, got {block_size}")
-    return int(block_size)
+    return _check_integer(block_size, "block size", 1)
+
+
+def _check_integer(value, name, minimum=None):
+    """value as an int; DomainError unless it is an integer (not a bool)
+    of at least minimum, if given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -9,11 +9,20 @@ or parallelized.  Normals come from inverting the Gaussian CDF on uniform
 reproducible across platforms.  Samples are plain (blocks, B) arrays.
 
 Every estimator takes a ``McConfig`` first and returns ``(estimate,
-stderr)``, both computed by one chunked driver, ``_block_moments``.
-Within one block the normalized entries are dependent (they share the
-absmax divisor).  The CDF estimator therefore keeps one designated entry
-per block (entry 0), which makes its binomial error valid; the usage and
-L1 estimators report standard errors clustered by block.
+stderr)``.  Within one block the normalized entries are dependent (they
+share the absmax divisor).  The CDF estimator therefore keeps one
+designated entry per block (entry 0), which makes its binomial error
+valid; the usage and L1 estimators, driven by one chunk loop
+(``_block_moments``), report standard errors clustered by block.
+
+The CDF estimator never normalizes a whole block.  The map from a raw
+draw to u is monotone, so a block's largest |z| comes from its smallest
+or its largest raw draw, and ``ndtri`` runs on three draws per block:
+entry 0 and the two extremes.  ``ndtri`` itself is monotone only up to
+rounding, between doubles closer than a measured window; a block with
+another draw that close to an extreme takes its absmax from all of its
+entries.  Entry 0 therefore comes out bit for bit as
+``sample_block_values`` gives it, at about a third of the cost.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import blockquant
-from .errors import DomainError, check_block_size
+from .errors import DomainError, _check_integer, check_block_size
 
 # Elements per generated chunk; only batching depends on it, never values.
 CHUNK_ELEMENTS = 1 << 21
@@ -36,8 +45,9 @@ MAX_BLOCK_SIZE = 1 << 21
 @dataclass(frozen=True)
 class McConfig:
     """Deterministic sampling plan: num_blocks blocks of block_size normals
-    from the stream keyed on seed.  block_size is an integer from 1 to
-    MAX_BLOCK_SIZE."""
+    from the stream keyed on seed.  All three are integers: block_size from
+    1 to MAX_BLOCK_SIZE, num_blocks at least 1, and seed any (taken modulo
+    2^64)."""
 
     seed: int
     block_size: int
@@ -48,21 +58,34 @@ class McConfig:
         if self.block_size > MAX_BLOCK_SIZE:
             raise DomainError(
                 f"block size must be <= {MAX_BLOCK_SIZE}, got {self.block_size}")
-        if self.num_blocks < 1:
-            raise DomainError("num_blocks must be >= 1")
-        object.__setattr__(self, "seed", int(self.seed) % (1 << 64))
+        object.__setattr__(self, "num_blocks",
+                           _check_integer(self.num_blocks, "num_blocks", 1))
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed") % (1 << 64))
 
 
 def _raw_block_range(seed, block_size, start, stop):
-    """Uniform draws for absolute blocks [start, stop), shape (n, B)."""
+    """Philox uint64 draws for absolute blocks [start, stop), shape (n, B)."""
     states_per_block = -(-block_size // 4)
     bg = np.random.Philox(key=seed)
     if start:
         bg.advance(start * states_per_block)
     n = stop - start
     raw = bg.random_raw(n * states_per_block * 4)
-    raw = raw.reshape(n, states_per_block * 4)[:, :block_size]
-    return (raw.astype(np.float64) + 0.5) * 2.0**-64
+    return raw.reshape(n, states_per_block * 4)[:, :block_size]
+
+
+# Every raw draw from 2^64 - 2^10 up rounds to 2^64 in float64, which would
+# give u == 1.0 and ndtri == inf.  Clamped to 2^64 - 2^11, the double below,
+# they give the largest u below 1 instead; no other draw moves.
+_RAW_CLAMP = 2.0**64 - 2.0**11
+
+
+def _uniform(raw):
+    """u = (raw + 0.5) * 2^-64 in (0, 1) for uint64 draws; monotone in raw."""
+    u = np.minimum(raw, _RAW_CLAMP)  # float64: the cast is monotone
+    u += 0.5
+    u *= 2.0**-64
+    return u
 
 
 def sample_block_values(cfg, start=0, stop=None):
@@ -74,20 +97,60 @@ def sample_block_values(cfg, start=0, stop=None):
         raise DomainError(f"invalid block range [{start}, {stop})")
     if start == stop:
         return np.empty((0, cfg.block_size))
-    u = _raw_block_range(cfg.seed, cfg.block_size, start, stop)
-    z = ndtri(u)
+    z = ndtri(_uniform(_raw_block_range(cfg.seed, cfg.block_size, start, stop)))
     absmax = np.abs(z).max(axis=1)
     # The extreme entry divides to exactly +/-1; everything else stays
     # strictly inside (-1, 1) after rounding.
     return z / absmax[:, None]
 
 
+def _chunk_ranges(cfg):
+    """(start, stop) of consecutive block ranges of about CHUNK_ELEMENTS
+    elements (at least one block each) covering the run."""
+    step = max(1, CHUNK_ELEMENTS // cfg.block_size)
+    for start in range(0, cfg.num_blocks, step):
+        yield start, min(start + step, cfg.num_blocks)
+
+
 def iter_sample_chunks(cfg):
     """Yield the run as consecutive (blocks, B) arrays of about
     CHUNK_ELEMENTS elements (at least one block each)."""
-    step = max(1, CHUNK_ELEMENTS // cfg.block_size)
-    for start in range(0, cfg.num_blocks, step):
-        yield sample_block_values(cfg, start, min(start + step, cfg.num_blocks))
+    for start, stop in _chunk_ranges(cfg):
+        yield sample_block_values(cfg, start, stop)
+
+
+# Raw units (2^-30 in u) within which ndtri is not trusted to be monotone.
+# Measured: between nearby doubles ndtri decreases by at most 2^-50, and
+# only across gaps below 2^13 raw units (2^-51 in u); across 2^-30 its true
+# rise, at least sqrt(2 pi) * 2^-30, dwarfs any rounding.
+_TIE_WINDOW = np.uint64(1 << 34)
+
+
+def _tied_extremes(raw, lo, hi):
+    """Rows of raw with a second draw within _TIE_WINDOW of the row's
+    minimum lo or maximum hi (saturating: no bound wraps past 0 or 2^64)."""
+    near_hi = raw >= (hi - np.minimum(hi, _TIE_WINDOW))[:, None]
+    near_lo = raw <= (lo + np.minimum(~lo, _TIE_WINDOW))[:, None]
+    # Each row meets both bounds at least once; ties are rare, so a count
+    # over the whole chunk usually shows there is none.
+    if np.count_nonzero(near_hi) + np.count_nonzero(near_lo) == 2 * len(raw):
+        return np.zeros(len(raw), dtype=bool)
+    return ((np.count_nonzero(near_hi, axis=1) > 1)
+            | (np.count_nonzero(near_lo, axis=1) > 1))
+
+
+def _first_values(raw):
+    """Entry 0 of every normalized row of raw draws, bit for bit as
+    sample_block_values gives it, from ndtri on entry 0 and the row's
+    extreme draws (on the whole row where those are tied)."""
+    lo = raw.min(axis=1)
+    hi = raw.max(axis=1)
+    z = ndtri(_uniform(np.stack([raw[:, 0], lo, hi], axis=1)))
+    absmax = np.abs(z[:, 1:]).max(axis=1)
+    tied = _tied_extremes(raw, lo, hi)
+    if tied.any():
+        absmax[tied] = np.abs(ndtri(_uniform(raw[tied]))).max(axis=1)
+    return z[:, 0] / absmax
 
 
 def empirical_cdf_stream(cfg, xs):
@@ -99,7 +162,12 @@ def empirical_cdf_stream(cfg, xs):
     dependent.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    counts, _ = _block_moments(cfg, lambda v: v[:, :1] <= xs)
+    if np.isnan(xs).any():
+        raise DomainError("xs must not contain NaN")
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    for start, stop in _chunk_ranges(cfg):
+        first = _first_values(_raw_block_range(cfg.seed, cfg.block_size, start, stop))
+        counts += np.searchsorted(np.sort(first), xs, side="right")
     n = cfg.num_blocks
     p = counts / n
     stderr = np.sqrt(p * (1.0 - p) / n)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import quantlab.blockquant as bq
 import quantlab.codebook as qc
@@ -63,6 +64,20 @@ class TestReproducibility:
     def test_numpy_integer_block_size_is_stored_as_int(self):
         cfg = qmc.McConfig(seed=0, block_size=np.int64(64), num_blocks=2)
         assert cfg.block_size == 64 and type(cfg.block_size) is int
+
+    def test_numpy_integer_seed_and_num_blocks_are_stored_as_int(self):
+        cfg = qmc.McConfig(seed=np.uint64(5), block_size=8, num_blocks=np.int32(2))
+        assert (cfg.seed, cfg.num_blocks) == (5, 2)
+        assert type(cfg.seed) is int and type(cfg.num_blocks) is int
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_blocks", 2.5), ("num_blocks", "3"), ("num_blocks", True),
+        ("num_blocks", None), ("num_blocks", -2),
+        ("seed", 2.5), ("seed", "3"), ("seed", True), ("seed", None)])
+    def test_seed_and_num_blocks_must_be_integers(self, field, value):
+        args = {"seed": 0, "block_size": 8, "num_blocks": 3, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            qmc.McConfig(**args)
 
     def test_block_size_capped_at_one_chunk(self):
         cap = qmc.MAX_BLOCK_SIZE
@@ -128,14 +143,20 @@ class TestEmpiricalCdf:
     def test_stream_matches_batch(self, monkeypatch):
         # 999-block chunks against the whole run held at once: entry 0 of
         # every block, counted once.
-        cfg = qmc.McConfig(seed=14, block_size=16, num_blocks=5000)
-        first = qmc.sample_block_values(cfg)[:, 0]
-        monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 16 * 999)
-        xs = np.array([-0.5, 0.0, 0.25, 0.9])
-        ps, ses = qmc.empirical_cdf_stream(cfg, xs)
-        for x, p, se in zip(xs, ps, ses):
-            pb = np.count_nonzero(first <= x) / first.size
-            assert p == pb and se == math.sqrt(pb * (1.0 - pb) / first.size)
+        xs = np.array([-1.0, -0.5, 0.0, 0.25, 0.9, 1.0])
+        for B in (1, 3, 16, 100):
+            cfg = qmc.McConfig(seed=14, block_size=B, num_blocks=5000)
+            first = qmc.sample_block_values(cfg)[:, 0]
+            monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", B * 999)
+            ps, ses = qmc.empirical_cdf_stream(cfg, xs)
+            for x, p, se in zip(xs, ps, ses):
+                pb = np.count_nonzero(first <= x) / first.size
+                assert p == pb and se == math.sqrt(pb * (1.0 - pb) / first.size)
+
+    def test_nan_x_is_rejected(self):
+        cfg = qmc.McConfig(seed=14, block_size=8, num_blocks=10)
+        with pytest.raises(DomainError, match="NaN"):
+            qmc.empirical_cdf_stream(cfg, [0.0, np.nan])
 
     @pytest.mark.parametrize("B", [16, 64, 1024])
     def test_cdf_agreement_on_grid(self, B):
@@ -157,6 +178,119 @@ class TestEmpiricalCdf:
         f = np.array([qd.fx_cdf(v, B) for v in xi])
         ks = max(np.max(np.abs(f - lo)), np.max(np.abs(f - hi)))
         assert ks < 1.628 / np.sqrt(n)  # 99% critical value
+
+
+# Adjacent raw draws whose u are adjacent doubles and where ndtri decreases
+# (scipy's ndtri is monotone only up to rounding): near u = 0.9 and 1e-5.
+_HI_PAIR = (16602069666351685632, 16602069666351685632 + 2048)
+_LO_PAIR = (184467440738317, 184467440738318)
+
+
+class TestFirstValues:
+    """The CDF estimator's sampler: ndtri on entry 0 and the two extreme
+    draws of each block, equal bit for bit to sample_block_values[:, 0]."""
+
+    @staticmethod
+    def _oracle(raw):
+        z = ndtri(qmc._uniform(raw))
+        return z[:, 0] / np.abs(z).max(axis=1)
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 5, 32, 64, 100])
+    def test_matches_sample_block_values(self, B):
+        n = 20000 // B + 50
+        for seed in range(12):
+            cfg = qmc.McConfig(seed=seed, block_size=B, num_blocks=n)
+            for a, b in ((0, n), (37, 47), (n - 1, n), (1, n - 1)):
+                raw = qmc._raw_block_range(cfg.seed, B, a, b)
+                got = qmc._first_values(raw)
+                want = qmc.sample_block_values(cfg, a, b)[:, 0]
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_natural_tie_takes_the_whole_block(self):
+        # Block 16855 of seed 1 at B=64 has its two largest draws 8.1e9
+        # raw units apart, inside the window.
+        cfg = qmc.McConfig(seed=1, block_size=64, num_blocks=16860)
+        raw = qmc._raw_block_range(cfg.seed, 64, 16850, 16860)
+        tied = qmc._tied_extremes(raw, raw.min(axis=1), raw.max(axis=1))
+        assert np.flatnonzero(tied).tolist() == [5]
+        want = qmc.sample_block_values(cfg, 16850, 16860)[:, 0]
+        assert np.array_equal(qmc._first_values(raw).view(np.int64),
+                              want.view(np.int64))
+
+    @pytest.mark.parametrize("pair, sign", [(_HI_PAIR, 1.0), (_LO_PAIR, -1.0)])
+    def test_near_tie_blocks(self, pair, sign):
+        inner, outer = pair if sign > 0 else pair[::-1]
+        z_inner, z_outer = ndtri(qmc._uniform(np.array([inner, outer], np.uint64)))
+        # The draw nearer the middle has the larger |z|.
+        assert abs(z_inner) > abs(z_outer)
+        mids = [2**62, 2**63, 3 * 2**62]
+        rows = np.array([[inner, outer] + mids, [inner] + mids + [outer],
+                         mids + [outer, inner]], dtype=np.uint64)
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        assert qmc._tied_extremes(rows, lo, hi).all()
+        got = qmc._first_values(rows)
+        assert np.array_equal(got.view(np.int64), self._oracle(rows).view(np.int64))
+        assert got[:2].tolist() == [sign, sign]
+        # Without the window, the extremes alone would give |entry 0| > 1.
+        ends = ndtri(qmc._uniform(np.stack([lo, hi], axis=1)))
+        naive = ndtri(qmc._uniform(rows[:, 0])) / np.abs(ends).max(axis=1)
+        assert np.all(np.abs(naive[:2]) > 1.0)
+
+    def test_window_saturates_at_both_ends(self):
+        w, top = int(qmc._TIE_WINDOW), 2**64 - 1
+        rows, tied = zip(
+            ([0, w], True), ([0, w + 1], False), ([3, 5], True),
+            ([top, top - w], True), ([top, top - w - 1], False),
+            ([top - 7, top], True), ([0, top], False),
+            ([0, 2**63, top], False), ([top, 2**63, top - 1], True),
+            ([1, 2**63, 0], True))
+        for row, want in zip(rows, tied):
+            raw = np.array([row], dtype=np.uint64)
+            got = qmc._tied_extremes(raw, raw.min(axis=1), raw.max(axis=1))
+            assert got.tolist() == [want], row
+        for v in (0, 5, 2**62, top):  # a block of one draw is never tied
+            raw = np.array([[v]], dtype=np.uint64)
+            assert not qmc._tied_extremes(raw, raw[:, 0], raw[:, 0]).any()
+            assert abs(qmc._first_values(raw)[0]) == 1.0
+
+    def test_ndtri_decreases_only_inside_the_window(self):
+        # Pins the measured non-monotonicity of ndtri that _TIE_WINDOW
+        # relies on, over adjacent doubles (finer than the raw grid).
+        starts = [1e-13, 1e-3, 0.05, 0.9] + [
+            qmc._uniform(np.array([p[0]], np.uint64))[0] for p in (_HI_PAIR, _LO_PAIR)]
+        drop = span = 0.0
+        for c in starts:
+            u = c + np.arange(-(1 << 14), 1 << 14) * np.spacing(c)
+            z = ndtri(u)
+            top = np.maximum.accumulate(z)
+            j = np.flatnonzero(top[:-1] > z[1:]) + 1
+            i = np.searchsorted(top, z[j], side="right")  # first larger z
+            drop = max(drop, (top[j - 1] - z[j]).max(initial=0.0))
+            span = max(span, (u[j] - u[i]).max(initial=0.0))
+        assert drop <= 2.0**-50
+        assert span * 2.0**64 < 2**13
+        window_u = float(qmc._TIE_WINDOW) * 2.0**-64
+        assert 2**13 * 2**20 <= int(qmc._TIE_WINDOW)
+        assert math.sqrt(2 * math.pi) * window_u > 2**20 * drop
+
+
+class TestUniform:
+    def test_top_draws_stay_below_one(self):
+        top = 2**64
+        raw = np.array([0, 1, 2**53, 2**63, top - 2**11 - 1, top - 2**11,
+                        top - 2**10 - 1, top - 2**10, top - 1], dtype=np.uint64)
+        u = qmc._uniform(raw)
+        below_one = np.nextafter(1.0, 0.0)
+        assert u[-4:].tolist() == [below_one] * 4
+        assert np.all(np.diff(u) >= 0) and u[0] > 0.0
+        # Below the clamp, u is (raw + 0.5) * 2^-64, which at the top gives 1.
+        plain = (raw.astype(np.float64) + 0.5) * 2.0**-64
+        assert np.array_equal(u[:-2], plain[:-2]) and plain[-1] == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = ndtri(u)
+            first = qmc._first_values(raw[:-6:-1].reshape(1, -1))
+        assert np.isfinite(z).all() and first[0] == 1.0
 
 
 class TestUsage:
