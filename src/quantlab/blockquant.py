@@ -18,6 +18,13 @@ zero.  The nearest-value search compares each element with 15 decision
 thresholds, one set per code and search dtype (float32 for float32 input,
 float64 otherwise).  The thresholds are derived from, and give the same
 indices as, the double-precision tie rule of ``_nearest_index_reference``.
+
+FQT1 (plain float32 tensors) and FQZ1 (quantized tensors) share one header,
+written by ``_header`` and read by ``_read_header``: a 4-byte magic, a tag
+byte (FQT1's dtype, FQZ1's version), ndim from 1 to 64 and ndim nonzero u32
+LE extents.  The payload or block records are exactly the rest of the file.
+Every broken rule is a FormatError, which a writer raises before it opens
+the file.
 """
 
 from __future__ import annotations
@@ -339,31 +346,26 @@ def reconstruction_errors(original, reconstructed):
     b = np.asarray(reconstructed)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    # No float64 copies of the inputs: subtract straight into double.
+    # One float64 array in all: subtract straight into double, then square
+    # the difference in place once its mean and max are taken.
     diff = np.subtract(a, b, dtype=np.float64)
-    diff = np.abs(diff, out=diff)
-    return {"mean_abs": float(diff.mean()),
-            "mean_sq": float((diff * diff).mean()),
-            "max_abs": float(diff.max())}
+    np.abs(diff, out=diff)
+    mean_abs, max_abs = float(diff.mean()), float(diff.max())
+    np.multiply(diff, diff, out=diff)
+    return {"mean_abs": mean_abs, "mean_sq": float(diff.mean()), "max_abs": max_abs}
 
 
 # ---------------------------------------------------------------------------
-# FQT1: plain float32 tensors
+# FQT1 and FQZ1 headers; FQT1: plain float32 tensors
 # ---------------------------------------------------------------------------
 
-def tensor_write(tensor, path):
-    """Write a tensor as FQT1 (float32, row-major, little-endian)."""
-    arr = np.ascontiguousarray(np.asarray(tensor, dtype=np.float32))
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    for d in arr.shape:
+def _header(magic, tag, dims):
+    """Header bytes: magic, tag byte, ndim byte and u32 LE extents; an
+    extent of 2^32 or more raises FormatError."""
+    for d in dims:
         if d >= 1 << 32:
-            raise FormatError(f"extent {d} overflows the 32-bit FQT1 header")
-    with open(path, "wb") as fh:
-        fh.write(FQT1_MAGIC)
-        fh.write(struct.pack("<BB", _FQT1_DTYPE_F32, arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f4", copy=False).tobytes())
+            raise FormatError(f"extent {d} overflows the 32-bit header")
+    return magic + struct.pack(f"<BB{len(dims)}I", tag, len(dims), *dims)
 
 
 # Bytes per read from a pipe or other non-regular file, whose length is
@@ -398,26 +400,47 @@ def _read_exact(fh, n, path, what):
     return data
 
 
+def _read_header(fh, path, magic, tag, what):
+    """Read a header written by _header and return its extents: 1 to
+    _MAX_NDIM of them, all nonzero.  ``what`` names the tag byte."""
+    found = fh.read(4)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    found, ndim = struct.unpack("<BB", _read_exact(fh, 2, path, "header"))
+    if found != tag:
+        raise FormatError(f"{path}: unsupported {what} {found}")
+    if ndim == 0:
+        raise FormatError(f"{path}: tensor with no dimensions")
+    if ndim > _MAX_NDIM:
+        raise FormatError(f"{path}: {ndim} dimensions, more than {_MAX_NDIM}")
+    dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "extents"))
+    if 0 in dims:
+        raise FormatError(f"{path}: zero extent in {dims}")
+    return dims
+
+
+def _read_rest(fh, n, path, what):
+    """Read the last n bytes of the file: exactly n must be left."""
+    data = _read_exact(fh, n, path, what)
+    if fh.read(1):
+        raise FormatError(f"{path}: trailing bytes at end of file")
+    return data
+
+
+def tensor_write(tensor, path):
+    """Write a tensor as FQT1 (float32, row-major, little-endian)."""
+    arr = np.asarray(tensor, dtype=np.float32)
+    header = _header(FQT1_MAGIC, _FQT1_DTYPE_F32, arr.shape or (1,))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(arr.astype("<f4", copy=False).tobytes())
+
+
 def tensor_read(path):
     """Read an FQT1 file back into a float32 array."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FQT1_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FQT1_MAGIC!r}")
-        dtype_tag, ndim = struct.unpack("<BB", _read_exact(fh, 2, path, "header"))
-        if dtype_tag != _FQT1_DTYPE_F32:
-            raise FormatError(f"{path}: unsupported dtype tag {dtype_tag}")
-        if ndim == 0:
-            raise FormatError(f"{path}: FQT1 tensor with no dimensions")
-        if ndim > _MAX_NDIM:
-            raise FormatError(f"{path}: {ndim} dimensions, more than {_MAX_NDIM}")
-        dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "extents"))
-        if any(d == 0 for d in dims):
-            raise FormatError(f"{path}: zero extent in {dims}")
-        payload = _read_exact(fh, 4 * math.prod(dims), path, "payload")
-        extra = fh.read(1)
-        if extra:
-            raise FormatError(f"{path}: trailing bytes after payload")
+        dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
+        payload = _read_rest(fh, 4 * math.prod(dims), path, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
@@ -461,9 +484,11 @@ def qtensor_write(qt, path):
         raise FormatError(
             "code values collide after float32 rounding; cannot serialize"
         )
-    for what, v in [("block size", qt.block_size)] + [("extent", d) for d in qt.dims]:
-        if v >= 1 << 32:
-            raise FormatError(f"{what} {v} overflows the 32-bit FQZ1 header")
+    if qt.block_size >= 1 << 32:
+        raise FormatError(f"block size {qt.block_size} overflows the 32-bit header")
+    header = (_header(FQZ1_MAGIC, 1, qt.dims)
+              + struct.pack("<IBB", qt.block_size, qt.block_axis, 16)
+              + code_vals.tobytes())
     body = np.empty(_fqz1_body_length(qt.dims, qt.block_axis, qt.block_size),
                     dtype=np.uint8)
     scale_bytes = np.ascontiguousarray(qt.scales, dtype="<f4").view(np.uint8)
@@ -472,11 +497,7 @@ def qtensor_write(qt, path):
         rec[..., :4] = sb
         rec[..., 4:] = pk
     with open(path, "wb") as fh:
-        fh.write(FQZ1_MAGIC)
-        fh.write(struct.pack("<BB", 1, len(qt.dims)))
-        fh.write(struct.pack(f"<{len(qt.dims)}I", *qt.dims))
-        fh.write(struct.pack("<IBB", qt.block_size, qt.block_axis, 16))
-        fh.write(code_vals.tobytes())
+        fh.write(header)
         fh.write(body)
 
 
@@ -487,17 +508,7 @@ def qtensor_read(path):
     provenance lives in code16/v1 files, not here.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FQZ1_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FQZ1_MAGIC!r}")
-        version, ndim = struct.unpack("<BB", _read_exact(fh, 2, path, "header"))
-        if version != 1:
-            raise FormatError(f"{path}: unsupported FQZ1 version {version}")
-        if ndim > _MAX_NDIM:
-            raise FormatError(f"{path}: {ndim} dimensions, more than {_MAX_NDIM}")
-        dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "extents"))
-        if any(d == 0 for d in dims):
-            raise FormatError(f"{path}: zero extent in {dims}")
+        dims = _read_header(fh, path, FQZ1_MAGIC, 1, "FQZ1 version")
         block_size, axis, code_len = struct.unpack(
             "<IBB", _read_exact(fh, 6, path, "block header")
         )
@@ -505,15 +516,13 @@ def qtensor_read(path):
             raise FormatError(f"{path}: code length must be 16, got {code_len}")
         if block_size < 1:
             raise FormatError(f"{path}: invalid block size {block_size}")
-        if axis >= ndim:
+        if axis >= len(dims):
             raise FormatError(f"{path}: block axis {axis} out of range")
-        # Non-finite values, signalling NaNs included, fail in Code16.
+        # Code16 rejects non-finite and unordered values; sNaN casts warn.
         with np.errstate(invalid="ignore"):
             code_vals = np.frombuffer(
                 _read_exact(fh, 64, path, "code values"), dtype="<f4"
             ).astype(np.float64)
-            if np.any(np.diff(code_vals) <= 0):
-                raise FormatError(f"{path}: code values are not ascending")
         try:
             code = Code16(code_vals, params={"source": "fqz1"})
         except DomainError as exc:
@@ -522,10 +531,7 @@ def qtensor_read(path):
         # Body length from the header alone, so a lying header fails in
         # _read_exact before the per-block arrays below are built.
         body_len = _fqz1_body_length(dims, axis, block_size)
-        body = np.frombuffer(_read_exact(fh, body_len, path, "blocks"), dtype=np.uint8)
-        extra = fh.read(1)
-        if extra:
-            raise FormatError(f"{path}: trailing bytes after blocks")
+        body = np.frombuffer(_read_rest(fh, body_len, path, "blocks"), dtype=np.uint8)
 
     grid, parts = _geometry(dims, axis, block_size)
     scale_bytes = np.empty((math.prod(grid), 4), dtype=np.uint8)

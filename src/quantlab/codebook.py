@@ -486,7 +486,7 @@ def code_write(code, path):
 
 
 def code_read(path):
-    """Read a code16/v1 JSON document; validates structure and monotonicity."""
+    """Read a code16/v1 JSON document; Code16 checks the values' order."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -504,18 +504,11 @@ def code_read(path):
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                and -1 <= v <= 1 for v in values):
         raise FormatError(f"{path}: code values must be numbers in [-1, 1]")
-    arr = np.array(values, dtype=float)
-    bad = np.flatnonzero(np.diff(arr) <= 0)
-    if bad.size:
-        raise FormatError(
-            f"{path}: values are not strictly increasing; first inversion at "
-            f"index {int(bad[0]) + 1}"
-        )
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FormatError(f"{path}: params must be an object")
     try:
-        return Code16(arr, kind=doc.get("kind"), block_size=doc.get("block_size"),
+        return Code16(values, kind=doc.get("kind"), block_size=doc.get("block_size"),
                       params=params)
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc

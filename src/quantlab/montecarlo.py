@@ -98,9 +98,18 @@ def sample_block_values(cfg, start=0, stop=None):
     if start == stop:
         return np.empty((0, cfg.block_size))
     z = ndtri(_uniform(_raw_block_range(cfg.seed, cfg.block_size, start, stop)))
-    absmax = np.abs(z).max(axis=1)
     # The extreme entry divides to exactly +/-1; everything else stays
     # strictly inside (-1, 1) after rounding.
+    return _normalize(z, np.abs(z).max(axis=1))
+
+
+def _normalize(z, absmax):
+    """z / absmax row by row, for (n, k) z and (n,) absmax.  A row whose
+    absmax is 0 -- every draw of its block maps to u = 0.5 -- comes out all
+    +1.0: each of its entries is an extreme, and +0 counts as positive."""
+    zero = absmax == 0
+    if zero.any():
+        z[zero] = absmax[zero] = 1.0
     return z / absmax[:, None]
 
 
@@ -150,7 +159,7 @@ def _first_values(raw):
     tied = _tied_extremes(raw, lo, hi)
     if tied.any():
         absmax[tied] = np.abs(ndtri(_uniform(raw[tied]))).max(axis=1)
-    return z[:, 0] / absmax
+    return _normalize(z[:, :1], absmax)[:, 0]
 
 
 def empirical_cdf_stream(cfg, xs):

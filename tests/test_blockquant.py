@@ -440,6 +440,31 @@ class TestReconstructionError:
                               "mean_sq": float((diff * diff).mean()),
                               "max_abs": float(diff.max())}
 
+    # Sizes below numpy's 8-element unrolled sum and its 128-element pairwise
+    # block, odd sizes, and one above both.
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (127,), (129,),
+                                       (13, 11), (1001,)])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_report_equals_unfused_expressions(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape).astype(dtype)
+        b = (a + rng.standard_normal(shape) / 8).astype(dtype)
+        diff = np.abs(a.astype(np.float64) - b.astype(np.float64))
+        expected = {"mean_abs": float(diff.mean()),
+                    "mean_sq": float((diff * diff).mean()),
+                    "max_abs": float(diff.max())}
+        got = bq.reconstruction_errors(a, b)
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: v.hex() for k, v in expected.items()}
+
+    def test_report_holds_one_float64_difference(self):
+        a = np.ones(1 << 18, dtype=np.float32)
+        b = np.zeros_like(a)
+        with traced_peak() as peak:
+            bq.reconstruction_errors(a, b)
+        # the difference, plus the ufunc's casting buffers
+        assert 8 * a.size <= peak[0] < 1.25 * 8 * a.size
+
     def test_af4_beats_nf4_at_large_blocks(self, codes):
         rng = np.random.default_rng(17)
         w = rng.standard_normal((512, 4096)).astype(np.float32)
@@ -521,11 +546,15 @@ class TestTensorFiles:
             back = bq.tensor_read(path)
             assert back.dtype == np.float32
             np.testing.assert_array_equal(back, w)
+        # a strided float64 view is written row-major as float32
+        w = rng.standard_normal((6, 10))[::2, ::-3].T
+        bq.tensor_write(w, path)
+        np.testing.assert_array_equal(bq.tensor_read(path), w.astype(np.float32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fqt"
         path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=r": bad magic b'NOPE', expected b'FQT1'$"):
             bq.tensor_read(path)
 
     def test_truncation_reports_lengths(self, tmp_path):
@@ -552,7 +581,7 @@ class TestTensorFiles:
         path = tmp_path / "t.fqt"
         bq.tensor_write(w, path)
         path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match=r": trailing bytes at end of file$"):
             bq.tensor_read(path)
 
     def test_zero_dimensional_header(self, tmp_path):
@@ -611,7 +640,7 @@ class TestQuantizedTensorFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fqz"
         path.write_bytes(b"QZF1" + bytes(32))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=r": bad magic b'QZF1', expected b'FQZ1'$"):
             bq.qtensor_read(path)
 
     def test_bad_version(self, tmp_path, codes):
@@ -622,7 +651,7 @@ class TestQuantizedTensorFiles:
         data = bytearray(path.read_bytes())
         data[4] = 9
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=r": unsupported FQZ1 version 9$"):
             bq.qtensor_read(path)
 
     def test_truncated_blocks(self, tmp_path, codes):
@@ -631,7 +660,9 @@ class TestQuantizedTensorFiles:
         path = tmp_path / "t.fqz"
         bq.qtensor_write(qt, path)
         path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(FormatError, match="truncated"):
+        # one record: 4 scale bytes and 32 packed bytes
+        with pytest.raises(FormatError,
+                           match=r": truncated blocks: expected 36 bytes, got 33$"):
             bq.qtensor_read(path)
 
     def test_lying_extents_fail_before_allocating(self, tmp_path):
@@ -687,7 +718,8 @@ class TestQuantizedTensorFiles:
         data[offset:offset + 4], data[offset + 4:offset + 8] = (
             data[offset + 4:offset + 8], data[offset:offset + 4])
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="ascending"):
+        with pytest.raises(FormatError, match=r": code values must be strictly "
+                           r"increasing; value 1 >= value 2$"):
             bq.qtensor_read(path)
 
     # (byte offset from the end of the 16 code values, little-endian float32
@@ -710,3 +742,125 @@ class TestQuantizedTensorFiles:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             bq.qtensor_read(path)
+
+
+# The header shared by FQT1 and FQZ1, per format: magic, tag byte, the name
+# of the tag byte in messages, and a writer of a valid (2, 3) file.
+HEADER_FORMATS = {
+    "fqt1": (b"FQT1", 0, "dtype tag", bq.tensor_read,
+             lambda path: bq.tensor_write(np.ones((2, 3), np.float32), path)),
+    "fqz1": (b"FQZ1", 1, "FQZ1 version", bq.qtensor_read,
+             lambda path: bq.qtensor_write(bq.quantize(
+                 np.ones((2, 3), np.float32), qc.nf4_code(), 2, axis=1), path)),
+}
+
+FQZ1_TAIL = (struct.pack("<IBB", 2, 0, 16)
+             + np.linspace(-1, 1, 16).astype("<f4").tobytes())
+
+
+class TestHeaderRules:
+    """Each header rule holds for both formats, with one message after the
+    path; only the expected magic and the tag byte's name differ."""
+
+    # (ndim and extents after the tag byte, what follows them, message); a
+    # valid FQZ1 block header and code follow the extents unless they are
+    # cut short
+    @pytest.mark.parametrize("after_tag, tail, message", [
+        (struct.pack("<B", 0), FQZ1_TAIL, "tensor with no dimensions"),
+        (struct.pack("<B65I", 65, *[1] * 65), FQZ1_TAIL,
+         "65 dimensions, more than 64"),
+        (struct.pack("<B2I", 2, 2, 0), FQZ1_TAIL, "zero extent in (2, 0)"),
+        (struct.pack("<BI", 2, 2), b"", "truncated extents: expected 8 bytes, got 4"),
+    ], ids=["ndim-0", "ndim-65", "zero-extent", "truncated-extents"])
+    @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+    def test_bad_header(self, tmp_path, fmt, after_tag, tail, message):
+        magic, tag, _, read, _ = HEADER_FORMATS[fmt]
+        path = tmp_path / "t.bin"
+        path.write_bytes(magic + bytes([tag]) + after_tag + tail)
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+    def test_bad_magic_and_tag(self, tmp_path, fmt):
+        magic, tag, what, read, write = HEADER_FORMATS[fmt]
+        path = tmp_path / "t.bin"
+        write(path)
+        data = path.read_bytes()
+        assert data[:5] == magic + bytes([tag])
+        path.write_bytes(b"NOPE" + data[4:])
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: bad magic b'NOPE', expected {magic!r}"
+        path.write_bytes(magic + bytes([tag + 1]) + data[5:])
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: unsupported {what} {tag + 1}"
+
+    @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+    def test_trailing_byte(self, tmp_path, fmt):
+        read, write = HEADER_FORMATS[fmt][3:]
+        path = tmp_path / "t.bin"
+        write(path)
+        read(path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: trailing bytes at end of file"
+
+    @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+    def test_extent_overflow_on_write_creates_no_file(self, tmp_path, fmt):
+        nb = 1 << 32
+        # zero-stride arrays stand in for 2^32 elements (FQZ1: 2^32 blocks)
+        if fmt == "fqt1":
+            obj, write = np.broadcast_to(np.float32(1), (2, nb)), bq.tensor_write
+        else:
+            obj = bq.QuantizedTensor((2, nb), 0, 2, qc.nf4_code(),
+                                     np.broadcast_to(np.float32(1), (nb,)),
+                                     np.broadcast_to(np.uint8(0), (nb, 1)))
+            write = bq.qtensor_write
+        path = tmp_path / "t.bin"
+        with pytest.raises(FormatError) as exc:
+            with traced_peak() as peak:
+                write(obj, path)
+        assert str(exc.value) == "extent 4294967296 overflows the 32-bit header"
+        assert peak[0] < 1 << 20
+        assert not path.exists()
+
+
+def test_unordered_code_fails_by_code16s_rule(tmp_path, capsys):
+    """Both code readers leave the order rule to Code16, and the CLI reports
+    its FormatError as exit 2 with one error line."""
+    from quantlab.cli import main
+
+    values = np.linspace(-1, 1, 16)
+    values[[4, 5]] = values[[5, 4]]
+    with pytest.raises(DomainError) as rule:
+        qc.Code16(values)
+    assert "strictly increasing" in str(rule.value)
+
+    code_path = tmp_path / "c.json"
+    code_path.write_text(
+        '{"format": "code16/v1", "kind": "custom", "block_size": null, '
+        f'"values": {values.tolist()}, "params": {{}}}}')
+    qt_path = tmp_path / "t.fqz"
+    qt = bq.quantize(np.ones(8, np.float32), qc.Code16(np.linspace(-1, 1, 16)), 8)
+    bq.qtensor_write(qt, qt_path)
+    data = bytearray(qt_path.read_bytes())
+    # code values start after 4 magic + 2 header + 4 extent + 6 block header
+    data[16:80] = values.astype("<f4").tobytes()
+    qt_path.write_bytes(bytes(data))
+    tensor_path = tmp_path / "t.fqt"
+    bq.tensor_write(np.ones(8, np.float32), tensor_path)
+
+    for read, path in [(qc.code_read, code_path), (bq.qtensor_read, qt_path)]:
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {rule.value}"
+    for argv, path in [
+            (["quantize", tensor_path, tmp_path / "o.fqz", "--code", code_path],
+             code_path),
+            (["dequantize", qt_path, tmp_path / "o.fqt"], qt_path)]:
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {rule.value}\n"

@@ -434,7 +434,8 @@ class TestCodeFile:
             '{"format": "code16/v1", "kind": "custom", "block_size": null, '
             f'"values": {vals}, "params": {{}}}}'
         )
-        with pytest.raises(FormatError, match="index 5"):
+        with pytest.raises(FormatError, match=r": code values must be strictly "
+                           r"increasing; value 5 >= value 6$"):
             qc.code_read(path)
 
     def test_not_json(self, tmp_path):

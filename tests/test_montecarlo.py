@@ -293,6 +293,42 @@ class TestUniform:
         assert np.isfinite(z).all() and first[0] == 1.0
 
 
+class TestBlocksAtOneHalf:
+    """A block whose every draw maps to u = 0.5 has z == 0 throughout; it
+    normalizes to all +1.0 instead of 0/0."""
+
+    HALF = [2**63 - 2**9, 2**63, 2**63 + 2**10]  # the ends of u == 0.5
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_half_blocks_are_all_plus_one(self, B, monkeypatch):
+        raw = np.random.default_rng(B).integers(0, 2**64, (9, B), dtype=np.uint64)
+        half = np.isin(np.arange(9), [1, 3, 6])
+        raw[half] = [np.resize(self.HALF[k:] + self.HALF[:k], B) for k in range(3)]
+        raw[8] = 2**63
+        raw[8, -1] = 2**62  # one draw off u = 0.5
+        assert np.all(qmc._uniform(raw[half]) == 0.5)
+        monkeypatch.setattr(qmc, "_raw_block_range",
+                            lambda seed, b, start, stop: raw[start:stop])
+        cfg = qmc.McConfig(0, B, len(raw))
+
+        values = qmc.sample_block_values(cfg)
+        assert np.all(values[half] == 1.0)
+        # every other row as the plain division gives it
+        z = ndtri(qmc._uniform(raw[~half]))
+        expected = z / np.abs(z).max(axis=1)[:, None]
+        assert np.array_equal(values[~half].view(np.int64), expected.view(np.int64))
+
+        for start, stop in [(0, 9), (1, 2), (3, 7)]:
+            got = qmc._first_values(raw[start:stop])
+            assert np.array_equal(got.view(np.int64),
+                                  values[start:stop, 0].view(np.int64))
+        xs = np.array([-1.0, 0.0, np.nextafter(1.0, 0.0), 1.0])
+        p, stderr = qmc.empirical_cdf_stream(cfg, xs)
+        counts = (values[:, :1] <= xs).sum(axis=0)
+        assert np.array_equal(p, counts / 9) and p[-1] == 1.0
+        assert np.all(np.isfinite(stderr))
+
+
 class TestUsage:
     def test_determinism(self):
         code = qc.nf4_code()
