@@ -39,9 +39,9 @@ print(f"  {bits:.2f} bits per element (fp32 is 32)\n")
 
 # How often is each code value used?  The outer values are rare even at
 # B=64, and get much rarer at larger block sizes.
-hist = usage_histogram(qt)
+counts = usage_histogram(qt)
 print("usage of each NF4 value (%):")
-print("  " + " ".join(f"{100 * p:.1f}" for p in hist.proportions))
+print("  " + " ".join(f"{100 * p:.1f}" for p in counts / counts.sum()))
 
 # Larger blocks: fewer scales, bigger error; AF4 tuned for the block size
 # claws some of it back.

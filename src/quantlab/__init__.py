@@ -8,7 +8,6 @@ Monte Carlo validation of every analytic quantity.
 
 from .blockquant import (
     QuantizedTensor,
-    UsageHistogram,
     dequantize,
     qtensor_read,
     qtensor_write,
@@ -41,10 +40,7 @@ from .distributions import (
     fx_cdf,
     fx_cdf_approx,
     fx_quantile,
-    gb_cdf,
-    halfnormal_cdf,
     halfnormal_quantile,
-    normal_cdf,
     normal_quantile,
     scaled_max_distribution,
     trunc_normal_cdf,
@@ -81,7 +77,6 @@ __all__ = [
     "QuantLabError",
     "QuantizedTensor",
     "ScaledMaxDistribution",
-    "UsageHistogram",
     "absmax_median",
     "absmax_pdf",
     "af4_code",
@@ -98,14 +93,11 @@ __all__ = [
     "fx_cdf",
     "fx_cdf_approx",
     "fx_quantile",
-    "gb_cdf",
-    "halfnormal_cdf",
     "halfnormal_quantile",
     "iter_sample_chunks",
     "l1_statistics",
     "median_condition_residuals",
     "nf4_code",
-    "normal_cdf",
     "normal_quantile",
     "qtensor_read",
     "qtensor_write",

@@ -49,31 +49,6 @@ _FQT1_DTYPE_F32 = 0
 _MAX_NDIM = 64
 
 
-@dataclass(frozen=True)
-class UsageHistogram:
-    """Counts of code-index occurrences."""
-
-    counts: tuple
-    total: int
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != 16 or any(c < 0 for c in counts):
-            raise DomainError("usage histogram needs 16 nonnegative counts")
-        if sum(counts) != self.total:
-            raise DomainError(
-                f"histogram counts sum to {sum(counts)}, expected total {self.total}"
-            )
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(self.total))
-
-    @property
-    def proportions(self):
-        if self.total == 0:
-            return np.zeros(16)
-        return np.array(self.counts, dtype=float) / self.total
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizedTensor:
     """Blockwise-quantized tensor: scales plus packed 4-bit indices.
@@ -331,12 +306,13 @@ def dequantize(qt):
 
 
 def usage_histogram(qt):
-    """Tally how often each code index occurs (pad nibbles excluded)."""
+    """How often each code index occurs (pad nibbles excluded): 16 int64
+    counts."""
     counts = np.zeros(16, dtype=np.int64)
     for block_len, _, pk in _part_views(qt.dims, qt.block_axis, qt.block_size,
                                         None, qt.packed):
         counts += np.bincount(unpack_nibbles(pk, block_len).ravel(), minlength=16)
-    return UsageHistogram(tuple(int(c) for c in counts), int(counts.sum()))
+    return counts
 
 
 def reconstruction_errors(original, reconstructed):
@@ -360,8 +336,10 @@ def reconstruction_errors(original, reconstructed):
 # ---------------------------------------------------------------------------
 
 def _header(magic, tag, dims):
-    """Header bytes: magic, tag byte, ndim byte and u32 LE extents; an
-    extent of 2^32 or more raises FormatError."""
+    """Header bytes: magic, tag byte, ndim byte and u32 LE extents; ndim
+    outside 1 to _MAX_NDIM or an extent of 2^32 or more raises FormatError."""
+    if not 1 <= len(dims) <= _MAX_NDIM:
+        raise FormatError(f"{len(dims)} dimensions, not 1 to {_MAX_NDIM}")
     for d in dims:
         if d >= 1 << 32:
             raise FormatError(f"extent {d} overflows the 32-bit header")
@@ -476,8 +454,8 @@ def qtensor_write(qt, path):
 
     Per block, in row-major block order: the float32 absmax followed by the
     packed indices, trimmed to ceil(effective_block_len / 2) bytes for a
-    short final block.  A block size or extent of 2^32 or more does not fit
-    the header and raises FormatError.
+    short final block.  More than 64 dimensions, or a block size or extent
+    of 2^32 or more, does not fit the header and raises FormatError.
     """
     code_vals = qt.code.values.astype("<f4")
     if np.any(np.diff(code_vals) <= 0):

@@ -17,21 +17,19 @@ gives
 
 where Psi(.; m) is the CDF of a standard normal truncated to [-m, m].
 The integral is evaluated by adaptive Gauss-Legendre quadrature: the node
-count is doubled until two successive estimates agree within the requested
-absolute tolerance.  Tail truncation of the m-range is chosen so that the
+count is doubled until two successive estimates agree within the
+quadrature tolerance.  Tail truncation of the m-range is chosen so that the
 omitted absmax mass is far below the quadrature tolerance.
 
-Accuracy is decided in this module alone, and no function or class takes
-an accuracy argument.  ``quad_tol()`` is the one quadrature tolerance:
-DEFAULT_ABS_TOL, or the QUANTLAB_QUAD_TOL environment variable when set.
-Refinement stops after MAX_REFINEMENTS node doublings, and quantiles are
-bracketed to DEFAULT_ROOT_TOL.
+Accuracy is decided in this module alone, by constants: no function, class
+or environment variable takes an accuracy setting.  DEFAULT_ABS_TOL is the
+one quadrature tolerance, refinement stops after MAX_REFINEMENTS node
+doublings, and quantiles are bracketed to DEFAULT_ROOT_TOL.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from functools import lru_cache
 
@@ -50,33 +48,11 @@ DEFAULT_TAIL_CUT = 1e-12
 #: Node doublings the adaptive quadrature may try before giving up.
 MAX_REFINEMENTS = 6
 
-#: Environment variable that overrides the default quadrature tolerance.
-QUAD_TOL_ENV = "QUANTLAB_QUAD_TOL"
-
 
 def _not_nan(name, value):
     if math.isnan(value := float(value)):
         raise DomainError(f"{name} must be a number, got nan")
     return value
-
-
-def quad_tol():
-    """The quadrature tolerance: QUANTLAB_QUAD_TOL if set, else DEFAULT_ABS_TOL."""
-    env = os.environ.get(QUAD_TOL_ENV)
-    if env is None:
-        return DEFAULT_ABS_TOL
-    try:
-        abs_tol = float(env)
-    except ValueError:
-        raise DomainError(f"{QUAD_TOL_ENV} must be a number, got {env!r}") from None
-    if not (abs_tol > 0):
-        raise DomainError(f"{QUAD_TOL_ENV} must be > 0, got {env!r}")
-    return abs_tol
-
-
-def normal_cdf(x):
-    """Standard normal CDF (complementary-error-function based)."""
-    return ndtr(x)
 
 
 def normal_quantile(p):
@@ -91,14 +67,6 @@ def normal_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
-def halfnormal_cdf(m):
-    """CDF of |Z| for Z standard normal; requires m >= 0."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0.0):
-        raise DomainError(f"halfnormal_cdf requires m >= 0, got {m}")
-    return erf(m_arr / _SQRT2) if m_arr.ndim else float(erf(m_arr / _SQRT2))
 
 
 def halfnormal_quantile(p):
@@ -140,7 +108,7 @@ def _halfnormal_log_cdf(m):
 
 
 def absmax_pdf(m, block_size):
-    """Density of the block absmax: 2B * halfnormal_cdf(m)^(B-1) * phi(m)."""
+    """Density of the block absmax: 2B * erf(m/sqrt2)^(B-1) * phi(m)."""
     B = check_block_size(block_size)
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0):
@@ -169,13 +137,12 @@ class ScaledMaxDistribution:
     the degenerate two-atom case: ``fx_cdf`` still works but ``gb_cdf``
     raises, since there is no continuous part to describe.
 
-    The quadrature tolerance is ``quad_tol()`` at construction.  Instances
-    precompute quadrature rules lazily and are safe to share across threads.
+    Instances precompute quadrature rules lazily and are safe to share
+    across threads.
     """
 
     def __init__(self, block_size):
         self.block_size = check_block_size(block_size)
-        self.abs_tol = quad_tol()
         self.atom_mass = 1.0 / (2.0 * self.block_size)
         # Constant stand-in for the absmax used by the closed-form
         # approximation: the median of the absmax law.
@@ -216,7 +183,7 @@ class ScaledMaxDistribution:
 
     def _integrate(self, node_func, lo):
         """Adaptive refinement: double the node count until two successive
-        Gauss-Legendre estimates agree within abs_tol."""
+        Gauss-Legendre estimates agree within DEFAULT_ABS_TOL."""
         n = self._BASE_NODES
         prev = node_func(*self._rule(n, lo))
         deltas = []
@@ -224,11 +191,11 @@ class ScaledMaxDistribution:
             n *= 2
             cur = node_func(*self._rule(n, lo))
             deltas.append(abs(cur - prev))
-            if deltas[-1] <= self.abs_tol:
+            if deltas[-1] <= DEFAULT_ABS_TOL:
                 return cur
             prev = cur
         raise NumericalError(
-            f"quadrature did not converge to abs_tol={self.abs_tol:g} "
+            f"quadrature did not converge to abs_tol={DEFAULT_ABS_TOL:g} "
             f"within {MAX_REFINEMENTS} refinements "
             f"(final {n} nodes, successive deltas {deltas})"
         )
@@ -340,21 +307,12 @@ class ScaledMaxDistribution:
         return float(atom + (1.0 - 1.0 / B) * cont)
 
 
-@lru_cache(maxsize=None)
-def _cached_dist(block_size, abs_tol):
-    return ScaledMaxDistribution(block_size)
+_cached_dist = lru_cache(maxsize=None)(ScaledMaxDistribution)
 
 
 def scaled_max_distribution(block_size):
-    """Shared, cached ScaledMaxDistribution for a block size, at the
-    accuracy of ``quad_tol()`` (read on every call)."""
-    # The tolerance is in the key so that a changed override gets a new instance.
-    return _cached_dist(block_size, quad_tol())
-
-
-def gb_cdf(x, block_size):
-    """CDF of the continuous part of the normalized-entry law."""
-    return scaled_max_distribution(block_size).gb_cdf(x)
+    """Shared, cached ScaledMaxDistribution for a block size."""
+    return _cached_dist(block_size)
 
 
 def fx_cdf(x, block_size):

@@ -272,7 +272,7 @@ class TestQuantize:
         slack = np.finfo(dtype).eps + 2.0 ** -21
         err = np.abs(w.astype(np.float64) - bq.dequantize(qt))
         assert np.all(err <= absmax * (half_gap + slack) + 2.0 ** -140)
-        assert bq.usage_histogram(qt).total == w.size
+        assert bq.usage_histogram(qt).sum() == w.size
 
     def test_partial_final_block_absmax(self, codes):
         code = codes["nf4"]
@@ -328,8 +328,8 @@ class TestQuantize:
                 np.testing.assert_array_equal(
                     deq, unblock(table[idx] * scales[:, None], w.shape, axis, B))
                 effective = unblock(idx, w.shape, axis, B).ravel()
-                assert bq.usage_histogram(qt).counts == tuple(
-                    np.bincount(effective, minlength=16))
+                np.testing.assert_array_equal(
+                    bq.usage_histogram(qt), np.bincount(effective, minlength=16))
 
                 bq.qtensor_write(qt, tmp_path / "a.fqz")
                 bq.qtensor_write(ref, tmp_path / "b.fqz")
@@ -382,30 +382,26 @@ class TestUsageHistogram:
     def test_zeros_concentrate_on_smallest_value(self, codes):
         code = codes["nf4"]
         qt = bq.quantize(np.zeros((4, 64), dtype=np.float32), code, 64, axis=1)
-        hist = bq.usage_histogram(qt)
-        assert hist.total == 256
-        assert hist.counts[int(np.argmin(np.abs(code.values)))] == 256
+        counts = bq.usage_histogram(qt)
+        assert counts.dtype == np.int64 and counts.shape == (16,)
+        assert counts.sum() == 256
+        assert counts[int(np.argmin(np.abs(code.values)))] == 256
 
     def test_nf4_usage_spread(self, codes):
         rng = np.random.default_rng(16)
         w = rng.standard_normal(1 << 22).astype(np.float32)
         qt = bq.quantize(w, codes["nf4"], 64, axis=0)
-        props = bq.usage_histogram(qt).proportions
+        counts = bq.usage_histogram(qt)
+        props = counts / counts.sum()
         assert props.min() < 0.03
         assert props.max() > 0.08
 
     def test_partial_blocks_not_counted_as_padding(self, codes):
         w = np.ones(65, dtype=np.float32)
         qt = bq.quantize(w, codes["nf4"], 64, axis=0)
-        hist = bq.usage_histogram(qt)
-        assert hist.total == 65
-        assert hist.counts[15] == 65
-
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            bq.UsageHistogram(tuple(range(16)), total=3)
-        with pytest.raises(DomainError):
-            bq.UsageHistogram((1,) * 15, total=15)
+        counts = bq.usage_histogram(qt)
+        assert counts.sum() == 65
+        assert counts[15] == 65
 
 
 class TestReconstructionError:
@@ -825,6 +821,18 @@ class TestHeaderRules:
                 write(obj, path)
         assert str(exc.value) == "extent 4294967296 overflows the 32-bit header"
         assert peak[0] < 1 << 20
+        assert not path.exists()
+
+    @pytest.mark.parametrize("ndim", [65, 256])
+    def test_too_many_dimensions_on_write_creates_no_file(self, tmp_path, ndim):
+        # numpy arrays stop at 64 dimensions, so only a hand-built
+        # QuantizedTensor can declare more; its reader would reject the file
+        qt = bq.QuantizedTensor((1,) * ndim, 0, 2, qc.nf4_code(),
+                                np.zeros(1, np.float32), np.zeros((1, 1), np.uint8))
+        path = tmp_path / "t.fqz"
+        with pytest.raises(FormatError) as exc:
+            bq.qtensor_write(qt, path)
+        assert str(exc.value) == f"{ndim} dimensions, not 1 to 64"
         assert not path.exists()
 
 

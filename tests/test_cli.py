@@ -339,6 +339,48 @@ class TestValidate:
         assert "ASSERT FAILED" not in out  # diagnostics go to stderr
         assert "ASSERT FAILED" in err
 
+    def test_cdf_assert_without_hits_passes(self, capsys):
+        # P[X <= -1] = 1/8192, so no hit in 100 blocks is the likeliest
+        # outcome; its plug-in stderr is 0, but the test uses the binomial
+        # error of the analytic value
+        code, out, err = run(capsys, "validate", "cdf", "--block-size", "4096",
+                             "--n", "100", "--csv", "--assert")
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert rows[0][:6] == ["cdf[x=-1]", "4096", "100", "0", "0", "0.0001220703125"]
+
+    def test_cdf_assert_catches_biased_estimator(self, capsys, monkeypatch):
+        import quantlab.cli as cli
+
+        real = cli.montecarlo.empirical_cdf_stream
+
+        def biased(cfg, xs):
+            p, stderr = real(cfg, xs)
+            return np.minimum(p + 0.05, 1.0), stderr
+
+        monkeypatch.setattr(cli.montecarlo, "empirical_cdf_stream", biased)
+        code, _, err = run(capsys, "validate", "cdf", "--block-size", "32",
+                           "--n", "4096", "--csv", "--assert")
+        assert code == 3
+        assert err.startswith("ASSERT FAILED: cdf[x=-1]: ")
+
+    @pytest.mark.parametrize("report, row", [("usage", "usage[7]"),
+                                             ("l1", "expected_l1")])
+    def test_zero_stderr_under_assert_is_usage_error(self, capsys, monkeypatch,
+                                                     report, row):
+        if report == "l1":
+            # two blocks never share a mean distance; force the zero spread
+            import quantlab.cli as cli
+
+            real = cli.montecarlo.l1_statistics
+            monkeypatch.setattr(cli.montecarlo, "l1_statistics",
+                                lambda cfg, code: (real(cfg, code)[0], 0.0))
+        code, out, err = run(capsys, "validate", report, "--kind", "nf4",
+                             "--block-size", "64", "--n", "2", "--csv", "--assert")
+        assert code == 1
+        assert err == f"too few blocks to test {row}: its standard error is 0\n"
+        assert parse_csv(out)[0][0] == "quantity"  # the table is still printed
+
     def test_cdf_grid(self, capsys):
         code, out, _ = run(capsys, "validate", "cdf", "--block-size", "32",
                            "--n", "16384", "--seed", "4", "--csv", "--assert")
@@ -460,13 +502,3 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "dist", "cdf", "--frobnicate", "1")[0] == 1
-
-    def test_quad_tol_env_round_trips(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUANTLAB_QUAD_TOL", "1e-6")
-        code, out, _ = run(capsys, "dist", "cdf", "--block-size", "32",
-                           "--x", "0.5")
-        assert code == 0
-        assert float(out) == pytest.approx(0.87278, abs=1e-4)
-        monkeypatch.setenv("QUANTLAB_QUAD_TOL", "not-a-number")
-        assert run(capsys, "dist", "cdf", "--block-size", "32",
-                   "--x", "0.5")[0] == 1

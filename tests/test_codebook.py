@@ -326,10 +326,11 @@ class TestExpectedL1:
             np.abs(values + 1.0).min() + np.abs(values - 1.0).min()
         )
         h = 1e-5
+        gb_cdf = qd.scaled_max_distribution(B).gb_cdf
 
         def density(x):
             lo, hi = max(x - h, -1.0), min(x + h, 1.0)
-            return (qd.gb_cdf(hi, B) - qd.gb_cdf(lo, B)) / (hi - lo)
+            return (gb_cdf(hi) - gb_cdf(lo)) / (hi - lo)
 
         edges = np.concatenate(([-1.0], 0.5 * (values[:-1] + values[1:]), [1.0]))
         cont = 0.0
