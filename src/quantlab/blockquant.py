@@ -12,6 +12,12 @@ block order -- of ``scales``, of ``packed`` rows and of FQZ1 records -- is
 processed as separate parts at their own block length; ``packed`` rows are
 ``ceil(min(block_size, length) / 2)`` bytes, as wide as the longest block.
 
+Quantization, dequantization, the usage histogram and the error report work
+through the tensor in slices of about ``_CHUNK`` elements, so no temporary
+grows with the tensor: ``quantize --report`` peaks at about the tensor, its
+dequantized copy, the packed indices and one slice.  Each slice's results
+are the ones a whole-tensor pass gives, bit for bit.
+
 All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
 zero.  The nearest-value search compares each element with 15 decision
@@ -29,7 +35,9 @@ the file.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import os
 import stat
@@ -121,6 +129,46 @@ def _part_views(dims, axis, block_size, tensor, *arrays):
         t = None if tensor is None else tensor[
             :, start:start + n * block_len].reshape(before, n, block_len, after)
         yield (block_len, t, *(a[:, first:first + n] for a in arrays))
+
+
+# Elements per slice of the tensor path.  A slice's temporaries -- its
+# absolute values, quotients, indices and packed bytes, or its float64
+# differences -- stay near the cache, and none grows with the tensor.  At
+# least 128, numpy's pairwise-sum block, for reconstruction_errors' sums
+# to split where numpy's do.
+_CHUNK = 1 << 17
+
+
+def _slices(shape):
+    """Index tuples cutting a (before, blocks, block length, after) array
+    into pieces of at most 2 * _CHUNK elements, most near _CHUNK: whole
+    trailing axes where they fit, then a run along the next.  The block
+    length is cut at even offsets, so each piece's packed bytes are its
+    own."""
+    steps = list(shape)
+    inner = 1
+    for k in (3, 2, 1, 0):
+        if inner * shape[k] > _CHUNK:
+            steps[:k] = (1, 1, 2)[:k]
+            step = max(1, _CHUNK // (inner * math.prod(steps[:k])))
+            steps[k] = step + step % 2 if k == 2 else step
+            break
+        inner *= shape[k]
+    return itertools.product(*([slice(i, i + step) for i in range(0, n, step)]
+                               for n, step in zip(shape, steps)))
+
+
+def _chunks(dims, axis, block_size, tensor, scales, packed):
+    """The parts of _part_views cut by _slices.  Per piece: its length
+    along the block, its (before, blocks, length, after) slice of
+    ``tensor`` (or None), and the scales and packed bytes it owns."""
+    for block_len, t, s, pk in _part_views(dims, axis, block_size, tensor,
+                                           scales, packed):
+        before, n, after = s.shape
+        for b, k, j, a in _slices((before, n, block_len, after)):
+            length = min(j.stop, block_len) - j.start
+            yield (length, None if t is None else t[b, k, j, a], s[b, k, a],
+                   pk[b, k, a, j.start // 2:j.start // 2 + _width(length)])
 
 
 def _nearest_index_reference(normalized, code_values):
@@ -255,32 +303,36 @@ def quantize(values, code, block_size, axis=0):
     block_size = check_block_size(block_size)
 
     grid, parts = _geometry(arr.shape, axis, block_size)
-    scales = np.empty(math.prod(grid), dtype=np.float32)
+    scales = np.zeros(math.prod(grid), dtype=np.float32)
     packed = np.zeros((scales.size, _width(parts[0][2])), dtype=np.uint8)
-    views = list(_part_views(arr.shape, axis, block_size, arr, scales, packed))
 
+    # A piece may hold part of a block, so the absmax is accumulated; the
+    # maximum commutes with the rounding to the float32 scale.
     with np.errstate(over="ignore"):
-        for _, v, s, _ in views:
-            s[...] = np.abs(v).max(axis=2)
+        for _, v, s, _ in _chunks(arr.shape, axis, block_size, arr, scales, packed):
+            np.maximum(s, np.abs(v).max(axis=2), out=s)
     # NaN and inf propagate into their block's scale, and so does an absmax
     # beyond the float32 range.
     bad = ~np.isfinite(scales)
     if bad.any():
-        finite = np.isfinite(arr)
-        if not finite.all():
-            flat = int(np.argmax(~finite))
-            pos = tuple(flat // math.prod(arr.shape[k + 1:]) % n
-                        for k, n in enumerate(arr.shape))
-            raise DataError(f"non-finite input value at position {pos}")
+        with np.nditer(arr, flags=["external_loop", "buffered"], order="C",
+                       buffersize=_CHUNK) as it:
+            seen = 0
+            for x in it:
+                if not np.isfinite(x).all():
+                    flat = seen + int(np.argmax(~np.isfinite(x)))
+                    pos = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
+                    raise DataError(f"non-finite input value at position {pos}")
+                seen += x.size
         raise DataError(f"block {int(np.argmax(bad))}: absmax exceeds "
                         "the float32 range of the stored scale")
 
-    for block_len, v, s, pk in views:
+    for _, v, s, pk in _chunks(arr.shape, axis, block_size, arr, scales, packed):
         # Divide in the tensor's working precision by the stored (float32)
         # scale so dequantization sees the same quantity.
         safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
         idx = nearest_index(v / safe[:, :, None, :], code.values)
-        pk[..., :_width(block_len)] = pack_nibbles(np.moveaxis(idx, 2, -1))
+        pk[...] = pack_nibbles(np.moveaxis(idx, 2, -1))
     return QuantizedTensor(
         dims=arr.shape,
         block_axis=axis,
@@ -297,10 +349,9 @@ def dequantize(qt):
     # elements as gathering in float64 and rounding after.
     table = qt.code.values.astype(np.float32)
     out = np.empty(qt.dims, dtype=np.float32)
-    for block_len, o, s, pk in _part_views(qt.dims, qt.block_axis,
-                                           qt.block_size, out, qt.scales,
-                                           qt.packed):
-        idx = unpack_nibbles(pk, block_len).swapaxes(2, 3)
+    for length, o, s, pk in _chunks(qt.dims, qt.block_axis, qt.block_size,
+                                    out, qt.scales, qt.packed):
+        idx = unpack_nibbles(pk, length).swapaxes(2, 3)
         np.multiply(table[idx], s[:, :, None, :], out=o)
     return out
 
@@ -309,26 +360,65 @@ def usage_histogram(qt):
     """How often each code index occurs (pad nibbles excluded): 16 int64
     counts."""
     counts = np.zeros(16, dtype=np.int64)
-    for block_len, _, pk in _part_views(qt.dims, qt.block_axis, qt.block_size,
-                                        None, qt.packed):
-        counts += np.bincount(unpack_nibbles(pk, block_len).ravel(), minlength=16)
+    for length, _, _, pk in _chunks(qt.dims, qt.block_axis, qt.block_size,
+                                    None, qt.scales, qt.packed):
+        counts += np.bincount(unpack_nibbles(pk, length).ravel(), minlength=16)
     return counts
 
 
 def reconstruction_errors(original, reconstructed):
-    """Error summaries between two same-shape tensors, from one double
-    precision difference: {"mean_abs", "mean_sq", "max_abs"}."""
+    """Error summaries between two same-shape tensors: {"mean_abs",
+    "mean_sq", "max_abs"} of their double precision difference.
+
+    The difference is formed and reduced _CHUNK elements at a time, in the
+    order numpy's own ``diff.mean()`` sums it, and the slice sums are added
+    up numpy's pairwise tree; so every figure equals the unchunked numpy
+    expression bit for bit, NaN included.
+    """
     a = np.asarray(original)
     b = np.asarray(reconstructed)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    # One float64 array in all: subtract straight into double, then square
-    # the difference in place once its mean and max are taken.
-    diff = np.subtract(a, b, dtype=np.float64)
-    np.abs(diff, out=diff)
-    mean_abs, max_abs = float(diff.mean()), float(diff.max())
-    np.multiply(diff, diff, out=diff)
-    return {"mean_abs": mean_abs, "mean_sq": float(diff.mean()), "max_abs": max_abs}
+    if a.size == 0:
+        raise DomainError(f"no elements to compare in shape {a.shape}")
+    # np.subtract lays its output out in the inputs' memory order, and
+    # diff.mean() sums in that order; a 2-wide corner of each input shows it.
+    corner = tuple(slice(0, 2) for _ in a.shape)
+    strides = np.subtract(a[corner], b[corner], dtype=np.float64).strides
+    order = sorted(range(a.ndim), key=lambda k: -strides[k])
+    maxima = []
+    with np.nditer([a.transpose(order), b.transpose(order)],
+                   flags=["external_loop", "buffered", "ranged"],
+                   op_dtypes=[np.float64, np.float64], casting="same_kind",
+                   order="C", buffersize=_CHUNK // 8) as it:
+        sums = _pairwise_sums(it, 0, a.size, np.empty(min(a.size, _CHUNK)), maxima)
+    mean_abs, mean_sq = sums / a.size
+    return {"mean_abs": float(mean_abs), "mean_sq": float(mean_sq),
+            "max_abs": float(np.max(maxima))}
+
+
+def _pairwise_sums(it, start, n, buf, maxima):
+    """Sums of |d| and d^2 over the differences of elements [start, start +
+    n) of the two-operand iterator ``it``, as numpy's pairwise summation
+    adds them: a run of more than _CHUNK elements splits where numpy's
+    does, and a shorter run is one numpy sum.  Appends each run's largest
+    |d| to ``maxima``.  A module-level recursion, so no reference cycle
+    keeps the iterator's views alive."""
+    if n > _CHUNK:
+        n2 = n // 2 - (n // 2) % 8
+        return (_pairwise_sums(it, start, n2, buf, maxima)
+                + _pairwise_sums(it, start + n2, n - n2, buf, maxima))
+    it.iterrange = (start, start + n)
+    d = buf[:n]
+    filled = 0
+    for x, y in it:
+        np.subtract(x, y, out=d[filled:filled + x.size])
+        filled += x.size
+    np.abs(d, out=d)
+    maxima.append(d.max())
+    sum_abs = d.sum()
+    np.multiply(d, d, out=d)
+    return np.array([sum_abs, d.sum()])
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +442,9 @@ _PIPE_PIECE = 1 << 20
 
 
 def _read_exact(fh, n, path, what):
-    """Read n bytes, failing before any allocation if a regular file is
-    shorter; other inputs are read in pieces of at most _PIPE_PIECE bytes."""
+    """Read n bytes into a uint8 array.  A regular file's length is checked
+    before the array is allocated and read into in place; other inputs are
+    read in pieces of at most _PIPE_PIECE bytes."""
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         left = max(st.st_size - fh.tell(), 0)
@@ -361,19 +452,20 @@ def _read_exact(fh, n, path, what):
             raise FormatError(
                 f"{path}: truncated {what}: expected {n} bytes, got {left}"
             )
-        data = fh.read(n)
+        data = np.empty(n, dtype=np.uint8)
+        got = fh.readinto(data)
     else:
-        pieces, got = [], 0
-        while got < n:
-            piece = fh.read(min(n - got, _PIPE_PIECE))
+        data = bytearray()
+        while len(data) < n:
+            piece = fh.read(min(n - len(data), _PIPE_PIECE))
             if not piece:
                 break
-            pieces.append(piece)
-            got += len(piece)
-        data = b"".join(pieces)
-    if len(data) != n:
+            data += piece
+        got = len(data)
+        data = np.frombuffer(data, dtype=np.uint8)
+    if got != n:
         raise FormatError(
-            f"{path}: truncated {what}: expected {n} bytes, got {len(data)}"
+            f"{path}: truncated {what}: expected {n} bytes, got {got}"
         )
     return data
 
@@ -405,13 +497,33 @@ def _read_rest(fh, n, path, what):
     return data
 
 
+@contextlib.contextmanager
+def tensor_writer(dims, path):
+    """Write an FQT1 file of extents ``dims`` piece by piece.  The yielded
+    function takes the tensor's next row-major elements, as any array; the
+    pieces must add up to the tensor.  A header that cannot hold ``dims``
+    raises FormatError before the file is opened."""
+    header = _header(FQT1_MAGIC, _FQT1_DTYPE_F32, dims)
+    written = 0
+    with open(path, "wb") as fh:
+        fh.write(header)
+
+        def write(piece):
+            nonlocal written
+            piece = np.ascontiguousarray(piece, dtype="<f4")
+            fh.write(piece)
+            written += piece.size
+
+        yield write
+    if written != math.prod(dims):
+        raise DomainError(f"{path}: wrote {written} elements of {math.prod(dims)}")
+
+
 def tensor_write(tensor, path):
     """Write a tensor as FQT1 (float32, row-major, little-endian)."""
     arr = np.asarray(tensor, dtype=np.float32)
-    header = _header(FQT1_MAGIC, _FQT1_DTYPE_F32, arr.shape or (1,))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(arr.astype("<f4", copy=False).tobytes())
+    with tensor_writer(arr.shape or (1,), path) as write:
+        write(arr)
 
 
 def tensor_read(path):
@@ -419,7 +531,7 @@ def tensor_read(path):
     with open(path, "rb") as fh:
         dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
         payload = _read_rest(fh, 4 * math.prod(dims), path, "payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    return payload.view("<f4").astype(np.float32, copy=False).reshape(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +610,8 @@ def qtensor_read(path):
             raise FormatError(f"{path}: block axis {axis} out of range")
         # Code16 rejects non-finite and unordered values; sNaN casts warn.
         with np.errstate(invalid="ignore"):
-            code_vals = np.frombuffer(
-                _read_exact(fh, 64, path, "code values"), dtype="<f4"
-            ).astype(np.float64)
+            code_vals = _read_exact(fh, 64, path, "code values").view(
+                "<f4").astype(np.float64)
         try:
             code = Code16(code_vals, params={"source": "fqz1"})
         except DomainError as exc:
@@ -509,7 +620,7 @@ def qtensor_read(path):
         # Body length from the header alone, so a lying header fails in
         # _read_exact before the per-block arrays below are built.
         body_len = _fqz1_body_length(dims, axis, block_size)
-        body = np.frombuffer(_read_rest(fh, body_len, path, "blocks"), dtype=np.uint8)
+        body = _read_rest(fh, body_len, path, "blocks")
 
     grid, parts = _geometry(dims, axis, block_size)
     scale_bytes = np.empty((math.prod(grid), 4), dtype=np.uint8)

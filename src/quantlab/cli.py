@@ -11,6 +11,7 @@ Subcommands: ``code gen``, ``quantize``, ``dequantize``, ``dist``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -205,17 +206,20 @@ def _assert_rows(rows, report):
 def cmd_mc_sample(args):
     B = args.block_size
     cfg = montecarlo.McConfig(seed=args.seed, block_size=B, num_blocks=args.n)
-    v = montecarlo.sample_block_values(cfg)
-    if args.out:
-        blockquant.tensor_write(v, args.out)
-    n = v.size
+    n = cfg.num_blocks * B
+    # One chunk at a time: written, then counted.  The FQT1 header is
+    # checked before the first draw.
+    with (blockquant.tensor_writer((cfg.num_blocks, B), args.out) if args.out
+          else contextlib.nullcontext(lambda v: None)) as write:
+        hits = np.zeros(3, dtype=np.int64)
+        for v in montecarlo.iter_sample_chunks(cfg):
+            write(v)
+            hits += (np.count_nonzero(np.abs(v) == 1.0),
+                     np.count_nonzero(v == -1.0), np.count_nonzero(v == 1.0))
     rows = []
-    for name, hits in (
-        ("abs_extreme_frac", np.abs(v) == 1.0),
-        ("atom_neg_frac", v == -1.0),
-        ("atom_pos_frac", v == 1.0),
-    ):
-        p = float(hits.mean())
+    for name, count in zip(("abs_extreme_frac", "atom_neg_frac", "atom_pos_frac"),
+                           hits.tolist()):
+        p = count / n
         rows.append((name, B, n, _fmt(p), _fmt(montecarlo.ci_halfwidth(p, n, z=1.0))))
     _emit(rows, ("quantity", "B", "n", "estimate", "stderr"), args.csv)
     return EXIT_OK

@@ -36,7 +36,9 @@ from scipy.special import ndtri
 from . import blockquant
 from .errors import DomainError, _check_integer, check_block_size
 
-# Elements per generated chunk; only batching depends on it, never values.
+# Elements per generated chunk.  The draws and every count taken from them
+# are the same whatever it is; a float sum over chunks, as in
+# l1_statistics, rounds by chunk and moves in its last bits with it.
 CHUNK_ELEMENTS = 1 << 21
 # Largest block size McConfig accepts: one block fits in one default chunk.
 MAX_BLOCK_SIZE = 1 << 21

@@ -1,7 +1,9 @@
 """Tests for blockwise quantization, packing, and the binary file formats."""
 
 import contextlib
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -453,13 +455,19 @@ class TestReconstructionError:
         assert {k: v.hex() for k, v in got.items()} == {
             k: v.hex() for k, v in expected.items()}
 
-    def test_report_holds_one_float64_difference(self):
-        a = np.ones(1 << 18, dtype=np.float32)
-        b = np.zeros_like(a)
-        with traced_peak() as peak:
-            bq.reconstruction_errors(a, b)
-        # the difference, plus the ufunc's casting buffers
-        assert 8 * a.size <= peak[0] < 1.25 * 8 * a.size
+    def test_report_memory_is_a_fixed_multiple_of_the_chunk(self):
+        # one float64 slice of differences plus the iterator's cast buffers,
+        # whatever the tensor's size
+        for size in (1 << 18, 1 << 22):
+            a = np.ones(size, dtype=np.float32)
+            b = np.zeros_like(a)
+            with traced_peak() as peak:
+                bq.reconstruction_errors(a, b)
+            assert peak[0] < 16 * bq._CHUNK
+
+    def test_empty_tensors_rejected(self):
+        with pytest.raises(DomainError, match="no elements"):
+            bq.reconstruction_errors(np.ones((3, 0)), np.ones((3, 0)))
 
     def test_af4_beats_nf4_at_large_blocks(self, codes):
         rng = np.random.default_rng(17)
@@ -493,6 +501,180 @@ class TestReconstructionError:
             gaps.append(abs(est - product) / est)
         assert gaps[0] < 0.02 and gaps[1] < 0.02
         assert gaps[1] < gaps[0]
+
+
+def unchunked_report(a, b):
+    """numpy's own whole-tensor expressions for the three report figures."""
+    diff = np.abs(np.subtract(a, b, dtype=np.float64))
+    return {"mean_abs": float(diff.mean()), "mean_sq": float((diff * diff).mean()),
+            "max_abs": float(diff.max())}
+
+
+def assert_same_report(a, b):
+    got = bq.reconstruction_errors(a, b)
+    expected = unchunked_report(a, b)
+    assert {k: v.hex() for k, v in got.items()} == {
+        k: v.hex() for k, v in expected.items()}
+
+
+LEAF = bq._CHUNK
+
+
+class TestStreamedReport:
+    """The report sums chunk by chunk along numpy's pairwise tree, and must
+    give numpy's unchunked figures bit for bit: at sizes below numpy's
+    8-element unroll and 128-element pairwise block, around the chunk size,
+    across several chunks, for every float input dtype and memory layout."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, LEAF - 1, LEAF,
+                                      LEAF + 1, 3 * LEAF + 5])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed"])
+    def test_one_dimensional(self, size, dtype, layout):
+        rng = np.random.default_rng(size)
+        step = {"contiguous": 1, "strided": 3, "reversed": -1}[layout]
+        a = rng.standard_normal(size * abs(step)).astype(dtype)[::step]
+        b = (a + rng.standard_normal(size) / 8).astype(dtype)
+        assert_same_report(a, b)
+
+    @pytest.mark.parametrize("shape", [(257, 33), (3, LEAF // 2 + 7), (9, 70, 33)])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "mixed", "negative"])
+    def test_layouts(self, shape, dtype, layout):
+        rng = np.random.default_rng(len(shape))
+        a = rng.standard_normal(shape).astype(dtype)
+        b = (a + rng.standard_normal(shape) / 8).astype(dtype)
+        a, b = {"C": lambda: (a, b),
+                "F": lambda: (a.T, b.T),
+                "strided": lambda: (a[::2, ::3], b[::2, ::3]),
+                "mixed": lambda: (a.T, np.ascontiguousarray(b.T)),
+                "negative": lambda: (a[::-1, ::-2], b[::-1, ::-2])}[layout]()
+        assert_same_report(a, b)
+
+    def test_large_tensor(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((4096, 4100), dtype=np.float32)
+        b = a + np.float32(1 / 64) * rng.standard_normal(a.shape, dtype=np.float32)
+        assert_same_report(a, b)
+        assert_same_report(a.T, b.T)
+
+    @pytest.mark.parametrize("leaf", [128, 129, 4096])
+    def test_smaller_chunks_split_deeper(self, monkeypatch, leaf):
+        monkeypatch.setattr(bq, "_CHUNK", leaf)
+        rng = np.random.default_rng(leaf)
+        for size in (5, 129, 257 * 33, 1_000_003):
+            a = rng.standard_normal(size)
+            assert_same_report(a, a + rng.standard_normal(size) / 8)
+
+    def test_nan_in_a_later_chunk_reaches_the_maximum(self):
+        # Python's max would keep the first chunk's maximum over a later NaN
+        a = np.zeros(3 * LEAF + 5)
+        b = np.zeros_like(a)
+        a[0] = 5.0
+        a[-1] = np.nan
+        assert_same_report(a, b)
+        report = bq.reconstruction_errors(a, b)
+        assert all(np.isnan(v) for v in report.values())
+
+    def test_infinities(self):
+        a = np.zeros(2 * LEAF + 3)
+        b = np.zeros_like(a)
+        a[LEAF + 1] = np.inf
+        assert bq.reconstruction_errors(a, b) == {
+            "mean_abs": np.inf, "mean_sq": np.inf, "max_abs": np.inf}
+        b[LEAF + 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert_same_report(a, b)
+            assert np.isnan(bq.reconstruction_errors(a, b)["max_abs"])
+
+
+# Tensors of at least 2^22 elements, in geometries that cut the slices
+# differently: many short blocks across rows, long rows with a tail block,
+# blocks along a middle axis with a tail, and one block longer than its row
+# (the slices then cut through the block).
+WORKING_SET_GEOMETRIES = {
+    "axis0-short-blocks": ((2048, 2048), 64, 0),
+    "axis1-tail": ((1024, 4100), 4096, 1),
+    "middle-axis-3d": ((64, 1000, 66), 64, 1),
+    "block-longer-than-axis": ((2, (1 << 21) + 3), 1 << 22, 1),
+}
+
+
+class TestWorkingSet:
+    """No function on the tensor path makes a temporary that grows with the
+    tensor: beyond its inputs and outputs, each peaks at a fixed multiple of
+    the chunk (16 bytes per chunk element, against 16 MiB of tensor)."""
+
+    @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
+    def test_quantize_dequantize_report(self, geometry):
+        shape, B, axis = WORKING_SET_GEOMETRIES[geometry]
+        w = np.random.default_rng(8).standard_normal(shape, dtype=np.float32)
+        assert w.size >= 1 << 22
+        slack = 16 * bq._CHUNK
+        code = qc.nf4_code()
+        with traced_peak() as peak:
+            qt = bq.quantize(w, code, B, axis=axis)
+        assert peak[0] < qt.scales.nbytes + qt.packed.nbytes + slack
+        with traced_peak() as peak:
+            restored = bq.dequantize(qt)
+        assert peak[0] < restored.nbytes + slack
+        with traced_peak() as peak:
+            bq.reconstruction_errors(w, restored)
+        assert peak[0] < slack
+
+    def test_tensor_read_allocates_the_array_once(self, tmp_path):
+        w = np.random.default_rng(9).standard_normal((1024, 4097), dtype=np.float32)
+        path = tmp_path / "w.fqt"
+        bq.tensor_write(w, path)
+        with traced_peak() as peak:
+            back = bq.tensor_read(path)
+        assert peak[0] < back.nbytes + (64 << 10)
+        np.testing.assert_array_equal(back, w)
+
+    def test_tensor_write_copies_nothing_contiguous(self, tmp_path):
+        w = np.ones((1024, 4097), dtype=np.float32)
+        with traced_peak() as peak:
+            bq.tensor_write(w, tmp_path / "w.fqt")
+        assert peak[0] < 64 << 10
+
+
+class TestSlices:
+    """Quantizing piece by piece is quantizing the whole tensor at once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 9)] * 4), chunk=st.integers(1, 40))
+    def test_pieces_cover_every_element_once(self, shape, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", chunk)
+            pieces = list(bq._slices(shape))
+        seen = np.zeros(shape, dtype=int)
+        for piece in pieces:
+            seen[piece] += 1
+            assert piece[2].start % 2 == 0
+            assert 0 < seen[piece].size <= 2 * chunk
+        assert np.all(seen == 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_chunked_equals_one_piece(self, codes, data):
+        dtype = data.draw(st.sampled_from([np.float16, np.float32, np.float64]))
+        shape = tuple(data.draw(st.lists(st.integers(1, 11), min_size=1, max_size=3)))
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        B = data.draw(st.integers(1, shape[axis] + 3))
+        w = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(
+            shape).astype(dtype)
+        code = codes[data.draw(st.sampled_from(sorted(codes)))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", 1 << 30)
+            whole = bq.quantize(w, code, B, axis=axis)
+            restored = bq.dequantize(whole)
+            counts = bq.usage_histogram(whole)
+            mp.setattr(bq, "_CHUNK", data.draw(st.integers(1, 24)))
+            pieces = bq.quantize(w, code, B, axis=axis)
+            np.testing.assert_array_equal(pieces.scales, whole.scales)
+            np.testing.assert_array_equal(pieces.packed, whole.packed)
+            np.testing.assert_array_equal(bq.dequantize(pieces), restored)
+            np.testing.assert_array_equal(bq.usage_histogram(pieces), counts)
 
 
 class TestPacking:
@@ -546,6 +728,17 @@ class TestTensorFiles:
         w = rng.standard_normal((6, 10))[::2, ::-3].T
         bq.tensor_write(w, path)
         np.testing.assert_array_equal(bq.tensor_read(path), w.astype(np.float32))
+
+    def test_writer_takes_pieces(self, tmp_path):
+        w = np.arange(12, dtype=np.float64).reshape(3, 4)
+        path = tmp_path / "t.fqt"
+        with bq.tensor_writer(w.shape, path) as write:
+            write(w[:1])
+            write(w[1:].ravel())
+        np.testing.assert_array_equal(bq.tensor_read(path), w)
+        with pytest.raises(DomainError, match="wrote 3 elements of 4$"):
+            with bq.tensor_writer((2, 2), path) as write:
+                write(np.ones(3))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fqt"
@@ -803,6 +996,41 @@ class TestHeaderRules:
         with pytest.raises(FormatError) as exc:
             read(path)
         assert str(exc.value) == f"{path}: trailing bytes at end of file"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("trailing", [b"", b"\0"])
+    @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
+    def test_pipe_payload_and_trailing_byte(self, tmp_path, fmt, trailing):
+        # A pipe has no length to check up front: the reader takes the exact
+        # payload in pieces (FQT1: more than one), then must still see the
+        # one byte after it.
+        read = HEADER_FORMATS[fmt][3]
+        w = np.random.default_rng(2).standard_normal((700, 500)).astype(np.float32)
+        source = tmp_path / "source.bin"
+        if fmt == "fqt1":
+            bq.tensor_write(w, source)
+        else:
+            bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 64), source)
+        data = source.read_bytes()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data + trailing,),
+                                  daemon=True)
+        writer.start()
+        try:
+            if trailing:
+                with pytest.raises(FormatError) as exc:
+                    read(fifo)
+                assert str(exc.value) == f"{fifo}: trailing bytes at end of file"
+            elif fmt == "fqt1":
+                np.testing.assert_array_equal(read(fifo), w)
+            else:
+                back, ref = read(fifo), bq.qtensor_read(source)
+                np.testing.assert_array_equal(back.packed, ref.packed)
+                np.testing.assert_array_equal(back.scales, ref.scales)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
     def test_extent_overflow_on_write_creates_no_file(self, tmp_path, fmt):

@@ -5,7 +5,10 @@ import csv
 import io
 import math
 import os
+import resource
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -14,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantlab
 import quantlab.blockquant as bq
 import quantlab.codebook as qc
+import quantlab.montecarlo as qmc
 from quantlab.cli import main
 
 
@@ -494,6 +499,35 @@ class TestMcSample:
         _, out2, _ = run(capsys, "mc", "sample", "--n", "128", "--seed", "9",
                          "--csv")
         assert out1 == out2
+
+    def test_chunks_do_not_change_the_output(self, capsys, tmp_path, monkeypatch):
+        # Drawn, written and counted chunk by chunk: uneven chunks of 7
+        # blocks give the bytes and the summary of one chunk.
+        argv = ("mc", "sample", "--block-size", "32", "--n", "100", "--seed", "3",
+                "--csv", "--out")
+        _, whole, _ = run(capsys, *argv, str(tmp_path / "whole.fqt"))
+        monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 7 * 32)
+        _, chunked, _ = run(capsys, *argv, str(tmp_path / "chunked.fqt"))
+        assert chunked == whole
+        assert ((tmp_path / "chunked.fqt").read_bytes()
+                == (tmp_path / "whole.fqt").read_bytes())
+
+    @pytest.mark.parametrize("n", [1 << 32, 10 ** 11])
+    def test_run_the_header_cannot_hold_fails_before_any_draw(self, tmp_path, n):
+        # 2^32 blocks of 32 would be 1 TiB of draws; under a 1 GiB address
+        # space limit the header check must come first.
+        out_path = tmp_path / "samples.fqt"
+        src = os.path.dirname(os.path.dirname(quantlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "quantlab.cli", "mc", "sample", "--block-size",
+             "32", "--n", str(n), "--out", str(out_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (1 << 30, 1 << 30)))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"error: extent {n} overflows the 32-bit header\n"
+        assert not out_path.exists()
 
 
 class TestExitCodes:
