@@ -319,10 +319,11 @@ def quantize(values, code, block_size, axis=0):
                        buffersize=_CHUNK) as it:
             seen = 0
             for x in it:
-                if not np.isfinite(x).all():
-                    flat = seen + int(np.argmax(~np.isfinite(x)))
-                    pos = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
-                    raise DataError(f"non-finite input value at position {pos}")
+                found = np.flatnonzero(~np.isfinite(x))
+                if found.size:
+                    pos = np.unravel_index(seen + found[0], arr.shape)
+                    raise DataError("non-finite input value at position "
+                                    f"{tuple(int(i) for i in pos)}")
                 seen += x.size
         raise DataError(f"block {int(np.argmax(bad))}: absmax exceeds "
                         "the float32 range of the stored scale")

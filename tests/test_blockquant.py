@@ -291,6 +291,13 @@ class TestQuantize:
         w[2, 3] = np.nan
         with pytest.raises(DataError, match=r"\(2, 3\)"):
             bq.quantize(w, codes["nf4"], 4, axis=1)
+        # the first in row-major order of a transposed input, found slice
+        # by slice
+        w = np.ones((3, bq._CHUNK + 1), dtype=np.float32)
+        w[2, 5] = np.inf
+        w[1, 7] = np.nan
+        with pytest.raises(DataError, match=r"position \(5, 2\)$"):
+            bq.quantize(w.T, codes["nf4"], 64, axis=0)
 
     def test_scale_overflowing_float32_rejected(self, codes):
         w = np.ones((3, 8))

@@ -5,7 +5,6 @@ import csv
 import io
 import math
 import os
-import resource
 import struct
 import subprocess
 import sys
@@ -516,6 +515,7 @@ class TestMcSample:
     def test_run_the_header_cannot_hold_fails_before_any_draw(self, tmp_path, n):
         # 2^32 blocks of 32 would be 1 TiB of draws; under a 1 GiB address
         # space limit the header check must come first.
+        resource = pytest.importorskip("resource")
         out_path = tmp_path / "samples.fqt"
         src = os.path.dirname(os.path.dirname(quantlab.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
