@@ -8,7 +8,6 @@ import numpy as np
 from quantlab import (
     McConfig,
     balanced_code,
-    ci_halfwidth,
     empirical_cdf_stream,
     feasible_seed_interval,
     fx_cdf,
@@ -41,9 +40,6 @@ for x, p, se in zip(xs, *empirical_cdf_stream(cfg, xs)):
     exact = fx_cdf(x, 32)
     print(f"  x={x:+.1f}: {p:.5f} +- {se:.5f}   exact {exact:.5f}   "
           f"z = {(p - exact) / se:+.2f}")
-
-# The 95% interval halfwidth the estimates above carry:
-print(f"\nci_halfwidth(0.8728, 2^30) = {ci_halfwidth(0.8728, 2**30):.1e}")
 
 # --- usage histograms -----------------------------------------------------------
 # NF4 does NOT use its 16 values equally; a balanced code does.  Like the

@@ -55,7 +55,6 @@ from .errors import (
 )
 from .montecarlo import (
     McConfig,
-    ci_halfwidth,
     empirical_cdf_stream,
     iter_sample_chunks,
     l1_statistics,
@@ -82,7 +81,6 @@ __all__ = [
     "af4_code",
     "balanced_code",
     "balanced_code_with_endpoints",
-    "ci_halfwidth",
     "code_bin_masses",
     "code_read",
     "code_write",

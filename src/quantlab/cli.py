@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import blockquant, codebook, distributions, montecarlo
-from .errors import DataError, DomainError, FormatError, NumericalError
+from .errors import DomainError, NumericalError, QuantLabError, check_block_size
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,7 +77,9 @@ def _build_code(args, block_size):
     if kind is None:
         raise _UsageError("either --code or --kind is required")
     needs_block_size, build = codebook.CODE_KINDS[kind]
-    if needs_block_size and block_size is None:
+    if block_size is not None:
+        block_size = check_block_size(block_size)
+    elif needs_block_size:
         raise _UsageError(f"--block-size is required for kind {kind!r}")
     variant = getattr(args, "variant", None) or "quantile-of-average"
     return build(block_size, variant.replace("-", "_"))
@@ -149,13 +151,20 @@ def cmd_dist(args):
     return EXIT_OK
 
 
-def cmd_validate(args):
-    B = args.block_size
+def _mc_config(args, command):
+    """McConfig from --seed, --block-size and --n.  Standard errors come from
+    the spread between blocks, so fewer than two is a usage error."""
     if args.n < 2:
         raise _UsageError(
-            f"validate needs --n >= 2 blocks for a standard error, got {args.n}")
+            f"{command} needs --n >= 2 blocks for a standard error, got {args.n}")
+    return montecarlo.McConfig(seed=args.seed, block_size=args.block_size,
+                               num_blocks=args.n)
+
+
+def cmd_validate(args):
+    B = args.block_size
+    cfg = _mc_config(args, "validate")
     code = None if args.report == "cdf" else _build_code(args, B)
-    cfg = montecarlo.McConfig(seed=args.seed, block_size=B, num_blocks=args.n)
     # One row per quantity; n counts blocks for cdf (entry 0 of each block)
     # and sampled entries for usage and l1.
     if args.report == "cdf":
@@ -204,23 +213,23 @@ def _assert_rows(rows, report):
 
 
 def cmd_mc_sample(args):
-    B = args.block_size
-    cfg = montecarlo.McConfig(seed=args.seed, block_size=B, num_blocks=args.n)
+    cfg = _mc_config(args, "mc sample")
+    B = cfg.block_size
     n = cfg.num_blocks * B
-    # One chunk at a time: written, then counted.  The FQT1 header is
-    # checked before the first draw.
+    # One chunk at a time: written, then counted block by block.  The FQT1
+    # header is checked before the first draw.
     with (blockquant.tensor_writer((cfg.num_blocks, B), args.out) if args.out
           else contextlib.nullcontext(lambda v: None)) as write:
-        hits = np.zeros(3, dtype=np.int64)
-        for v in montecarlo.iter_sample_chunks(cfg):
+
+        def counts(v):
             write(v)
-            hits += (np.count_nonzero(np.abs(v) == 1.0),
-                     np.count_nonzero(v == -1.0), np.count_nonzero(v == 1.0))
-    rows = []
-    for name, count in zip(("abs_extreme_frac", "atom_neg_frac", "atom_pos_frac"),
-                           hits.tolist()):
-        p = count / n
-        rows.append((name, B, n, _fmt(p), _fmt(montecarlo.ci_halfwidth(p, n, z=1.0))))
+            return np.stack([np.count_nonzero(np.abs(v) == 1.0, axis=1),
+                             np.count_nonzero(v == -1.0, axis=1),
+                             np.count_nonzero(v == 1.0, axis=1)], axis=1)
+
+        total, stderr = montecarlo.block_moments(cfg, counts)
+    rows = [(name, B, n, _fmt(t / n), _fmt(s / B)) for name, t, s in zip(
+        ("abs_extreme_frac", "atom_neg_frac", "atom_pos_frac"), total, stderr)]
     _emit(rows, ("quantity", "B", "n", "estimate", "stderr"), args.csv)
     return EXIT_OK
 
@@ -310,18 +319,11 @@ def main(argv=None):
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
+    except (QuantLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        if isinstance(exc, DomainError):
+            return EXIT_USAGE
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA
 
 
 if __name__ == "__main__":

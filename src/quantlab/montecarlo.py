@@ -12,8 +12,10 @@ Every estimator takes a ``McConfig`` first and returns ``(estimate,
 stderr)``.  Within one block the normalized entries are dependent (they
 share the absmax divisor).  The CDF estimator therefore keeps one
 designated entry per block (entry 0), which makes its binomial error
-valid; the usage and L1 estimators, driven by one chunk loop
-(``_block_moments``), report standard errors clustered by block.
+valid.  Every other per-block figure goes through one chunk loop,
+``block_moments``, and carries a standard error clustered by block: its
+users are ``usage_statistics``, ``l1_statistics`` and the command line's
+``mc sample``.
 
 The CDF estimator never normalizes a whole block.  The map from a raw
 draw to u is monotone, so a block's largest |z| comes from its smallest
@@ -27,7 +29,6 @@ entries.  Entry 0 therefore comes out bit for bit as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,9 +186,10 @@ def empirical_cdf_stream(cfg, xs):
     return p, stderr
 
 
-def _block_moments(cfg, per_block):
+def block_moments(cfg, per_block):
     """Sum over the blocks of cfg of per_block(chunk values) -- one value or
     row per block -- and the standard error of its mean (NaN for one block).
+    per_block sees each chunk once, in block order.
 
     Integer-valued results (counts) sum exactly, whatever the chunking;
     float results round by chunk in their last bits."""
@@ -217,7 +219,7 @@ def usage_statistics(cfg, code):
         return np.bincount(idx.ravel(), minlength=16 * len(idx)).reshape(
             -1, 16).astype(np.float64)
 
-    total, stderr = _block_moments(cfg, counts)
+    total, stderr = block_moments(cfg, counts)
     return total / (cfg.num_blocks * cfg.block_size), stderr / cfg.block_size
 
 
@@ -229,14 +231,5 @@ def l1_statistics(cfg, code):
     def block_means(values):
         return np.abs(values - q[blockquant.nearest_index(values, q)]).mean(axis=1)
 
-    total, stderr = _block_moments(cfg, block_means)
+    total, stderr = block_moments(cfg, block_means)
     return float(total / cfg.num_blocks), float(stderr)
-
-
-def ci_halfwidth(p, n, z=1.96):
-    """Normal-approximation confidence halfwidth z * sqrt(p(1-p)/n)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    return z * math.sqrt(p * (1.0 - p) / n)

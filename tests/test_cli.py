@@ -15,12 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtri
 
 import quantlab
 import quantlab.blockquant as bq
+import quantlab.cli as cli
 import quantlab.codebook as qc
 import quantlab.montecarlo as qmc
 from quantlab.cli import main
+from quantlab.errors import (ConstructionError, DataError, DomainError,
+                             FormatError, NumericalError)
 
 
 def run(capsys, *argv):
@@ -75,6 +79,21 @@ class TestCodeGen:
                            "--block-size", "4")
         assert code == 1
         assert ">= 9" in err
+
+    @pytest.mark.parametrize("kind", ["nf4", "af4", "balanced"])
+    @pytest.mark.parametrize("block_size", ["-3", "0"])
+    def test_bad_block_size_is_usage_error_for_every_kind(self, capsys, kind,
+                                                          block_size):
+        code, out, err = run(capsys, "code", "gen", "--kind", kind,
+                             "--block-size", block_size)
+        assert code == 1 and out == ""
+        assert err == f"error: block size must be >= 1, got {block_size}\n"
+
+    def test_balanced_without_a_feasible_seed_is_numerical_error(self, capsys):
+        code, out, err = run(capsys, "code", "gen", "--kind", "balanced",
+                             "--block-size", "9")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_af4_requires_block_size(self, capsys):
         for kind in ("af4", "balanced", "balanced-endpoints"):
@@ -511,6 +530,37 @@ class TestMcSample:
         assert ((tmp_path / "chunked.fqt").read_bytes()
                 == (tmp_path / "whole.fqt").read_bytes())
 
+    def test_stderr_is_clustered_by_block(self, capsys):
+        # Over K seeds, (K-1) var(estimates) / mean(stderr^2) follows
+        # chi2(K-1) when the printed stderr is the true one.  Entries of a
+        # block share its absmax, so counting them as independent (p(1-p)
+        # over n*B entries) overstates the atom fractions' error and falls
+        # below the lower bound.
+        K = 200
+        est, se = [], []
+        for seed in range(K):
+            code, out, _ = run(capsys, "mc", "sample", "--block-size", "32",
+                               "--n", "1024", "--seed", str(seed), "--csv")
+            assert code == 0
+            _, rows = parse_csv(out)
+            est.append([float(r[3]) for r in rows])
+            se.append([float(r[4]) for r in rows])
+        est, se = np.array(est), np.array(se)
+        # Exactly one entry per block has |x| = 1: no error at all.
+        assert np.all(est[:, 0] == 1 / 32) and np.all(se[:, 0] == 0.0)
+        lo, hi = chdtri(K - 1, 0.9995), chdtri(K - 1, 0.0005)
+        for j in (1, 2):  # atom_neg_frac, atom_pos_frac
+            stat = (K - 1) * est[:, j].var(ddof=1) / np.mean(se[:, j] ** 2)
+            assert lo < stat < hi, (j, stat, lo, hi)
+
+    def test_one_block_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "samples.fqt"
+        code, out, err = run(capsys, "mc", "sample", "--n", "1",
+                             "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == "mc sample needs --n >= 2 blocks for a standard error, got 1\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("n", [1 << 32, 10 ** 11])
     def test_run_the_header_cannot_hold_fails_before_any_draw(self, tmp_path, n):
         # 2^32 blocks of 32 would be 1 TiB of draws; under a 1 GiB address
@@ -536,3 +586,16 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "dist", "cdf", "--frobnicate", "1")[0] == 1
+
+    @pytest.mark.parametrize("error, expected", [
+        (DomainError, 1), (DataError, 2), (FormatError, 2), (OSError, 2),
+        (NumericalError, 3), (ConstructionError, 3)])
+    def test_library_error_maps_to_exit_code(self, capsys, monkeypatch, error,
+                                             expected):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_dist", fail)
+        code, out, err = run(capsys, "dist", "absmax-median")
+        assert code == expected and out == ""
+        assert err == "error: boom\n"

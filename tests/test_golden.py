@@ -257,7 +257,7 @@ GOLDEN_VALIDATE = {
 
 GOLDEN_MC_SAMPLE = (
     0,
-    "d2ad8863b0deafb02707d479842eb21ac00d82d90f85c6ed79212a4435e4e912",
+    "43c1f9e2b59ce6ff4d6265fcd7630d886eff613a8fe5f53d38861b0802764712",
     "44f885143e0ed1ae9dcd732cc31e99eeafb99102f93504467ab407fde2e0d67f",
 )
 

@@ -94,7 +94,7 @@ class TestGenerativeProcess:
         v = qmc.sample_block_values(cfg)
         assert set(np.unique(v)) == {-1.0, 1.0}
         p = np.mean(v == 1.0)
-        assert abs(p - 0.5) <= 4 * qmc.ci_halfwidth(0.5, v.size, z=1.0)
+        assert abs(p - 0.5) <= 4 * math.sqrt(0.5 * 0.5 / v.size)
 
     def test_exactly_one_extreme_per_block(self):
         cfg = qmc.McConfig(seed=6, block_size=32, num_blocks=1 << 14)
@@ -119,7 +119,7 @@ class TestGenerativeProcess:
         both = np.abs(v[:, 0] == 1.0) & (v[:, 1] == 1.0)
         assert not both.any()
         p = np.mean(v[:, 0] == 1.0)
-        se = qmc.ci_halfwidth(1 / 32, cfg.num_blocks, z=1.0)
+        se = math.sqrt((1 / 32) * (1 - 1 / 32) / cfg.num_blocks)
         assert abs(p - 1 / 32) <= 4 * se
 
 
@@ -429,22 +429,3 @@ def _balanced(B):
     bins = qc.uniform_bins(B)
     lo, hi = qc.feasible_seed_interval(bins)
     return qc.balanced_code(0.5 * (lo + hi), bins, block_size=B)
-
-
-class TestCiHalfwidth:
-    def test_closed_form(self):
-        assert qmc.ci_halfwidth(0.5, 10**4) == pytest.approx(0.0098)
-
-    def test_reproduces_reported_interval(self):
-        # +-2e-5 at p=0.8728 pins the sample size at 2^30
-        assert qmc.ci_halfwidth(0.8728, 2**30) == pytest.approx(2.0e-5, rel=0.01)
-
-    def test_degenerate(self):
-        assert qmc.ci_halfwidth(0.0, 100) == 0.0
-        assert qmc.ci_halfwidth(1.0, 100) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            qmc.ci_halfwidth(0.5, 0)
-        with pytest.raises(DomainError):
-            qmc.ci_halfwidth(1.5, 10)
