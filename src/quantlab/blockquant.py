@@ -14,9 +14,12 @@ processed as separate parts at their own block length; ``packed`` rows are
 
 Quantization, dequantization, the usage histogram and the error report work
 through the tensor in slices of about ``_CHUNK`` elements, so no temporary
-grows with the tensor: ``quantize --report`` peaks at about the tensor, its
-dequantized copy, the packed indices and one slice.  Each slice's results
-are the ones a whole-tensor pass gives, bit for bit.
+grows with the tensor.  Dequantization fills flat runs of any axis order
+(``_dequantize_run``): ``dequantize`` and the ``dequantize`` command take C
+order, and the report on a QuantizedTensor takes the order it sums in, so
+``quantize --report`` peaks at about the tensor, the packed indices and one
+slice, and holds no dequantized copy.  Each slice's results are the ones a
+whole-tensor pass gives, bit for bit.
 
 All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
@@ -344,16 +347,104 @@ def quantize(values, code, block_size, axis=0):
     )
 
 
-def dequantize(qt):
-    """Reconstruct a C-contiguous float32 tensor: code value times scale."""
+def _boxes(shape, start, stop):
+    """Boxes -- a (start, stop) per axis -- covering the elements [start,
+    stop) of an array of ``shape`` in C order, one after another: each box
+    is a run of the range in its own C order, and there are at most two per
+    axis after the first."""
+    if start >= stop:
+        return
+    if len(shape) == 1:
+        yield ((start, stop),)
+        return
+    inner = math.prod(shape[1:])
+    (i, r), (j, q) = divmod(start, inner), divmod(stop, inner)
+    if r or i == j:
+        for box in _boxes(shape[1:], r, q if i == j else inner):
+            yield ((i, i + 1),) + box
+        i += 1
+    if i < j:
+        yield ((i, j),) + tuple((0, n) for n in shape[1:])
+    if q and i <= j:
+        for box in _boxes(shape[1:], 0, q):
+            yield ((j, j + 1),) + box
+
+
+def _dequantize_box(qt, table, box, out):
+    """Write the dequantized elements of ``box`` -- a (start, stop) per axis
+    of the tensor -- into ``out``, an array of the box's shape.  Along the
+    block axis the box splits by block part, and within a part into a
+    partial first block, whole blocks and a partial last block; each piece
+    unpacks only its own nibbles."""
+    axis = qt.block_axis
+    grid, parts = _geometry(qt.dims, axis, qt.block_size)
+    blocked = qt.dims[:axis] + grid[1:2] + qt.dims[axis + 1:]
+    scales = qt.scales.reshape(blocked)
+    packed = qt.packed.reshape(blocked + (-1,))
+    src = [slice(*r) for r in box]
+    dst = [slice(None)] * len(box)
+    # Each piece's nibbles move next to its block axis, and its scales gain
+    # a unit axis there.
+    nibbles_last = (*range(axis + 1), len(box), *range(axis + 1, len(box)))
+    unit = (slice(None),) * (axis + 1) + (None,)
+    lo, hi = box[axis]
+    for first, n, block_len in parts:
+        begin = first * qt.block_size
+        for (k0, k1), (j0, j1) in _boxes((n, block_len), max(lo - begin, 0),
+                                         min(hi, begin + n * block_len) - begin):
+            src[axis] = slice(first + k0, first + k1)
+            idx = unpack_nibbles(packed[tuple(src) + (slice(j0 // 2, None),)],
+                                 j0 % 2 + j1 - j0)[..., j0 % 2:]
+            at = begin + k0 * block_len + j0 - lo
+            dst[axis] = slice(at, at + (k1 - k0) * (j1 - j0))
+            o = out[tuple(dst)]
+            o = o.reshape(o.shape[:axis] + (k1 - k0, j1 - j0) + o.shape[axis + 1:])
+            np.multiply(table[idx.transpose(nibbles_last)],
+                        scales[tuple(src)][unit], out=o)
+
+
+def _dequantize_run(qt, order, start, out):
+    """Write the elements [start, start + out.size) of the dequantized
+    tensor, counted in the C order of its axes taken in ``order``, into the
+    flat array ``out``, one box at a time."""
     # Rounding each code value to float32 before the gather gives the same
     # elements as gathering in float64 and rounding after.
     table = qt.code.values.astype(np.float32)
+    inverse = np.argsort(order)
+    filled = 0
+    for box in _boxes([qt.dims[k] for k in order], start, start + out.size):
+        extents = [stop - begin for begin, stop in box]
+        n = math.prod(extents)
+        view = out[filled:filled + n].reshape(extents).transpose(inverse)
+        _dequantize_box(qt, table, [box[k] for k in inverse], view)
+        filled += n
+
+
+def _dequantized_runs(qt, flat=None):
+    """Dequantize the tensor in C order, run by run, and yield each run: a
+    slice of ``flat``, the tensor's own flat buffer, if given, else of one
+    reused buffer.  A run is as many whole rows of the trailing axes as fit
+    in _CHUNK elements, so it is one box, or _CHUNK elements of a longer
+    row."""
+    row = 1
+    for n in reversed(qt.dims):
+        if row * n > _CHUNK:
+            break
+        row *= n
+    step, size = _CHUNK // row * row, math.prod(qt.dims)
+    buf = np.empty(min(size, step), dtype=np.float32) if flat is None else None
+    for start in range(0, size, step):
+        stop = min(start + step, size)
+        run = flat[start:stop] if buf is None else buf[:stop - start]
+        _dequantize_run(qt, range(len(qt.dims)), start, run)
+        yield run
+
+
+def dequantize(qt):
+    """Reconstruct a C-contiguous float32 tensor: code value times scale."""
     out = np.empty(qt.dims, dtype=np.float32)
-    for length, o, s, pk in _chunks(qt.dims, qt.block_axis, qt.block_size,
-                                    out, qt.scales, qt.packed):
-        idx = unpack_nibbles(pk, length).swapaxes(2, 3)
-        np.multiply(table[idx], s[:, :, None, :], out=o)
+    for _ in _dequantized_runs(qt, out.reshape(-1)):
+        pass
     return out
 
 
@@ -371,50 +462,70 @@ def reconstruction_errors(original, reconstructed):
     """Error summaries between two same-shape tensors: {"mean_abs",
     "mean_sq", "max_abs"} of their double precision difference.
 
+    ``reconstructed`` is an array, or a QuantizedTensor standing for its
+    dequantized tensor.  A QuantizedTensor is dequantized one slice at a
+    time, as the differences need it, and never held whole; its figures are
+    those of ``dequantize(reconstructed)`` bit for bit.
+
     The difference is formed and reduced _CHUNK elements at a time, in the
     order numpy's own ``diff.mean()`` sums it, and the slice sums are added
     up numpy's pairwise tree; so every figure equals the unchunked numpy
     expression bit for bit, NaN included.
     """
     a = np.asarray(original)
-    b = np.asarray(reconstructed)
-    if a.shape != b.shape:
-        raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
+    qt = reconstructed if isinstance(reconstructed, QuantizedTensor) else None
+    b = np.asarray(reconstructed) if qt is None else None
+    shape = b.shape if qt is None else qt.dims
+    if a.shape != shape:
+        raise DomainError(f"shape mismatch: {a.shape} vs {shape}")
     if a.size == 0:
         raise DomainError(f"no elements to compare in shape {a.shape}")
     # np.subtract lays its output out in the inputs' memory order, and
     # diff.mean() sums in that order; a 2-wide corner of each input shows it.
+    # A fresh corner has the C order of dequantize's output.
     corner = tuple(slice(0, 2) for _ in a.shape)
-    strides = np.subtract(a[corner], b[corner], dtype=np.float64).strides
+    b_corner = b[corner] if qt is None else np.empty(a[corner].shape, np.float32)
+    strides = np.subtract(a[corner], b_corner, dtype=np.float64).strides
     order = sorted(range(a.ndim), key=lambda k: -strides[k])
+    ops = [x.transpose(order) for x in (a, b) if x is not None]
     maxima = []
-    with np.nditer([a.transpose(order), b.transpose(order)],
-                   flags=["external_loop", "buffered", "ranged"],
-                   op_dtypes=[np.float64, np.float64], casting="same_kind",
+    with np.nditer(ops, flags=["external_loop", "buffered", "ranged"],
+                   op_dtypes=[np.float64] * len(ops), casting="same_kind",
                    order="C", buffersize=_CHUNK // 8) as it:
-        sums = _pairwise_sums(it, 0, a.size, np.empty(min(a.size, _CHUNK)), maxima)
+        sums = _pairwise_sums(functools.partial(_differences, it, qt, order),
+                              0, a.size, np.empty(min(a.size, _CHUNK)), maxima)
     mean_abs, mean_sq = sums / a.size
     return {"mean_abs": float(mean_abs), "mean_sq": float(mean_sq),
             "max_abs": float(np.max(maxima))}
 
 
-def _pairwise_sums(it, start, n, buf, maxima):
-    """Sums of |d| and d^2 over the differences of elements [start, start +
-    n) of the two-operand iterator ``it``, as numpy's pairwise summation
-    adds them: a run of more than _CHUNK elements splits where numpy's
-    does, and a shorter run is one numpy sum.  Appends each run's largest
-    |d| to ``maxima``.  A module-level recursion, so no reference cycle
-    keeps the iterator's views alive."""
-    if n > _CHUNK:
-        n2 = n // 2 - (n // 2) % 8
-        return (_pairwise_sums(it, start, n2, buf, maxima)
-                + _pairwise_sums(it, start + n2, n - n2, buf, maxima))
-    it.iterrange = (start, start + n)
-    d = buf[:n]
+def _differences(it, qt, order, start, d):
+    """Write the differences of elements [start, start + d.size) into d:
+    those of the iterator's two operands, or of its one operand and the
+    elements of ``qt``'s dequantized tensor taken in the axis ``order``."""
+    if qt is not None:
+        _dequantize_run(qt, order, start, d)
+    it.iterrange = (start, start + d.size)
     filled = 0
-    for x, y in it:
+    for ops in it:
+        x, y = ops if qt is None else (ops, d[filled:filled + ops.size])
         np.subtract(x, y, out=d[filled:filled + x.size])
         filled += x.size
+
+
+def _pairwise_sums(differences, start, n, buf, maxima):
+    """Sums of |d| and d^2 over the differences of elements [start, start +
+    n), as numpy's pairwise summation adds them: a run of more than _CHUNK
+    elements splits where numpy's does, and a shorter run is one numpy sum,
+    whose differences ``differences(start, d)`` writes into ``d``.  Appends
+    each run's largest |d| to ``maxima``.  A module-level recursion, so no
+    reference cycle keeps the iterator's views alive."""
+    if n > _CHUNK:
+        n2 = n // 2 - (n // 2) % 8
+        return (_pairwise_sums(differences, start, n2, buf, maxima)
+                + _pairwise_sums(differences, start + n2, n - n2, buf, maxima))
+    d = buf[:n]
+    differences(start, d)
     np.abs(d, out=d)
     maxima.append(d.max())
     sum_abs = d.sum()

@@ -113,7 +113,7 @@ def cmd_quantize(args):
     qt = blockquant.quantize(tensor, code, block_size, axis=args.axis)
     blockquant.qtensor_write(qt, args.output)
     if args.report:
-        errors = blockquant.reconstruction_errors(tensor, blockquant.dequantize(qt))
+        errors = blockquant.reconstruction_errors(tensor, qt)
         rows = [(m, _fmt(errors[m])) for m in ("mean_abs", "mean_sq", "max_abs")]
         _emit(rows, ("metric", "value"), args.csv)
     return EXIT_OK
@@ -121,7 +121,9 @@ def cmd_quantize(args):
 
 def cmd_dequantize(args):
     qt = blockquant.qtensor_read(args.input)
-    blockquant.tensor_write(blockquant.dequantize(qt), args.output)
+    with blockquant.tensor_writer(qt.dims, args.output) as write:
+        for run in blockquant._dequantized_runs(qt):
+            write(run)
     return EXIT_OK
 
 

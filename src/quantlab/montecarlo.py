@@ -39,7 +39,9 @@ from .errors import DomainError, _check_integer, check_block_size
 
 # Elements per generated chunk.  The draws and every count taken from them
 # are the same whatever it is; a float sum over chunks, as in
-# l1_statistics, rounds by chunk and moves in its last bits with it.
+# l1_statistics, rounds by chunk and moves in its last bits with it.  So
+# changing it moves the `validate l1` digits of runs longer than one chunk:
+# a golden re-pin (tests/test_golden.py pins a four-chunk run).
 CHUNK_ELEMENTS = 1 << 21
 # Largest block size McConfig accepts: one block fits in one default chunk.
 MAX_BLOCK_SIZE = 1 << 21

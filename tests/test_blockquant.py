@@ -573,6 +573,40 @@ class TestStreamedReport:
             a = rng.standard_normal(size)
             assert_same_report(a, a + rng.standard_normal(size) / 8)
 
+    # Tail blocks down the first axis, along rows and along a middle axis; a
+    # block longer than its row; and a block axis between two unit axes.
+    @pytest.mark.parametrize("shape, B, axis", [
+        ((257, 33), 16, 0), ((33, 257), 64, 1), ((9, 70, 33), 64, 1),
+        ((3, 1000), 4096, 1), ((5, 1, 7, 1, 3), 2, 2)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "negative"])
+    @pytest.mark.parametrize("leaf", [LEAF, 128, 129, 4096])
+    def test_quantized_tensor_equals_its_dequantized_copy(
+            self, monkeypatch, codes, shape, B, axis, layout, leaf):
+        monkeypatch.setattr(bq, "_CHUNK", leaf)
+        rng = np.random.default_rng(B + axis)
+        for dtype in (np.float16, np.float32, np.float64):
+            w = rng.standard_normal(shape).astype(dtype)
+            qt = bq.quantize(w, codes["af4"], B, axis=axis)
+            if layout == "F":
+                a = np.asfortranarray(w)
+            elif layout == "strided":
+                a = np.zeros(tuple(2 * n for n in shape), dtype=dtype)[
+                    tuple(slice(None, None, 2) for _ in shape)]
+                a[...] = w
+            elif layout == "negative":
+                a = np.flip(np.flip(w).copy())
+            else:
+                a = w
+            got = bq.reconstruction_errors(a, qt)
+            expected = bq.reconstruction_errors(a, bq.dequantize(qt))
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in expected.items()}
+
+    def test_quantized_tensor_of_another_shape(self, codes):
+        qt = bq.quantize(np.ones((4, 6)), codes["nf4"], 4)
+        with pytest.raises(DomainError, match="mismatch"):
+            bq.reconstruction_errors(np.ones((6, 4)), qt)
+
     def test_nan_in_a_later_chunk_reaches_the_maximum(self):
         # Python's max would keep the first chunk's maximum over a later NaN
         a = np.zeros(3 * LEAF + 5)
@@ -610,7 +644,8 @@ WORKING_SET_GEOMETRIES = {
 class TestWorkingSet:
     """No function on the tensor path makes a temporary that grows with the
     tensor: beyond its inputs and outputs, each peaks at a fixed multiple of
-    the chunk (16 bytes per chunk element, against 16 MiB of tensor)."""
+    the chunk (16 bytes per chunk element, against 16 MiB of tensor).  The
+    report on a QuantizedTensor holds no dequantized tensor."""
 
     @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
     def test_quantize_dequantize_report(self, geometry):
@@ -626,8 +661,12 @@ class TestWorkingSet:
             restored = bq.dequantize(qt)
         assert peak[0] < restored.nbytes + slack
         with traced_peak() as peak:
-            bq.reconstruction_errors(w, restored)
+            report = bq.reconstruction_errors(w, restored)
         assert peak[0] < slack
+        with traced_peak() as peak:
+            streamed = bq.reconstruction_errors(w, qt)
+        assert peak[0] < slack
+        assert streamed == report
 
     def test_tensor_read_allocates_the_array_once(self, tmp_path):
         w = np.random.default_rng(9).standard_normal((1024, 4097), dtype=np.float32)

@@ -257,6 +257,56 @@ class TestQuantizeDequantize:
         assert not out_t.exists()
 
 
+def traced_run(capsys, *argv):
+    """(exit code, stdout, peak traced bytes) of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
+
+
+class TestTensorPathMemory:
+    """Neither command holds a second tensor-sized array: ``quantize
+    --report`` peaks at the tensor, the quantized tensor and its FQZ1 body
+    while that is written; ``dequantize`` at the FQZ1 body and the
+    quantized tensor it is read into, without the tensor.  Beyond those,
+    16 bytes per chunk element (2 MiB, against 16 MiB of tensor)."""
+
+    @pytest.fixture
+    def files(self, tmp_path, nf4_file):
+        w = np.random.default_rng(6).standard_normal((1024, 4096), dtype=np.float32)
+        assert w.size >= 1 << 22
+        paths = {"tensor": tmp_path / "w.fqt", "fqz": tmp_path / "w.fqz",
+                 "out": tmp_path / "back.fqt"}
+        bq.tensor_write(w, paths["tensor"])
+        return w, paths, ["--code", str(nf4_file), "--block-size", "64"]
+
+    def test_quantize_report(self, capsys, files):
+        w, paths, options = files
+        code, out, peak = traced_run(capsys, "quantize", str(paths["tensor"]),
+                                     str(paths["fqz"]), *options, "--report")
+        assert code == 0 and "mean_abs" in out
+        qt = bq.qtensor_read(paths["fqz"])
+        quantized = qt.scales.nbytes + qt.packed.nbytes
+        body = paths["fqz"].stat().st_size
+        assert peak < w.nbytes + quantized + body + 16 * bq._CHUNK
+
+    def test_dequantize(self, capsys, files):
+        w, paths, options = files
+        bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 64), paths["fqz"])
+        code, _, peak = traced_run(capsys, "dequantize", str(paths["fqz"]),
+                                   str(paths["out"]))
+        assert code == 0
+        qt = bq.qtensor_read(paths["fqz"])
+        quantized = qt.scales.nbytes + qt.packed.nbytes
+        body = paths["fqz"].stat().st_size
+        assert peak < quantized + body + 16 * bq._CHUNK
+        np.testing.assert_array_equal(bq.tensor_read(paths["out"]), bq.dequantize(qt))
+
+
 class TestDist:
     def test_absmax_median(self, capsys):
         code, out, _ = run(capsys, "dist", "absmax-median", "--block-size", "4096")

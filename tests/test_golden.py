@@ -4,8 +4,9 @@ doubles the distribution layer returns, for small seeded inputs.
 The cases are shrunken copies of the benchmark workloads: ``code gen`` for
 NF4 (both variants), AF4 at three block sizes and a balanced code;
 ``quantize --report`` and ``dequantize`` on the two tensor geometries; the
-three ``validate`` reports and ``mc sample --out``; and every ``dist``
-query at B in {1, 32, 4096}.  Files and streams are pinned by sha256,
+three ``validate`` reports and ``mc sample --out``; every ``dist`` query at
+B in {1, 32, 4096}; and one ``l1_statistics`` run long enough to span
+several Monte Carlo chunks.  Files and streams are pinned by sha256,
 library values by ``float.hex``.
 
 The values were computed with GOLDEN_VERSIONS.  They rest on numpy's
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 import scipy
 
-from quantlab import codebook, distributions
+from quantlab import codebook, distributions, montecarlo
 from quantlab.blockquant import tensor_write
 from quantlab.cli import main
 
@@ -147,6 +148,17 @@ def test_mc_sample(tmp_path):
     _check("mc sample", result, GOLDEN_MC_SAMPLE)
 
 
+def test_l1_statistics_over_several_chunks():
+    # Its chunk sums round chunk by chunk, so the last bits of a run longer
+    # than one chunk rest on montecarlo.CHUNK_ELEMENTS; the validate l1
+    # golden above fits in one chunk.
+    cfg = montecarlo.McConfig(seed=SEED, block_size=4096, num_blocks=1600)
+    assert len(list(montecarlo._chunk_ranges(cfg))) == 4
+    mean, stderr = montecarlo.l1_statistics(cfg, codebook.af4_code(4096))
+    _check("l1_statistics over 4 chunks", (mean.hex(), stderr.hex()),
+           GOLDEN_L1_CHUNKED)
+
+
 # ---------------------------------------------------------------------------
 # dist: the printed value, and the double behind it
 # ---------------------------------------------------------------------------
@@ -254,6 +266,8 @@ GOLDEN_VALIDATE = {
         "3015dcbb63b9374a222014d160eaab1eea088c5afae4f4d666b9f8368b91f9ab",
     ),
 }
+
+GOLDEN_L1_CHUNKED = ("0x1.6b17f24fd814ap-6", "0x1.334afc5007633p-15")
 
 GOLDEN_MC_SAMPLE = (
     0,
