@@ -276,35 +276,32 @@ class TestTensorPathMemory:
     16 bytes per chunk element (2 MiB, against 16 MiB of tensor)."""
 
     @pytest.fixture
-    def files(self, tmp_path, nf4_file):
+    def tensor(self):
         w = np.random.default_rng(6).standard_normal((1024, 4096), dtype=np.float32)
         assert w.size >= 1 << 22
-        paths = {"tensor": tmp_path / "w.fqt", "fqz": tmp_path / "w.fqz",
-                 "out": tmp_path / "back.fqt"}
-        bq.tensor_write(w, paths["tensor"])
-        return w, paths, ["--code", str(nf4_file), "--block-size", "64"]
+        return w
 
-    def test_quantize_report(self, capsys, files):
-        w, paths, options = files
-        code, out, peak = traced_run(capsys, "quantize", str(paths["tensor"]),
-                                     str(paths["fqz"]), *options, "--report")
+    def test_quantize_report(self, capsys, tmp_path, tensor, nf4_file):
+        src, fqz = tmp_path / "w.fqt", tmp_path / "w.fqz"
+        bq.tensor_write(tensor, src)
+        code, out, peak = traced_run(capsys, "quantize", str(src), str(fqz),
+                                     "--code", str(nf4_file), "--block-size", "64",
+                                     "--report")
         assert code == 0 and "mean_abs" in out
-        qt = bq.qtensor_read(paths["fqz"])
+        qt = bq.qtensor_read(fqz)
         quantized = qt.scales.nbytes + qt.packed.nbytes
-        body = paths["fqz"].stat().st_size
-        assert peak < w.nbytes + quantized + body + 16 * bq._CHUNK
+        assert peak < (tensor.nbytes + quantized + fqz.stat().st_size
+                       + 16 * bq._CHUNK)
 
-    def test_dequantize(self, capsys, files):
-        w, paths, options = files
-        bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 64), paths["fqz"])
-        code, _, peak = traced_run(capsys, "dequantize", str(paths["fqz"]),
-                                   str(paths["out"]))
+    def test_dequantize(self, capsys, tmp_path, tensor):
+        fqz, out = tmp_path / "w.fqz", tmp_path / "back.fqt"
+        qt = bq.quantize(tensor, qc.nf4_code(), 64)
+        bq.qtensor_write(qt, fqz)
+        code, _, peak = traced_run(capsys, "dequantize", str(fqz), str(out))
         assert code == 0
-        qt = bq.qtensor_read(paths["fqz"])
         quantized = qt.scales.nbytes + qt.packed.nbytes
-        body = paths["fqz"].stat().st_size
-        assert peak < quantized + body + 16 * bq._CHUNK
-        np.testing.assert_array_equal(bq.tensor_read(paths["out"]), bq.dequantize(qt))
+        assert peak < quantized + fqz.stat().st_size + 16 * bq._CHUNK
+        np.testing.assert_array_equal(bq.tensor_read(out), bq.dequantize(qt))
 
 
 class TestDist:
