@@ -12,13 +12,14 @@ block order -- of ``scales``, of ``packed`` rows and of FQZ1 records -- is
 processed as separate parts at their own block length; ``packed`` rows are
 ``ceil(min(block_size, length) / 2)`` bytes, as wide as the longest block.
 
-Quantization, dequantization, the usage histogram and the error report work
-through the tensor in slices of about ``_CHUNK`` elements, so no temporary
-grows with the tensor.  Dequantization fills flat runs of any axis order
-(``_dequantize_run``): ``dequantize`` and the ``dequantize`` command take C
-order, and the report on a QuantizedTensor takes the order it sums in, so
+Quantization, dequantization, the usage histogram and the error report cut
+the tensor the same way, so no temporary grows with the tensor: ``_runs``
+splits it into C-order ranges of at most ``_CHUNK`` elements (the report
+into its pairwise-sum leaves instead), and ``_pieces`` cuts a range into
+pieces that each lie inside one block part.  The report on a
+QuantizedTensor dequantizes each leaf just before it subtracts, so
 ``quantize --report`` peaks at about the tensor, the packed indices and one
-slice, and holds no dequantized copy.  Each slice's results are the ones a
+run, and holds no dequantized copy.  Each piece's results are the ones a
 whole-tensor pass gives, bit for bit.
 
 All operations are deterministic: ties in the nearest-value search go to
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import os
 import stat
@@ -85,6 +85,9 @@ class QuantizedTensor:
             raise DomainError(f"block_axis {self.block_axis} out of range for {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "block_size", check_block_size(self.block_size))
+        if self.scales.dtype != np.float32 or self.packed.dtype != np.uint8:
+            raise DomainError("expected float32 scales and uint8 packed bytes, "
+                              f"got {self.scales.dtype} and {self.packed.dtype}")
         grid, parts = _geometry(dims, self.block_axis, self.block_size)
         nb = math.prod(grid)
         if self.scales.shape != (nb,):
@@ -118,23 +121,7 @@ def _width(block_len):
     return (block_len + 1) // 2
 
 
-def _part_views(dims, axis, block_size, tensor, *arrays):
-    """Per part: its block length, ``tensor`` (shape ``dims``, or None) as a
-    (before, blocks, block length, after) view, and each of ``arrays`` (one
-    row per block in block order) as a (before, blocks, after, ...) view."""
-    grid, parts = _geometry(dims, axis, block_size)
-    before, _, after = grid
-    if tensor is not None:
-        tensor = tensor.reshape(before, dims[axis], after)
-    arrays = [a.reshape(grid + a.shape[1:]) for a in arrays]
-    for first, n, block_len in parts:
-        start = first * block_size
-        t = None if tensor is None else tensor[
-            :, start:start + n * block_len].reshape(before, n, block_len, after)
-        yield (block_len, t, *(a[:, first:first + n] for a in arrays))
-
-
-# Elements per slice of the tensor path.  A slice's temporaries -- its
+# Elements per run of the tensor path.  A run's temporaries -- its
 # absolute values, quotients, indices and packed bytes, or its float64
 # differences -- stay near the cache, and none grows with the tensor.  At
 # least 128, numpy's pairwise-sum block, for reconstruction_errors' sums
@@ -142,36 +129,81 @@ def _part_views(dims, axis, block_size, tensor, *arrays):
 _CHUNK = 1 << 17
 
 
-def _slices(shape):
-    """Index tuples cutting a (before, blocks, block length, after) array
-    into pieces of at most 2 * _CHUNK elements, most near _CHUNK: whole
-    trailing axes where they fit, then a run along the next.  The block
-    length is cut at even offsets, so each piece's packed bytes are its
-    own."""
-    steps = list(shape)
-    inner = 1
-    for k in (3, 2, 1, 0):
-        if inner * shape[k] > _CHUNK:
-            steps[:k] = (1, 1, 2)[:k]
-            step = max(1, _CHUNK // (inner * math.prod(steps[:k])))
-            steps[k] = step + step % 2 if k == 2 else step
+def _boxes(shape, start, stop):
+    """Boxes -- a (start, stop) per axis -- covering the elements [start,
+    stop) of an array of ``shape`` in C order, one after another: each box
+    is a run of the range in its own C order, and there are at most two per
+    axis after the first."""
+    if start >= stop:
+        return
+    if len(shape) == 1:
+        yield ((start, stop),)
+        return
+    inner = math.prod(shape[1:])
+    (i, r), (j, q) = divmod(start, inner), divmod(stop, inner)
+    if r or i == j:
+        for box in _boxes(shape[1:], r, q if i == j else inner):
+            yield ((i, i + 1),) + box
+        i += 1
+    if i < j:
+        yield ((i, j),) + tuple((0, n) for n in shape[1:])
+    if q and i <= j:
+        for box in _boxes(shape[1:], 0, q):
+            yield ((j, j + 1),) + box
+
+
+def _runs(dims):
+    """Consecutive C-order ranges (start, stop) covering a tensor of extents
+    ``dims``: as many whole rows of the trailing axes as fit in _CHUNK
+    elements, or _CHUNK elements of a longer row."""
+    row = 1
+    for n in reversed(dims):
+        if row * n > _CHUNK:
             break
-        inner *= shape[k]
-    return itertools.product(*([slice(i, i + step) for i in range(0, n, step)]
-                               for n, step in zip(shape, steps)))
+        row *= n
+    step, size = _CHUNK // row * row, math.prod(dims)
+    return ((start, min(start + step, size)) for start in range(0, size, step))
 
 
-def _chunks(dims, axis, block_size, tensor, scales, packed):
-    """The parts of _part_views cut by _slices.  Per piece: its length
-    along the block, its (before, blocks, length, after) slice of
-    ``tensor`` (or None), and the scales and packed bytes it owns."""
-    for block_len, t, s, pk in _part_views(dims, axis, block_size, tensor,
-                                           scales, packed):
-        before, n, after = s.shape
-        for b, k, j, a in _slices((before, n, block_len, after)):
-            length = min(j.stop, block_len) - j.start
-            yield (length, None if t is None else t[b, k, j, a], s[b, k, a],
-                   pk[b, k, a, j.start // 2:j.start // 2 + _width(length)])
+def _pieces(qt, start, stop, values=None):
+    """Cut the elements [start, stop) of ``qt``'s tensor, counted in C
+    order, into pieces that each lie inside one block part: the range splits
+    into boxes of the (before, length, after) view, and each box along the
+    block axis into a partial first block, whole blocks and a partial last
+    block.
+
+    Per piece: its offset and length inside its blocks; its
+    (before, blocks, length, after) view of ``values`` -- the tensor as a
+    (before, length, after) array, or a flat array of the range's elements
+    -- or None; and its (before, blocks, after) view of ``qt.scales`` and
+    (before, blocks, after, bytes) view of the ``qt.packed`` bytes that
+    hold its nibbles.  A piece at an odd offset shares its first byte with
+    an earlier piece."""
+    grid, parts = _geometry(qt.dims, qt.block_axis, qt.block_size)
+    scales = qt.scales.reshape(grid)
+    packed = qt.packed.reshape(grid + (-1,))
+    at = 0
+    for (b0, b1), (l0, l1), (a0, a1) in _boxes(
+            (grid[0], qt.dims[qt.block_axis], grid[2]), start, stop):
+        shape = (b1 - b0, l1 - l0, a1 - a0)
+        if values is None:
+            box = None
+        elif values.ndim == 3:
+            box = values[b0:b1, l0:l1, a0:a1]
+        else:
+            box = values[at:at + math.prod(shape)].reshape(shape)
+        at += math.prod(shape)
+        for first, n, block_len in parts:
+            begin = first * qt.block_size
+            for (k0, k1), (j0, j1) in _boxes((n, block_len), max(l0 - begin, 0),
+                                             min(l1, begin + n * block_len) - begin):
+                lo = begin + k0 * block_len + j0 - l0
+                view = None if box is None else box[
+                    :, lo:lo + (k1 - k0) * (j1 - j0)].reshape(
+                        shape[0], k1 - k0, j1 - j0, shape[2])
+                blocks = (slice(b0, b1), slice(first + k0, first + k1), slice(a0, a1))
+                nibbles = slice(j0 // 2, j0 // 2 + _width(j0 % 2 + j1 - j0))
+                yield j0, j1 - j0, view, scales[blocks], packed[blocks + (nibbles,)]
 
 
 def _nearest_index_reference(normalized, code_values):
@@ -266,12 +298,9 @@ def nearest_index(normalized, code_values):
 def pack_nibbles(indices):
     """Pack rows of 4-bit values: element 2k -> low nibble of byte k."""
     idx = np.asarray(indices, dtype=np.uint8)
-    if idx.shape[-1] % 2:
-        pad = [(0, 0)] * (idx.ndim - 1) + [(0, 1)]
-        idx = np.pad(idx, pad)
-    low = idx[..., 0::2]
-    high = idx[..., 1::2]
-    return (low | (high << 4)).astype(np.uint8)
+    packed = np.array(idx[..., 0::2], order="K")
+    packed[..., :idx.shape[-1] // 2] |= idx[..., 1::2] << 4
+    return packed
 
 
 def unpack_nibbles(packed, length):
@@ -306,17 +335,21 @@ def quantize(values, code, block_size, axis=0):
     block_size = check_block_size(block_size)
 
     grid, parts = _geometry(arr.shape, axis, block_size)
-    scales = np.zeros(math.prod(grid), dtype=np.float32)
-    packed = np.zeros((scales.size, _width(parts[0][2])), dtype=np.uint8)
+    nb = math.prod(grid)
+    qt = QuantizedTensor(arr.shape, axis, block_size, code,
+                         np.zeros(nb, dtype=np.float32),
+                         np.zeros((nb, _width(parts[0][2])), dtype=np.uint8))
+    tensor = arr.reshape(grid[0], arr.shape[axis], grid[2])
 
     # A piece may hold part of a block, so the absmax is accumulated; the
     # maximum commutes with the rounding to the float32 scale.
     with np.errstate(over="ignore"):
-        for _, v, s, _ in _chunks(arr.shape, axis, block_size, arr, scales, packed):
-            np.maximum(s, np.abs(v).max(axis=2), out=s)
+        for start, stop in _runs(arr.shape):
+            for _, _, v, s, _ in _pieces(qt, start, stop, tensor):
+                np.maximum(s, np.abs(v).max(axis=2), out=s)
     # NaN and inf propagate into their block's scale, and so does an absmax
     # beyond the float32 range.
-    bad = ~np.isfinite(scales)
+    bad = ~np.isfinite(qt.scales)
     if bad.any():
         with np.nditer(arr, flags=["external_loop", "buffered"], order="C",
                        buffersize=_CHUNK) as it:
@@ -331,112 +364,43 @@ def quantize(values, code, block_size, axis=0):
         raise DataError(f"block {int(np.argmax(bad))}: absmax exceeds "
                         "the float32 range of the stored scale")
 
-    for _, v, s, pk in _chunks(arr.shape, axis, block_size, arr, scales, packed):
-        # Divide in the tensor's working precision by the stored (float32)
-        # scale so dequantization sees the same quantity.
-        safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
-        idx = nearest_index(v / safe[:, :, None, :], code.values)
-        pk[...] = pack_nibbles(np.moveaxis(idx, 2, -1))
-    return QuantizedTensor(
-        dims=arr.shape,
-        block_axis=axis,
-        block_size=block_size,
-        code=code,
-        scales=scales,
-        packed=packed,
-    )
+    for start, stop in _runs(arr.shape):
+        for offset, _, v, s, pk in _pieces(qt, start, stop, tensor):
+            # Divide in the tensor's working precision by the stored
+            # (float32) scale so dequantization sees the same quantity.
+            safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
+            idx = nearest_index(v / safe[:, :, None], code.values)
+            idx = idx.transpose(0, 1, 3, 2)
+            # At an odd offset the first byte's low nibble is an earlier
+            # piece's, so only the high nibble is ORed in; an odd length
+            # leaves its last high nibble zero for a later piece.
+            if offset % 2:
+                pk[..., 0] |= idx[..., 0] << 4
+                pk, idx = pk[..., 1:], idx[..., 1:]
+            pk[...] = pack_nibbles(idx)
+    return qt
 
 
-def _boxes(shape, start, stop):
-    """Boxes -- a (start, stop) per axis -- covering the elements [start,
-    stop) of an array of ``shape`` in C order, one after another: each box
-    is a run of the range in its own C order, and there are at most two per
-    axis after the first."""
-    if start >= stop:
-        return
-    if len(shape) == 1:
-        yield ((start, stop),)
-        return
-    inner = math.prod(shape[1:])
-    (i, r), (j, q) = divmod(start, inner), divmod(stop, inner)
-    if r or i == j:
-        for box in _boxes(shape[1:], r, q if i == j else inner):
-            yield ((i, i + 1),) + box
-        i += 1
-    if i < j:
-        yield ((i, j),) + tuple((0, n) for n in shape[1:])
-    if q and i <= j:
-        for box in _boxes(shape[1:], 0, q):
-            yield ((j, j + 1),) + box
-
-
-def _dequantize_box(qt, table, box, out):
-    """Write the dequantized elements of ``box`` -- a (start, stop) per axis
-    of the tensor -- into ``out``, an array of the box's shape.  Along the
-    block axis the box splits by block part, and within a part into a
-    partial first block, whole blocks and a partial last block; each piece
-    unpacks only its own nibbles."""
-    axis = qt.block_axis
-    grid, parts = _geometry(qt.dims, axis, qt.block_size)
-    blocked = qt.dims[:axis] + grid[1:2] + qt.dims[axis + 1:]
-    scales = qt.scales.reshape(blocked)
-    packed = qt.packed.reshape(blocked + (-1,))
-    src = [slice(*r) for r in box]
-    dst = [slice(None)] * len(box)
-    # Each piece's nibbles move next to its block axis, and its scales gain
-    # a unit axis there.
-    nibbles_last = (*range(axis + 1), len(box), *range(axis + 1, len(box)))
-    unit = (slice(None),) * (axis + 1) + (None,)
-    lo, hi = box[axis]
-    for first, n, block_len in parts:
-        begin = first * qt.block_size
-        for (k0, k1), (j0, j1) in _boxes((n, block_len), max(lo - begin, 0),
-                                         min(hi, begin + n * block_len) - begin):
-            src[axis] = slice(first + k0, first + k1)
-            idx = unpack_nibbles(packed[tuple(src) + (slice(j0 // 2, None),)],
-                                 j0 % 2 + j1 - j0)[..., j0 % 2:]
-            at = begin + k0 * block_len + j0 - lo
-            dst[axis] = slice(at, at + (k1 - k0) * (j1 - j0))
-            o = out[tuple(dst)]
-            o = o.reshape(o.shape[:axis] + (k1 - k0, j1 - j0) + o.shape[axis + 1:])
-            np.multiply(table[idx.transpose(nibbles_last)],
-                        scales[tuple(src)][unit], out=o)
-
-
-def _dequantize_run(qt, order, start, out):
+def _dequantize_run(qt, start, out):
     """Write the elements [start, start + out.size) of the dequantized
-    tensor, counted in the C order of its axes taken in ``order``, into the
-    flat array ``out``, one box at a time."""
+    tensor, in C order, into the flat array ``out``."""
     # Rounding each code value to float32 before the gather gives the same
     # elements as gathering in float64 and rounding after.
     table = qt.code.values.astype(np.float32)
-    inverse = np.argsort(order)
-    filled = 0
-    for box in _boxes([qt.dims[k] for k in order], start, start + out.size):
-        extents = [stop - begin for begin, stop in box]
-        n = math.prod(extents)
-        view = out[filled:filled + n].reshape(extents).transpose(inverse)
-        _dequantize_box(qt, table, [box[k] for k in inverse], view)
-        filled += n
+    for offset, length, o, s, pk in _pieces(qt, start, start + out.size, out):
+        idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
+        np.multiply(table[idx.transpose(0, 1, 3, 2)], s[:, :, None], out=o)
 
 
 def _dequantized_runs(qt, flat=None):
-    """Dequantize the tensor in C order, run by run, and yield each run: a
-    slice of ``flat``, the tensor's own flat buffer, if given, else of one
-    reused buffer.  A run is as many whole rows of the trailing axes as fit
-    in _CHUNK elements, so it is one box, or _CHUNK elements of a longer
-    row."""
-    row = 1
-    for n in reversed(qt.dims):
-        if row * n > _CHUNK:
-            break
-        row *= n
-    step, size = _CHUNK // row * row, math.prod(qt.dims)
-    buf = np.empty(min(size, step), dtype=np.float32) if flat is None else None
-    for start in range(0, size, step):
-        stop = min(start + step, size)
-        run = flat[start:stop] if buf is None else buf[:stop - start]
-        _dequantize_run(qt, range(len(qt.dims)), start, run)
+    """Dequantize the tensor run by run (_runs) and yield each run: a slice
+    of ``flat``, the tensor's own flat buffer, if given, else of one reused
+    buffer."""
+    size = math.prod(qt.dims)
+    buf = np.empty(min(size, _CHUNK), dtype=np.float32) if flat is None else None
+    for start, stop in _runs(qt.dims):
+        run = buf[:stop - start] if flat is None else flat[start:stop]
+        _dequantize_run(qt, start, run)
         yield run
 
 
@@ -452,9 +416,10 @@ def usage_histogram(qt):
     """How often each code index occurs (pad nibbles excluded): 16 int64
     counts."""
     counts = np.zeros(16, dtype=np.int64)
-    for length, _, _, pk in _chunks(qt.dims, qt.block_axis, qt.block_size,
-                                    None, qt.scales, qt.packed):
-        counts += np.bincount(unpack_nibbles(pk, length).ravel(), minlength=16)
+    for start, stop in _runs(qt.dims):
+        for offset, length, _, _, pk in _pieces(qt, start, stop):
+            idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
+            counts += np.bincount(idx.ravel(), minlength=16)
     return counts
 
 
@@ -463,12 +428,12 @@ def reconstruction_errors(original, reconstructed):
     "mean_sq", "max_abs"} of their double precision difference.
 
     ``reconstructed`` is an array, or a QuantizedTensor standing for its
-    dequantized tensor.  A QuantizedTensor is dequantized one slice at a
+    dequantized tensor.  A QuantizedTensor is dequantized one run at a
     time, as the differences need it, and never held whole; its figures are
     those of ``dequantize(reconstructed)`` bit for bit.
 
     The difference is formed and reduced _CHUNK elements at a time, in the
-    order numpy's own ``diff.mean()`` sums it, and the slice sums are added
+    order numpy's own ``diff.mean()`` sums it, and the run sums are added
     up numpy's pairwise tree; so every figure equals the unchunked numpy
     expression bit for bit, NaN included.
     """
@@ -482,29 +447,32 @@ def reconstruction_errors(original, reconstructed):
         raise DomainError(f"no elements to compare in shape {a.shape}")
     # np.subtract lays its output out in the inputs' memory order, and
     # diff.mean() sums in that order; a 2-wide corner of each input shows it.
-    # A fresh corner has the C order of dequantize's output.
-    corner = tuple(slice(0, 2) for _ in a.shape)
-    b_corner = b[corner] if qt is None else np.empty(a[corner].shape, np.float32)
-    strides = np.subtract(a[corner], b_corner, dtype=np.float64).strides
-    order = sorted(range(a.ndim), key=lambda k: -strides[k])
-    ops = [x.transpose(order) for x in (a, b) if x is not None]
+    # Against dequantize's C-order output the order is C: numpy's iterator
+    # reorders two axes only where all operands agree.
+    if qt is None:
+        corner = tuple(slice(0, 2) for _ in a.shape)
+        strides = np.subtract(a[corner], b[corner], dtype=np.float64).strides
+        order = sorted(range(a.ndim), key=lambda k: -strides[k])
+        ops = [a.transpose(order), b.transpose(order)]
+    else:
+        ops = [a]
     maxima = []
     with np.nditer(ops, flags=["external_loop", "buffered", "ranged"],
                    op_dtypes=[np.float64] * len(ops), casting="same_kind",
                    order="C", buffersize=_CHUNK // 8) as it:
-        sums = _pairwise_sums(functools.partial(_differences, it, qt, order),
+        sums = _pairwise_sums(functools.partial(_differences, it, qt),
                               0, a.size, np.empty(min(a.size, _CHUNK)), maxima)
     mean_abs, mean_sq = sums / a.size
     return {"mean_abs": float(mean_abs), "mean_sq": float(mean_sq),
             "max_abs": float(np.max(maxima))}
 
 
-def _differences(it, qt, order, start, d):
+def _differences(it, qt, start, d):
     """Write the differences of elements [start, start + d.size) into d:
     those of the iterator's two operands, or of its one operand and the
-    elements of ``qt``'s dequantized tensor taken in the axis ``order``."""
+    C-order elements of ``qt``'s dequantized tensor."""
     if qt is not None:
-        _dequantize_run(qt, order, start, d)
+        _dequantize_run(qt, start, d)
     it.iterrange = (start, start + d.size)
     filled = 0
     for ops in it:
@@ -662,14 +630,17 @@ def _fqz1_records(dims, axis, block_size, body, scale_bytes, packed):
     (before, blocks, after, 4 + bytes) view of ``body``, and its views of
     ``scale_bytes`` and ``packed``, trimmed to the part's bytes.  Within each
     ``before`` row the full blocks' records precede the tail block's."""
-    body = body.reshape(math.prod(dims[:axis]), -1)
+    grid, parts = _geometry(dims, axis, block_size)
+    body = body.reshape(grid[0], -1)
+    scale_bytes = scale_bytes.reshape(grid + (4,))
+    packed = packed.reshape(grid + (-1,))
     start = 0
-    for block_len, _, sb, pk in _part_views(dims, axis, block_size, None,
-                                            scale_bytes, packed):
-        pk = pk[..., :_width(block_len)]
+    for first, n, block_len in parts:
+        pk = packed[:, first:first + n, :, :_width(block_len)]
         shape = pk.shape[:3] + (4 + pk.shape[3],)
         size = math.prod(shape[1:])
-        yield body[:, start:start + size].reshape(shape), sb, pk
+        yield (body[:, start:start + size].reshape(shape),
+               scale_bytes[:, first:first + n], pk)
         start += size
 
 

@@ -1,10 +1,12 @@
 """Tests for blockwise quantization, packing, and the binary file formats."""
 
 import contextlib
+import math
 import os
 import struct
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -370,6 +372,15 @@ class TestQuantize:
         with pytest.raises(DomainError, match="block size must be"):
             bq.QuantizedTensor(qt.dims, 1, 4.0, qt.code, qt.scales, qt.packed)
 
+    @pytest.mark.parametrize("scales, packed", [
+        (np.ones(1), np.array([[300, 0]])),
+        (np.ones(1, np.float32), np.array([[300, 0]])),
+        (np.ones(1), np.zeros((1, 2), np.uint8))])
+    def test_scales_and_packed_dtypes_are_checked(self, scales, packed):
+        # an int64 byte of 300 would dequantize as 44
+        with pytest.raises(DomainError, match="float32 scales and uint8"):
+            bq.QuantizedTensor((4,), 0, 4, qc.nf4_code(), scales, packed)
+
     def test_idempotence(self, codes):
         rng = np.random.default_rng(14)
         w = rng.standard_normal((16, 64)).astype(np.float32)
@@ -578,7 +589,10 @@ class TestStreamedReport:
     @pytest.mark.parametrize("shape, B, axis", [
         ((257, 33), 16, 0), ((33, 257), 64, 1), ((9, 70, 33), 64, 1),
         ((3, 1000), 4096, 1), ((5, 1, 7, 1, 3), 2, 2)])
-    @pytest.mark.parametrize("layout", ["C", "F", "strided", "negative"])
+    # "permuted" keeps the memory order of some pairs of axes and reverses
+    # that of others (on 2-D shapes it is the F layout): numpy's iterator
+    # still sums in C order against the C-order dequantized copy.
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "negative", "permuted"])
     @pytest.mark.parametrize("leaf", [LEAF, 128, 129, 4096])
     def test_quantized_tensor_equals_its_dequantized_copy(
             self, monkeypatch, codes, shape, B, axis, layout, leaf):
@@ -595,6 +609,9 @@ class TestStreamedReport:
                 a[...] = w
             elif layout == "negative":
                 a = np.flip(np.flip(w).copy())
+            elif layout == "permuted":
+                p = np.roll(np.arange(w.ndim), 1)
+                a = np.ascontiguousarray(w.transpose(p)).transpose(np.argsort(p))
             else:
                 a = w
             got = bq.reconstruction_errors(a, qt)
@@ -629,10 +646,10 @@ class TestStreamedReport:
             assert np.isnan(bq.reconstruction_errors(a, b)["max_abs"])
 
 
-# Tensors of at least 2^22 elements, in geometries that cut the slices
-# differently: many short blocks across rows, long rows with a tail block,
-# blocks along a middle axis with a tail, and one block longer than its row
-# (the slices then cut through the block).
+# Tensors of at least 2^22 elements, in geometries that _runs and _pieces
+# cut differently: many short blocks across rows, long rows with a tail
+# block, blocks along a middle axis with a tail, and one block longer than
+# its row (the runs then cut through the block).
 WORKING_SET_GEOMETRIES = {
     "axis0-short-blocks": ((2048, 2048), 64, 0),
     "axis1-tail": ((1024, 4100), 4096, 1),
@@ -688,17 +705,59 @@ class TestSlices:
     """Quantizing piece by piece is quantizing the whole tensor at once."""
 
     @settings(max_examples=200, deadline=None)
-    @given(shape=st.tuples(*[st.integers(1, 9)] * 4), chunk=st.integers(1, 40))
-    def test_pieces_cover_every_element_once(self, shape, chunk):
+    @given(data=st.data())
+    def test_pieces_cover_every_element_once(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        B = data.draw(st.integers(1, shape[axis] + 3))
+        chunk = data.draw(st.integers(1, 40))
+        (before, nblocks, after), parts = bq._geometry(shape, axis, B)
+        length, nb, width = shape[axis], before * nblocks * after, bq._width(parts[0][2])
+        # block numbers stand in for the scales, byte numbers for the packed bytes
+        qt = types.SimpleNamespace(
+            dims=shape, block_axis=axis, block_size=B, scales=np.arange(nb),
+            packed=np.arange(nb * width).reshape(nb, width))
+        tensor = np.arange(math.prod(shape)).reshape(before, length, after)
+        seen = np.zeros(tensor.size, dtype=int)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bq, "_CHUNK", chunk)
-            pieces = list(bq._slices(shape))
-        seen = np.zeros(shape, dtype=int)
-        for piece in pieces:
-            seen[piece] += 1
-            assert piece[2].start % 2 == 0
-            assert 0 < seen[piece].size <= 2 * chunk
+            runs = list(bq._runs(shape))
+            assert [0] + [stop for _, stop in runs] == [start for start, _ in runs] + [
+                tensor.size]
+            for start, stop in runs:
+                out = np.full(stop - start, -1)
+                for (offset, n, v, s, pk), (_, _, o, _, _) in zip(
+                        bq._pieces(qt, start, stop, tensor),
+                        bq._pieces(qt, start, stop, out), strict=True):
+                    assert v.size > 0
+                    seen[v] += 1
+                    o[...] = v
+                    pos = v // after % length
+                    assert np.unique(pos // B >= length // B).size == 1
+                    assert np.all(pos % B == offset + np.arange(n)[:, None])
+                    block = ((v // (length * after) * nblocks + pos // B) * after
+                             + v % after)
+                    assert np.all(block == s[:, :, None])
+                    assert pk.shape[-1] == bq._width(offset % 2 + n)
+                    assert np.all(pk[..., 0] == s * width + offset // 2)
+                np.testing.assert_array_equal(out, np.arange(start, stop))
         assert np.all(seen == 1)
+
+    def test_pieces_at_odd_offsets(self, codes):
+        # Rows along the trailing axis longer than the chunk start pieces at
+        # every position in their blocks, and a piece at an odd one shares
+        # its first packed byte with an earlier piece.
+        w = np.random.default_rng(12).standard_normal((3, 5, 40)).astype(np.float32)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", 1 << 30)
+            whole = bq.quantize(w, codes["af4"], 5, axis=1)
+            mp.setattr(bq, "_CHUNK", 16)
+            odd = [offset for start, stop in bq._runs(w.shape)
+                   for offset, *_ in bq._pieces(whole, start, stop) if offset % 2]
+            assert len(odd) == 18
+            pieces = bq.quantize(w, codes["af4"], 5, axis=1)
+        np.testing.assert_array_equal(pieces.scales, whole.scales)
+        np.testing.assert_array_equal(pieces.packed, whole.packed)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
