@@ -34,7 +34,8 @@ written by ``_header`` and read by ``_read_header``: a 4-byte magic, a tag
 byte (FQT1's dtype, FQZ1's version), ndim from 1 to 64 and ndim nonzero u32
 LE extents.  The payload or block records are exactly the rest of the file.
 Every broken rule is a FormatError, which a writer raises before it opens
-the file.
+the file.  Writers go through ``errors.output_file``: a failed write leaves
+the target as it was.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Code16
-from .errors import DataError, DomainError, FormatError, check_block_size
+from .errors import (DataError, DomainError, FormatError, check_block_size,
+                     output_file)
 
 FQT1_MAGIC = b"FQT1"
 FQZ1_MAGIC = b"FQZ1"
@@ -418,8 +420,15 @@ def usage_histogram(qt):
     counts = np.zeros(16, dtype=np.int64)
     for start, stop in _runs(qt.dims):
         for offset, length, _, _, pk in _pieces(qt, start, stop):
-            idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
-            counts += np.bincount(idx.ravel(), minlength=16)
+            # Count both nibbles of every byte, high by low, then take back
+            # the ones that are not the piece's: the low nibble before an odd
+            # offset and the high nibble after an odd end.
+            pairs = np.bincount(pk.reshape(-1), minlength=256).reshape(16, 16)
+            counts += pairs.sum(axis=0) + pairs.sum(axis=1)
+            if offset % 2:
+                counts -= np.bincount((pk[..., 0] & 0x0F).reshape(-1), minlength=16)
+            if (offset + length) % 2:
+                counts -= np.bincount((pk[..., -1] >> 4).reshape(-1), minlength=16)
     return counts
 
 
@@ -582,10 +591,11 @@ def tensor_writer(dims, path):
     """Write an FQT1 file of extents ``dims`` piece by piece.  The yielded
     function takes the tensor's next row-major elements, as any array; the
     pieces must add up to the tensor.  A header that cannot hold ``dims``
-    raises FormatError before the file is opened."""
+    raises FormatError before the file is opened; a failure after that, or
+    pieces that do not add up, leave ``path`` as it was (``output_file``)."""
     header = _header(FQT1_MAGIC, _FQT1_DTYPE_F32, dims)
     written = 0
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(header)
 
         def write(piece):
@@ -595,8 +605,8 @@ def tensor_writer(dims, path):
             written += piece.size
 
         yield write
-    if written != math.prod(dims):
-        raise DomainError(f"{path}: wrote {written} elements of {math.prod(dims)}")
+        if written != math.prod(dims):
+            raise DomainError(f"{path}: wrote {written} elements of {math.prod(dims)}")
 
 
 def tensor_write(tensor, path):
@@ -669,7 +679,7 @@ def qtensor_write(qt, path):
                                      body, scale_bytes.reshape(-1, 4), qt.packed):
         rec[..., :4] = sb
         rec[..., 4:] = pk
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(header)
         fh.write(body)
 

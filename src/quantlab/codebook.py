@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import scaled_max_distribution
-from .errors import ConstructionError, DomainError, FormatError, check_block_size
+from .errors import (ConstructionError, DomainError, FormatError, check_block_size,
+                     output_file)
 
 # code16 kind -> (needs a block size, holds -1, 0, 1 at positions 1, 8, 16).
 KINDS = {
@@ -482,7 +483,8 @@ def code_write(code, path):
         f'  "params": {json.dumps(code.params, sort_keys=True, default=str)}\n'
         "}\n"
     )
-    Path(path).write_text(text, encoding="utf-8")
+    with output_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def code_read(path):

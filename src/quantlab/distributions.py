@@ -6,7 +6,9 @@ atoms of mass 1/(2B) at -1 and +1 (the extreme entry itself) plus a
 continuous part supported on (-1, 1).  This module provides the standard
 normal / half-normal / truncated-normal building blocks, the law of the
 block absmax, and the exact and approximate CDFs of the normalized entries,
-all with controlled absolute accuracy.
+all with controlled absolute accuracy.  Block sizes above MAX_BLOCK_SIZE
+(2^53) raise DomainError: from about 1.25e16 on, ``0.5 ** (1/B)`` rounds to
+1 and the absmax law has no representable median.
 
 The continuous part is an average of scaled truncated normals: conditioning
 on the absmax equalling m, a non-extreme entry is a standard normal
@@ -24,35 +26,97 @@ omitted absmax mass is far below the quadrature tolerance.
 Accuracy is decided in this module alone, by constants: no function, class
 or environment variable takes an accuracy setting.  DEFAULT_ABS_TOL is the
 one quadrature tolerance, refinement stops after MAX_REFINEMENTS node
-doublings, and quantiles are bracketed to DEFAULT_ROOT_TOL.
+doublings, and quantiles are bracketed to DEFAULT_ROOT_TOL by ``_brentq``,
+a port of scipy's ``brentq`` that gives the same roots.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf, erfc, erfinv, ndtr, ndtri
 
 from .errors import DomainError, NumericalError, check_block_size
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# The defaults of scipy's brentq, which _brentq keeps.
+_ROOT_RTOL = 4 * sys.float_info.epsilon
+_ROOT_ITER = 100
 
 DEFAULT_ABS_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_TAIL_CUT = 1e-12
 #: Node doublings the adaptive quadrature may try before giving up.
 MAX_REFINEMENTS = 6
+#: Largest block size the distribution layer accepts.
+MAX_BLOCK_SIZE = 1 << 53
 
 
 def _not_nan(name, value):
     if math.isnan(value := float(value)):
         raise DomainError(f"{name} must be a number, got nan")
     return value
+
+
+def _brentq(f, xa, xb, xtol):
+    """Root of f in [xa, xb], given f(xa) and f(xb) of opposite signs.
+
+    Brent's method, step for step as in scipy's ``optimize/Zeros/brentq.c``
+    with rtol = 4 eps and at most 100 iterations, so it returns the floats
+    scipy's ``brentq`` returns.  A NaN value of f, or no convergence,
+    raises NumericalError.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericalError(f"root finder: f({x!r}) is nan")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITER):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise NumericalError(f"root finder did not converge in {_ROOT_ITER} iterations "
+                         f"(last bracket [{min(xcur, xblk)!r}, {max(xcur, xblk)!r}])")
 
 
 def normal_quantile(p):
@@ -96,7 +160,7 @@ def trunc_normal_cdf(x, m):
 
 def absmax_median(block_size):
     """Median of max(|Z_1|, ..., |Z_B|) for i.i.d. standard normals."""
-    B = check_block_size(block_size)
+    B = check_block_size(block_size, MAX_BLOCK_SIZE)
     return halfnormal_quantile(0.5 ** (1.0 / B))
 
 
@@ -109,7 +173,7 @@ def _halfnormal_log_cdf(m):
 
 def absmax_pdf(m, block_size):
     """Density of the block absmax: 2B * erf(m/sqrt2)^(B-1) * phi(m)."""
-    B = check_block_size(block_size)
+    B = check_block_size(block_size, MAX_BLOCK_SIZE)
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0.0):
         raise DomainError(f"absmax_pdf requires m >= 0, got {m}")
@@ -142,7 +206,7 @@ class ScaledMaxDistribution:
     """
 
     def __init__(self, block_size):
-        self.block_size = check_block_size(block_size)
+        self.block_size = check_block_size(block_size, MAX_BLOCK_SIZE)
         self.atom_mass = 1.0 / (2.0 * self.block_size)
         # Constant stand-in for the absmax used by the closed-form
         # approximation: the median of the absmax law.
@@ -252,8 +316,7 @@ class ScaledMaxDistribution:
                 f"p={p:g} falls in the atom at +1 (mass {self.atom_mass:g}); "
                 "no unique quantile exists there"
             )
-        return float(brentq(lambda x: self.fx_cdf(x) - p, -1.0, 1.0,
-                            xtol=DEFAULT_ROOT_TOL))
+        return _brentq(lambda x: self.fx_cdf(x) - p, -1.0, 1.0, DEFAULT_ROOT_TOL)
 
     def fx_cdf_approx(self, x):
         """Closed-form CDF that freezes the absmax at its median.

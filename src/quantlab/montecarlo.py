@@ -59,10 +59,8 @@ class McConfig:
     num_blocks: int
 
     def __post_init__(self):
-        object.__setattr__(self, "block_size", check_block_size(self.block_size))
-        if self.block_size > MAX_BLOCK_SIZE:
-            raise DomainError(
-                f"block size must be <= {MAX_BLOCK_SIZE}, got {self.block_size}")
+        object.__setattr__(self, "block_size",
+                           check_block_size(self.block_size, MAX_BLOCK_SIZE))
         object.__setattr__(self, "num_blocks",
                            _check_integer(self.num_blocks, "num_blocks", 1))
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed") % (1 << 64))

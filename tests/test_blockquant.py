@@ -3,7 +3,10 @@
 import contextlib
 import math
 import os
+import stat
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import types
@@ -685,6 +688,20 @@ class TestWorkingSet:
         assert peak[0] < slack
         assert streamed == report
 
+    @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
+    def test_usage_histogram_counts_every_block_part(self, geometry):
+        # Against unpacking each block part whole at its own length, which
+        # leaves out the pad nibbles.
+        shape, B, axis = WORKING_SET_GEOMETRIES[geometry]
+        w = np.random.default_rng(8).standard_normal(shape, dtype=np.float32)
+        qt = bq.quantize(w, qc.af4_code(64), B, axis=axis)
+        grid, parts = bq._geometry(qt.dims, axis, B)
+        packed = qt.packed.reshape(grid + (-1,))
+        expected = sum(np.bincount(bq.unpack_nibbles(
+            packed[:, first:first + n], block_len).reshape(-1), minlength=16)
+            for first, n, block_len in parts)
+        np.testing.assert_array_equal(bq.usage_histogram(qt), expected)
+
     def test_tensor_read_allocates_the_array_once(self, tmp_path):
         w = np.random.default_rng(9).standard_normal((1024, 4097), dtype=np.float32)
         path = tmp_path / "w.fqt"
@@ -844,6 +861,72 @@ class TestTensorFiles:
         with pytest.raises(DomainError, match="wrote 3 elements of 4$"):
             with bq.tensor_writer((2, 2), path) as write:
                 write(np.ones(3))
+        # The short file never replaced the good one, nor was left beside it.
+        np.testing.assert_array_equal(bq.tensor_read(path), w)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("writer", ["tensor", "qtensor", "code"])
+    def test_failed_write_keeps_the_target(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"good")
+        w = np.ones((4, 4), dtype=np.float32)
+        write = {"tensor": lambda: bq.tensor_write(w, path),
+                 "qtensor": lambda: bq.qtensor_write(
+                     bq.quantize(w, qc.nf4_code(), 4), path),
+                 "code": lambda: qc.code_write(qc.nf4_code(), path)}[writer]
+        with pytest.MonkeyPatch.context() as mp:
+            def fail(*args):
+                raise OSError(27, "File too large")
+
+            mp.setattr(os, "replace", fail)
+            with pytest.raises(OSError, match="File too large"):
+                write()
+        assert path.read_bytes() == b"good"
+        assert list(tmp_path.iterdir()) == [path]
+        write()
+        assert path.read_bytes() != b"good"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_writes_into_a_pipe_in_place(self, tmp_path):
+        w = np.arange(6, dtype=np.float32)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        bq.tensor_write(w, fifo)
+        reader.join(timeout=10)
+        assert received[0] == b"FQT1" + struct.pack("<BBI", 0, 1, 6) + w.tobytes()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_writes_to_dev_stdout_on_a_pipe(self):
+        src = os.path.dirname(os.path.dirname(bq.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", "import numpy as np, quantlab.blockquant as bq; "
+             "bq.tensor_write(np.arange(6, dtype=np.float32), '/dev/stdout')"],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (b"FQT1" + struct.pack("<BBI", 0, 1, 6)
+                                 + np.arange(6, dtype=np.float32).tobytes())
+
+    def test_symbolic_link_is_written_through(self, tmp_path):
+        real = tmp_path / "real.fqt"
+        real.write_bytes(b"old")
+        link = tmp_path / "link.fqt"
+        link.symlink_to(real)
+        bq.tensor_write(np.ones(2), link)
+        assert link.is_symlink()
+        np.testing.assert_array_equal(bq.tensor_read(real), np.ones(2))
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "t.fqt"
+        with pytest.raises(FileNotFoundError) as info:
+            bq.tensor_write(np.ones(3), path)
+        assert info.value.filename == str(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fqt"

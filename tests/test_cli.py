@@ -508,6 +508,99 @@ def test_unsampleable_block_size_is_usage_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("dist", "cdf", "--x", "0.5"), ("dist", "approx-cdf", "--x", "0.5"),
+    ("dist", "quantile", "--p", "0.3"), ("dist", "absmax-median"),
+    ("code", "gen", "--kind", "af4"),
+])
+def test_largest_block_size_is_two_to_the_53(capsys, argv):
+    # Beyond 2^53, 0.5 ** (1/B) rounds to 1: the absmax median is infinite.
+    code, out, err = run(capsys, *argv, "--block-size", str(1 << 53))
+    assert code == 0 and err == ""
+    assert all(math.isfinite(float(v)) for v in out.split())
+    code, out, err = run(capsys, *argv, "--block-size", str((1 << 53) + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: block size must be <= {1 << 53}, got {(1 << 53) + 1}\n"
+
+
+def test_scipy_optimize_is_never_imported():
+    # The root finder is the package's own; scipy.optimize would add about
+    # 0.25 s and 23 MiB to every command's start.
+    script = """if True:
+        import contextlib, io, sys
+        loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+        import quantlab
+        print("import quantlab", loaded())
+        import quantlab.cli
+        print("import quantlab.cli", loaded())
+        for argv in (["code", "gen", "--kind", "af4", "--block-size", "64"],
+                     ["dist", "quantile", "--p", "0.3"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = quantlab.cli.main(argv)
+            print(" ".join(argv), code, loaded())
+    """
+    src = os.path.dirname(os.path.dirname(quantlab.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src),
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "import quantlab []", "import quantlab.cli []",
+        "code gen --kind af4 --block-size 64 0 []", "dist quantile --p 0.3 0 []"]
+
+
+class TestFailedWrites:
+    """An output that cannot be written whole is not written at all: under a
+    1 MiB RLIMIT_FSIZE a command exits 2 with one error line, leaves no
+    partial file and keeps an existing target as it was."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        w = np.random.default_rng(5).standard_normal((1024, 512), dtype=np.float32)
+        fqz = tmp_path / "w.fqz"
+        bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 64), fqz)
+        return {  # each output is 2 MiB or more
+            "mc sample": ["mc", "sample", "--block-size", "64", "--n", "20000",
+                          "--out"],
+            "dequantize": ["dequantize", str(fqz)],
+        }
+
+    @pytest.mark.parametrize("command", ["mc sample", "dequantize"])
+    @pytest.mark.parametrize("existing", [None, b"an earlier, good file"])
+    def test_nothing_half_written(self, tmp_path, commands, command, existing):
+        pytest.importorskip("resource")
+        target = tmp_path / "out.fqt"
+        if existing is not None:
+            target.write_bytes(existing)
+        before = sorted(tmp_path.iterdir())
+        script = """if True:
+            import resource, signal, sys
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+            from quantlab.cli import main
+            sys.exit(main(sys.argv[1:]))
+        """
+        src = os.path.dirname(os.path.dirname(quantlab.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script, *commands[command], str(target)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+        if existing is not None:
+            assert target.read_bytes() == existing
+
+    @pytest.mark.parametrize("command", ["mc sample", "dequantize"])
+    def test_same_command_unlimited_writes_the_file(self, capsys, tmp_path,
+                                                    commands, command):
+        target = tmp_path / "out.fqt"
+        target.write_bytes(b"an earlier file")
+        assert run(capsys, *commands[command], str(target))[0] == 0
+        assert bq.tensor_read(target).nbytes >= 2 << 20
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fqt", "w.fqz"]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("command", ["quantize", "dequantize"])
 def test_lying_header_on_a_pipe_is_a_format_error(capsys, tmp_path, command):

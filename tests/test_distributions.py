@@ -10,7 +10,9 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize
 from scipy.special import erf, ndtr
 
 import quantlab.distributions as qd
@@ -289,6 +291,57 @@ class TestFxQuantile:
             qd.fx_quantile(1 / 128, 64)
         with pytest.raises(DomainError, match="atom at \\+1"):
             qd.fx_quantile(1.0 - 1 / 200, 64)
+
+
+class TestBrentq:
+    """``_brentq`` is scipy's ``brentq`` ported step for step: the same roots
+    to the bit, and NumericalError where scipy would raise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(2, 1 << 20), u=st.floats(0.0, 1.0))
+    def test_roots_match_scipy_bit_for_bit(self, B, u):
+        dist = qd.ScaledMaxDistribution(B)
+        p = dist.atom_mass + u * (1.0 - 2.0 * dist.atom_mass)
+        if not dist.atom_mass < p < 1.0 - dist.atom_mass:
+            return
+        f = lambda x: dist.fx_cdf(x) - p  # noqa: E731
+        expected = optimize.brentq(f, -1.0, 1.0, xtol=qd.DEFAULT_ROOT_TOL)
+        assert qd._brentq(f, -1.0, 1.0, qd.DEFAULT_ROOT_TOL).hex() == expected.hex()
+        assert dist.fx_quantile(p).hex() == expected.hex()
+
+    def test_no_convergence_is_numerical_error(self):
+        # A step at 1e-200 asks for about 700 halvings to reach xtol.
+        f = lambda x: -1.0 if x < 1e-200 else 1.0  # noqa: E731
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, -1.0, 1.0, xtol=1e-300)
+        with pytest.raises(NumericalError, match="did not converge in 100 iterations"):
+            qd._brentq(f, -1.0, 1.0, 1e-300)
+
+    @pytest.mark.parametrize("f", [lambda x: math.nan,
+                                   lambda x: math.nan if x == 0.0 else x])
+    def test_nan_value_is_numerical_error(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            optimize.brentq(f, -1.0, 1.0)
+        with pytest.raises(NumericalError, match="nan"):
+            qd._brentq(f, -1.0, 1.0, qd.DEFAULT_ROOT_TOL)
+
+
+class TestLargestBlockSize:
+    """Beyond 2^53, 0.5 ** (1/B) rounds to 1 and the absmax law has no
+    representable median; the distribution layer says so."""
+
+    def test_two_to_the_53_works(self):
+        dist = qd.scaled_max_distribution(1 << 53)
+        assert 0.5 < dist.fx_cdf(0.5) < 1.0
+        assert -1.0 < dist.fx_quantile(0.3) < 0.0
+        assert qd.absmax_median(1 << 53) == pytest.approx(8.292, abs=1e-3)
+
+    @pytest.mark.parametrize("fn", [qd.scaled_max_distribution, qd.absmax_median,
+                                    lambda B: qd.absmax_pdf(1.0, B)])
+    def test_beyond_is_domain_error(self, fn):
+        message = f"block size must be <= {1 << 53}, got {(1 << 53) + 1}$"
+        with pytest.raises(DomainError, match=message):
+            fn((1 << 53) + 1)
 
 
 class TestFxCdfApprox:

@@ -11,7 +11,9 @@ library values by ``float.hex``.
 
 The values were computed with GOLDEN_VERSIONS.  They rest on numpy's
 Philox stream, pairwise sums and ``standard_normal``, and on scipy's
-``ndtri``, ``erf`` and ``brentq``, so another numpy or scipy may move them.
+``ndtri`` and ``erf``, so another numpy or scipy may move them.  The root
+finder is the package's own, a port of scipy's ``brentq`` that gives its
+roots bit for bit.
 A golden value changes only in a change that names the output that moved,
 by how much, and the versions that ran it; a performance change never
 re-pins one.
