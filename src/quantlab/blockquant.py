@@ -394,14 +394,12 @@ def _dequantize_run(qt, start, out):
         np.multiply(table[idx.transpose(0, 1, 3, 2)], s[:, :, None], out=o)
 
 
-def _dequantized_runs(qt, flat=None):
-    """Dequantize the tensor run by run (_runs) and yield each run: a slice
-    of ``flat``, the tensor's own flat buffer, if given, else of one reused
-    buffer."""
-    size = math.prod(qt.dims)
-    buf = np.empty(min(size, _CHUNK), dtype=np.float32) if flat is None else None
+def _dequantized_runs(qt):
+    """Dequantize the tensor run by run (_runs) into one reused buffer and
+    yield each run."""
+    buf = np.empty(min(math.prod(qt.dims), _CHUNK), dtype=np.float32)
     for start, stop in _runs(qt.dims):
-        run = buf[:stop - start] if flat is None else flat[start:stop]
+        run = buf[:stop - start]
         _dequantize_run(qt, start, run)
         yield run
 
@@ -409,8 +407,8 @@ def _dequantized_runs(qt, flat=None):
 def dequantize(qt):
     """Reconstruct a C-contiguous float32 tensor: code value times scale."""
     out = np.empty(qt.dims, dtype=np.float32)
-    for _ in _dequantized_runs(qt, out.reshape(-1)):
-        pass
+    for start, stop in _runs(qt.dims):
+        _dequantize_run(qt, start, out.reshape(-1)[start:stop])
     return out
 
 
@@ -654,6 +652,12 @@ def _fqz1_records(dims, axis, block_size, body, scale_bytes, packed):
         start += size
 
 
+def _check_fqz1_block_size(block_size):
+    """FormatError unless block_size fits FQZ1's u32 field."""
+    if block_size >= 1 << 32:
+        raise FormatError(f"block size {block_size} overflows the 32-bit header")
+
+
 def qtensor_write(qt, path):
     """Write a QuantizedTensor as FQZ1.
 
@@ -667,8 +671,7 @@ def qtensor_write(qt, path):
         raise FormatError(
             "code values collide after float32 rounding; cannot serialize"
         )
-    if qt.block_size >= 1 << 32:
-        raise FormatError(f"block size {qt.block_size} overflows the 32-bit header")
+    _check_fqz1_block_size(qt.block_size)
     header = (_header(FQZ1_MAGIC, 1, qt.dims)
               + struct.pack("<IBB", qt.block_size, qt.block_axis, 16)
               + code_vals.tobytes())

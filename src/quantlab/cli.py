@@ -70,19 +70,21 @@ def _fmt(x):
 
 
 def _build_code(args, block_size):
-    """Code from --code path or --kind name (constructed on the fly)."""
-    if getattr(args, "code", None):
-        return codebook.code_read(args.code)
-    kind = getattr(args, "kind", None)
-    if kind is None:
+    """Code from --code path or --kind name (constructed on the fly).
+    --variant goes only with --kind nf4."""
+    code_path = getattr(args, "code", None)
+    if args.variant and (code_path or args.kind != "nf4"):
+        raise _UsageError("--variant goes only with --kind nf4")
+    if code_path:
+        return codebook.code_read(code_path)
+    if args.kind is None:
         raise _UsageError("either --code or --kind is required")
-    needs_block_size, build = codebook.CODE_KINDS[kind]
+    needs_block_size, build = codebook.CODE_KINDS[args.kind]
     if block_size is not None:
         block_size = check_block_size(block_size)
     elif needs_block_size:
-        raise _UsageError(f"--block-size is required for kind {kind!r}")
-    variant = getattr(args, "variant", None) or "quantile-of-average"
-    return build(block_size, variant.replace("-", "_"))
+        raise _UsageError(f"--block-size is required for kind {args.kind!r}")
+    return build(block_size, (args.variant or "quantile-of-average").replace("-", "_"))
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +108,11 @@ def cmd_code_gen(args):
 
 
 def cmd_quantize(args):
-    tensor = blockquant.tensor_read(args.input)
     code = codebook.code_read(args.code)
     block_size = (args.block_size if args.block_size is not None
                   else code.block_size or DEFAULT_BLOCK_SIZE)
+    blockquant._check_fqz1_block_size(block_size)
+    tensor = blockquant.tensor_read(args.input)
     qt = blockquant.quantize(tensor, code, block_size, axis=args.axis)
     blockquant.qtensor_write(qt, args.output)
     if args.report:
@@ -128,25 +131,9 @@ def cmd_dequantize(args):
 
 
 def cmd_dist(args):
-    B = args.block_size
-    if args.query == "absmax-median":
-        value = distributions.absmax_median(B)
-    elif args.query == "cdf":
-        if args.x is None:
-            raise _UsageError("dist cdf requires --x")
-        value = distributions.fx_cdf(args.x, B)
-    elif args.query == "approx-cdf":
-        if args.x is None:
-            raise _UsageError("dist approx-cdf requires --x")
-        value = distributions.fx_cdf_approx(args.x, B)
-    else:  # quantile
-        if args.p is None:
-            raise _UsageError("dist quantile requires --p")
-        value = distributions.fx_quantile(args.p, B)
+    value = args.law(args.arg, args.block_size)
     if args.csv:
-        arg = args.x if args.query in ("cdf", "approx-cdf") else (
-            args.p if args.query == "quantile" else "")
-        _emit([(args.query, B, arg, _fmt(value))],
+        _emit([(args.query, args.block_size, args.arg, _fmt(value))],
               ("query", "B", "arg", "value"), True)
     else:
         print(_fmt(value))
@@ -279,12 +266,18 @@ def build_parser():
     p_d.set_defaults(func=cmd_dequantize)
 
     p_dist = sub.add_parser("dist", help="distribution queries")
-    p_dist.add_argument("query",
-                        choices=("cdf", "quantile", "approx-cdf", "absmax-median"))
-    p_dist.add_argument("--x", type=float, help="evaluation point for CDFs")
-    p_dist.add_argument("--p", type=float, help="probability for quantile")
-    _add_common(p_dist, block_size_default=DEFAULT_BLOCK_SIZE)
-    p_dist.set_defaults(func=cmd_dist)
+    dist_sub = p_dist.add_subparsers(dest="query", required=True)
+    for query, law, option, help_ in (
+            ("cdf", distributions.fx_cdf, "--x", "evaluation point"),
+            ("quantile", distributions.fx_quantile, "--p", "probability"),
+            ("approx-cdf", distributions.fx_cdf_approx, "--x", "evaluation point"),
+            ("absmax-median", lambda _, B: distributions.absmax_median(B), None, None)):
+        p = dist_sub.add_parser(query)
+        if option:
+            p.add_argument(option, dest="arg", metavar=option[2:].upper(),
+                           type=float, required=True, help=help_)
+        _add_common(p, block_size_default=DEFAULT_BLOCK_SIZE)
+        p.set_defaults(func=cmd_dist, law=law, arg="")
 
     p_v = sub.add_parser("validate", help="Monte Carlo vs analytic reports")
     p_v.add_argument("report", choices=("usage", "cdf", "l1"))

@@ -407,7 +407,16 @@ def feasible_seed_interval(bins):
 
 
 def _midpoint_balanced_code(block_size):
-    """Balanced code seeded at the midpoint of the feasible seed interval."""
+    """Balanced code seeded at the midpoint of the feasible seed interval.
+
+    Below block size 12 the interval is empty: the lower bound that the 16
+    bins put on the seed exceeds their upper bound.
+    """
+    if block_size < 12:
+        raise DomainError(
+            "balanced codes require block size >= 12, below which no seed "
+            f"keeps every value inside its bin; got {block_size}"
+        )
     bins = uniform_bins(block_size)
     lo, hi = feasible_seed_interval(bins)
     return balanced_code(0.5 * (lo + hi), bins, block_size=block_size)

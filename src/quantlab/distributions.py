@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -193,6 +192,17 @@ def _leggauss(n):
     return nodes, weights
 
 
+# A block size uses at most 14 rules: 7 node counts times 2 lower cuts.
+@lru_cache(maxsize=256)
+def _rule(block_size, m_hi, n, lo):
+    """The n-node Gauss-Legendre rule on [lo, m_hi] against the absmax
+    density: nodes m, weights times the density, and erf(m / sqrt2)."""
+    x, w = _leggauss(n)
+    half = 0.5 * (m_hi - lo)
+    m = half * x + 0.5 * (m_hi + lo)
+    return m, half * w * absmax_pdf(m, block_size), erf(m / _SQRT2)
+
+
 class ScaledMaxDistribution:
     """The mixed law of one entry of an absmax-normalized normal block.
 
@@ -201,8 +211,8 @@ class ScaledMaxDistribution:
     the degenerate two-atom case: ``fx_cdf`` still works but ``gb_cdf``
     raises, since there is no continuous part to describe.
 
-    Instances precompute quadrature rules lazily and are safe to share
-    across threads.
+    Instances are safe to share across threads: the quadrature rules are
+    built lazily into a module-level cache (``_rule``).
     """
 
     def __init__(self, block_size):
@@ -222,38 +232,20 @@ class ScaledMaxDistribution:
             self._m_lo_expect = halfnormal_quantile(DEFAULT_TAIL_CUT ** (1.0 / B))
         else:
             self.m_lo = self.m_hi = self._m_lo_expect = None
-        self._rules = {}
-        self._lock = threading.Lock()
 
     # -- quadrature machinery -------------------------------------------
 
     _BASE_NODES = 64
 
-    def _rule(self, n, lo):
-        key = (n, lo)
-        rule = self._rules.get(key)
-        if rule is None:
-            with self._lock:
-                rule = self._rules.get(key)
-                if rule is None:
-                    x, w = _leggauss(n)
-                    half = 0.5 * (self.m_hi - lo)
-                    m = half * x + 0.5 * (self.m_hi + lo)
-                    weights = half * w * absmax_pdf(m, self.block_size)
-                    thorn = erf(m / _SQRT2)
-                    rule = (m, weights, thorn)
-                    self._rules[key] = rule
-        return rule
-
     def _integrate(self, node_func, lo):
         """Adaptive refinement: double the node count until two successive
         Gauss-Legendre estimates agree within DEFAULT_ABS_TOL."""
         n = self._BASE_NODES
-        prev = node_func(*self._rule(n, lo))
+        prev = node_func(*_rule(self.block_size, self.m_hi, n, lo))
         deltas = []
         for _ in range(MAX_REFINEMENTS):
             n *= 2
-            cur = node_func(*self._rule(n, lo))
+            cur = node_func(*_rule(self.block_size, self.m_hi, n, lo))
             deltas.append(abs(cur - prev))
             if deltas[-1] <= DEFAULT_ABS_TOL:
                 return cur

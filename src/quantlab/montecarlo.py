@@ -98,8 +98,6 @@ def sample_block_values(cfg, start=0, stop=None):
         stop = cfg.num_blocks
     if not 0 <= start <= stop <= cfg.num_blocks:
         raise DomainError(f"invalid block range [{start}, {stop})")
-    if start == stop:
-        return np.empty((0, cfg.block_size))
     z = ndtri(_uniform(_raw_block_range(cfg.seed, cfg.block_size, start, stop)))
     # The extreme entry divides to exactly +/-1; everything else stays
     # strictly inside (-1, 1) after rounding.

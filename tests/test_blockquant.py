@@ -384,6 +384,34 @@ class TestQuantize:
         with pytest.raises(DomainError, match="float32 scales and uint8"):
             bq.QuantizedTensor((4,), 0, 4, qc.nf4_code(), scales, packed)
 
+    @pytest.mark.parametrize("dims, axis, scales, packed, message", [
+        ((), 0, 1, (1, 2), "invalid dims"),
+        ((4, 0), 0, 1, (1, 2), "invalid dims"),
+        ((4,), 1, 1, (1, 2), "block_axis 1 out of range"),
+        ((4,), -1, 1, (1, 2), "block_axis -1 out of range"),
+        ((8,), 0, 1, (2, 2), r"expected 2 scales, got \(1,\)"),
+        ((8,), 0, 2, (2, 3), r"expected packed shape \(2, 2\), got \(2, 3\)"),
+    ])
+    def test_geometry_is_checked(self, dims, axis, scales, packed, message):
+        with pytest.raises(DomainError, match=message):
+            bq.QuantizedTensor(dims, axis, 4, qc.nf4_code(),
+                               np.ones(scales, np.float32), np.zeros(packed, np.uint8))
+
+    def test_integer_tensor_quantizes_as_float32(self, codes):
+        w = np.arange(-12, 12).reshape(3, 8)
+        a = bq.quantize(w, codes["nf4"], 4, axis=1)
+        b = bq.quantize(w.astype(np.float32), codes["nf4"], 4, axis=1)
+        np.testing.assert_array_equal(a.scales, b.scales)
+        np.testing.assert_array_equal(a.packed, b.packed)
+
+    @pytest.mark.parametrize("w, message", [
+        (np.float32(1.0), "cannot quantize a scalar"),
+        (np.ones((3, 0), np.float32), r"empty tensor of shape \(3, 0\)"),
+    ])
+    def test_scalar_and_empty_tensor_rejected(self, codes, w, message):
+        with pytest.raises(DomainError, match=message):
+            bq.quantize(w, codes["nf4"], 4)
+
     def test_idempotence(self, codes):
         rng = np.random.default_rng(14)
         w = rng.standard_normal((16, 64)).astype(np.float32)
@@ -1083,6 +1111,23 @@ class TestQuantizedTensorFiles:
                 bq.qtensor_write(big, path)
         assert peak[0] < 1 << 20
         assert not path.exists()
+
+    def test_codes_colliding_in_float32_are_not_written(self, tmp_path):
+        values = np.linspace(-1, 1, 16)
+        values[3] = np.nextafter(values[4], -2.0)  # distinct only in float64
+        qt = bq.quantize(np.ones(8, np.float32), qc.Code16(values), 8)
+        path = tmp_path / "t.fqz"
+        with pytest.raises(FormatError, match="collide after float32 rounding"):
+            bq.qtensor_write(qt, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("block_size, axis, message", [
+        (0, 0, "invalid block size 0"), (2, 2, "block axis 2 out of range")])
+    def test_bad_block_header_is_format_error(self, tmp_path, block_size, axis,
+                                              message):
+        path = lying_fqz1(tmp_path / "t.fqz", (2, 3), block_size, axis)
+        with pytest.raises(FormatError, match=f": {message}$"):
+            bq.qtensor_read(path)
 
     def test_non_ascending_code_rejected(self, tmp_path, codes):
         w = np.ones(8, dtype=np.float32)

@@ -21,6 +21,7 @@ import quantlab
 import quantlab.blockquant as bq
 import quantlab.cli as cli
 import quantlab.codebook as qc
+import quantlab.distributions as qd
 import quantlab.montecarlo as qmc
 from quantlab.cli import main
 from quantlab.errors import (ConstructionError, DataError, DomainError,
@@ -63,6 +64,13 @@ class TestCodeGen:
         diff = np.abs(a.values - b.values)
         assert 0 < diff.max() < 1e-3
 
+    @pytest.mark.parametrize("kind", ["af4", "balanced", "balanced-endpoints"])
+    def test_variant_with_another_kind_is_usage_error(self, capsys, kind):
+        code, out, err = run(capsys, "code", "gen", "--kind", kind, "--block-size",
+                             "64", "--variant", "average-of-quantile")
+        assert code == 1 and out == ""
+        assert err == "--variant goes only with --kind nf4\n"
+
     def test_af4_interior_shrinks_with_block_size(self, capsys, tmp_path):
         p64, p4096 = tmp_path / "64.json", tmp_path / "4096.json"
         assert run(capsys, "code", "gen", "--kind", "af4", "--block-size", "64",
@@ -78,7 +86,7 @@ class TestCodeGen:
         code, _, err = run(capsys, "code", "gen", "--kind", "balanced",
                            "--block-size", "4")
         assert code == 1
-        assert ">= 9" in err
+        assert ">= 12" in err
 
     @pytest.mark.parametrize("kind", ["nf4", "af4", "balanced"])
     @pytest.mark.parametrize("block_size", ["-3", "0"])
@@ -89,11 +97,39 @@ class TestCodeGen:
         assert code == 1 and out == ""
         assert err == f"error: block size must be >= 1, got {block_size}\n"
 
-    def test_balanced_without_a_feasible_seed_is_numerical_error(self, capsys):
-        code, out, err = run(capsys, "code", "gen", "--kind", "balanced",
-                             "--block-size", "9")
-        assert code == 3 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    @staticmethod
+    def _balanced_seed_bounds(B):
+        """Bounds on the seed of a balanced code: the reflection makes
+        q_k = (-1)^k seed + r_k, and each q_k must lie in its bin."""
+        e = qc.uniform_bins(B).edges
+        lo, hi, r = -np.inf, np.inf, 0.0
+        for k in range(16):
+            r = 2.0 * e[k] - r if k else 0.0
+            sign = 1.0 if k % 2 == 0 else -1.0
+            a, b = sorted((sign * (e[k] - r), sign * (e[k + 1] - r)))
+            lo, hi = max(lo, a), min(hi, b)
+        return lo, hi
+
+    def test_balanced_seed_interval_opens_at_block_size_12(self):
+        for B, gap in ((9, 0.083), (10, 0.041), (11, 0.006)):
+            lo, hi = self._balanced_seed_bounds(B)
+            assert lo - hi == pytest.approx(gap, abs=5e-4)
+        lo, hi = self._balanced_seed_bounds(12)
+        assert -1.0 < lo < hi == pytest.approx(-0.97727, abs=5e-6)
+
+    @pytest.mark.parametrize("kind", ["balanced", "balanced-endpoints"])
+    def test_balanced_needs_block_size_12(self, capsys, kind):
+        for argv in (("code", "gen"), ("validate", "usage", "--n", "2")):
+            for B in (9, 11):
+                code, out, err = run(capsys, *argv, "--kind", kind,
+                                     "--block-size", str(B))
+                assert code == 1 and out == ""
+                assert err == ("error: balanced codes require block size >= 12, "
+                               "below which no seed keeps every value inside its "
+                               f"bin; got {B}\n")
+        code, out, err = run(capsys, "code", "gen", "--kind", kind, "--block-size", "12")
+        assert code == 0 and err == ""
+        assert len(out.split()) == 16
 
     def test_af4_requires_block_size(self, capsys):
         for kind in ("af4", "balanced", "balanced-endpoints"):
@@ -195,6 +231,26 @@ class TestQuantizeDequantize:
                            "--code", str(nf4_file), "--block-size", str(1 << 32))
         assert code == 2
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out_q.exists()
+
+    @pytest.mark.parametrize("where", ["option", "code file"])
+    def test_header_block_size_is_checked_before_the_tensor_is_read(
+            self, capsys, monkeypatch, tmp_path, nf4_file, where):
+        def fail(path):
+            raise AssertionError("tensor_read was called")
+
+        monkeypatch.setattr(bq, "tensor_read", fail)
+        if where == "option":
+            extra = ["--code", str(nf4_file), "--block-size", str(1 << 32)]
+        else:
+            code16 = tmp_path / "big.json"
+            qc.code_write(qc.Code16(qc.nf4_code().values, block_size=1 << 32), code16)
+            extra = ["--code", str(code16)]
+        out_q = tmp_path / "o.fqz"
+        code, out, err = run(capsys, "quantize", str(tmp_path / "w.fqt"), str(out_q),
+                             *extra)
+        assert code == 2 and out == ""
+        assert err == "error: block size 4294967296 overflows the 32-bit header\n"
         assert not out_q.exists()
 
     def test_block_longer_than_axis_roundtrips(self, capsys, tmp_path, nf4_file):
@@ -334,6 +390,39 @@ class TestDist:
     def test_missing_arg(self, capsys):
         code, _, err = run(capsys, "dist", "cdf", "--block-size", "32")
         assert code == 1
+
+    @pytest.mark.parametrize("query, flag", [
+        ("cdf", "--x"), ("approx-cdf", "--x"), ("quantile", "--p")])
+    def test_missing_option_is_usage_error(self, capsys, query, flag):
+        code, out, err = run(capsys, "dist", query, "--block-size", "32")
+        assert code == 1 and out == ""
+        assert err == (f"quantlab dist {query}: the following arguments are "
+                       f"required: {flag}\n")
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("cdf", "--x", "0.5", "--p", "0.3"), "--p 0.3"),
+        (("approx-cdf", "--x", "0.5", "--p", "0.3"), "--p 0.3"),
+        (("quantile", "--p", "0.3", "--x", "0.5"), "--x 0.5"),
+        (("absmax-median", "--x", "0.5"), "--x 0.5"),
+    ])
+    def test_option_the_query_does_not_read_is_usage_error(self, capsys, argv,
+                                                           unread):
+        code, out, err = run(capsys, "dist", *argv)
+        assert code == 1 and out == ""
+        assert err == f"quantlab: unrecognized arguments: {unread}\n"
+
+    @pytest.mark.parametrize("argv, arg, value", [
+        (("cdf", "--x", "0.5"), "0.5", lambda: qd.fx_cdf(0.5, 32)),
+        (("approx-cdf", "--x", "-0.25"), "-0.25",
+         lambda: qd.fx_cdf_approx(-0.25, 32)),
+        (("quantile", "--p", "0.3"), "0.3", lambda: qd.fx_quantile(0.3, 32)),
+        (("absmax-median",), "", lambda: qd.absmax_median(32)),
+    ])
+    def test_csv(self, capsys, argv, arg, value):
+        code, out, err = run(capsys, "dist", *argv, "--block-size", "32", "--csv")
+        assert code == 0 and err == ""
+        assert parse_csv(out) == (["query", "B", "arg", "value"],
+                                  [[argv[0], "32", arg, format(value(), ".10g")]])
 
     @pytest.mark.parametrize("query, flag, B", [
         ("quantile", "--p", "32"), ("approx-cdf", "--x", "32"),
@@ -494,6 +583,17 @@ class TestValidate:
     def test_requires_code_or_kind(self, capsys):
         code, _, err = run(capsys, "validate", "usage", "--block-size", "64")
         assert code == 1
+
+    @pytest.mark.parametrize("report", ["usage", "l1"])
+    @pytest.mark.parametrize("source", ["--code", "--kind af4"])
+    def test_variant_without_kind_nf4_is_usage_error(self, capsys, tmp_path,
+                                                     nf4_file, report, source):
+        code_args = (["--code", str(nf4_file)] if source == "--code"
+                     else ["--kind", "af4"])
+        code, out, err = run(capsys, "validate", report, *code_args, "--n", "2",
+                             "--variant", "average-of-quantile")
+        assert code == 1 and out == ""
+        assert err == "--variant goes only with --kind nf4\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,6 +87,22 @@ class TestCode16Validation:
             code.values[0] = 0.5
 
 
+class TestBinEdges:
+    @pytest.mark.parametrize("edges, message", [
+        (np.linspace(-1, 1, 16), r"expected 17 bin edges, got shape \(16,\)"),
+        (np.linspace(-0.9, 1, 17), "must start at -1 and end at 1"),
+        (np.linspace(-1, 0.9, 17), "must start at -1 and end at 1"),
+        (np.r_[-1.0, 0.5, np.linspace(0, 1, 15)], "must be nondecreasing"),
+    ])
+    def test_rejected(self, edges, message):
+        with pytest.raises(DomainError, match=message):
+            qc.BinEdges(edges)
+
+    def test_stored_read_only(self):
+        edges = qc.BinEdges(np.r_[-1.0, np.zeros(15), 1.0]).edges
+        assert edges.shape == (17,) and not edges.flags.writeable
+
+
 class TestNf4:
     def test_anchor_values(self):
         for variant in ("quantile_of_average", "average_of_quantile"):

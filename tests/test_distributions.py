@@ -326,6 +326,28 @@ class TestBrentq:
             qd._brentq(f, -1.0, 1.0, qd.DEFAULT_ROOT_TOL)
 
 
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: x + 1.0, -1.0), (lambda x: x - 1.0, 1.0)])
+    def test_root_at_an_endpoint_is_returned_as_is(self, f, root):
+        assert qd._brentq(f, -1.0, 1.0, qd.DEFAULT_ROOT_TOL) == root
+
+
+class TestExpectedMinAbsDistance:
+    @pytest.mark.parametrize("points, message", [
+        ([], "non-empty 1-D"), ([[0.0]], "non-empty 1-D"),
+        ([0.0, 0.0], "strictly increasing"), ([-1.5, 0.0], "within"),
+        ([0.0, 1.5], "within")])
+    def test_rejected(self, points, message):
+        with pytest.raises(DomainError, match=message):
+            qd.scaled_max_distribution(32).expected_min_abs_distance(points)
+
+    @pytest.mark.parametrize("points, expected", [
+        ([0.0], 1.0), ([-1.0, 1.0], 0.0), ([-0.5, 0.25], 0.625)])
+    def test_block_size_one_is_the_two_atoms(self, points, expected):
+        # each atom has mass 1/2 and sits at distance min|+-1 - a| from the points
+        assert qd.scaled_max_distribution(1).expected_min_abs_distance(points) == expected
+
+
 class TestLargestBlockSize:
     """Beyond 2^53, 0.5 ** (1/B) rounds to 1 and the absmax law has no
     representable median; the distribution layer says so."""
