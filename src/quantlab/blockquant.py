@@ -16,11 +16,11 @@ Quantization, dequantization, the usage histogram and the error report cut
 the tensor the same way, so no temporary grows with the tensor: ``_runs``
 splits it into C-order ranges of at most ``_CHUNK`` elements (the report
 into its pairwise-sum leaves instead), and ``_pieces`` cuts a range into
-pieces that each lie inside one block part.  The report on a
-QuantizedTensor dequantizes each leaf just before it subtracts, so
-``quantize --report`` peaks at about the tensor, the packed indices and one
-run, and holds no dequantized copy.  Each piece's results are the ones a
-whole-tensor pass gives, bit for bit.
+pieces that each lie inside one block part.  Quantization reads the
+tensor range by range, from an array or an FQT1 file, in two passes; the
+report is fused into the second, which dequantizes each leaf's new indices
+and subtracts.  So ``quantize --report`` peaks at about the packed indices
+and one leaf.  Each piece's results are a whole-tensor pass's, bit for bit.
 
 All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
@@ -167,20 +167,19 @@ def _runs(dims):
     return ((start, min(start + step, size)) for start in range(0, size, step))
 
 
-def _pieces(qt, start, stop, values=None):
+def _pieces(qt, start, stop, *ranges):
     """Cut the elements [start, stop) of ``qt``'s tensor, counted in C
     order, into pieces that each lie inside one block part: the range splits
     into boxes of the (before, length, after) view, and each box along the
     block axis into a partial first block, whole blocks and a partial last
     block.
 
-    Per piece: its offset and length inside its blocks; its
-    (before, blocks, length, after) view of ``values`` -- the tensor as a
-    (before, length, after) array, or a flat array of the range's elements
-    -- or None; and its (before, blocks, after) view of ``qt.scales`` and
-    (before, blocks, after, bytes) view of the ``qt.packed`` bytes that
-    hold its nibbles.  A piece at an odd offset shares its first byte with
-    an earlier piece."""
+    Per piece: its offset and length inside its blocks; a tuple of its
+    (before, blocks, length, after) views of each of ``ranges`` -- flat
+    arrays of the range's elements; and its (before, blocks, after) view of
+    ``qt.scales`` and (before, blocks, after, bytes) view of the
+    ``qt.packed`` bytes that hold its nibbles.  A piece at an odd offset
+    shares its first byte with an earlier piece."""
     grid, parts = _geometry(qt.dims, qt.block_axis, qt.block_size)
     scales = qt.scales.reshape(grid)
     packed = qt.packed.reshape(grid + (-1,))
@@ -188,24 +187,18 @@ def _pieces(qt, start, stop, values=None):
     for (b0, b1), (l0, l1), (a0, a1) in _boxes(
             (grid[0], qt.dims[qt.block_axis], grid[2]), start, stop):
         shape = (b1 - b0, l1 - l0, a1 - a0)
-        if values is None:
-            box = None
-        elif values.ndim == 3:
-            box = values[b0:b1, l0:l1, a0:a1]
-        else:
-            box = values[at:at + math.prod(shape)].reshape(shape)
+        boxes = [r[at:at + math.prod(shape)].reshape(shape) for r in ranges]
         at += math.prod(shape)
         for first, n, block_len in parts:
             begin = first * qt.block_size
             for (k0, k1), (j0, j1) in _boxes((n, block_len), max(l0 - begin, 0),
                                              min(l1, begin + n * block_len) - begin):
                 lo = begin + k0 * block_len + j0 - l0
-                view = None if box is None else box[
-                    :, lo:lo + (k1 - k0) * (j1 - j0)].reshape(
-                        shape[0], k1 - k0, j1 - j0, shape[2])
+                views = tuple(box[:, lo:lo + (k1 - k0) * (j1 - j0)].reshape(
+                    shape[0], k1 - k0, j1 - j0, shape[2]) for box in boxes)
                 blocks = (slice(b0, b1), slice(first + k0, first + k1), slice(a0, a1))
                 nibbles = slice(j0 // 2, j0 // 2 + _width(j0 % 2 + j1 - j0))
-                yield j0, j1 - j0, view, scales[blocks], packed[blocks + (nibbles,)]
+                yield j0, j1 - j0, views, scales[blocks], packed[blocks + (nibbles,)]
 
 
 def _nearest_index_reference(normalized, code_values):
@@ -331,65 +324,92 @@ def quantize(values, code, block_size, axis=0):
         raise DomainError("cannot quantize a scalar")
     if 0 in arr.shape:
         raise DomainError(f"cannot quantize an empty tensor of shape {arr.shape}")
-    if not -arr.ndim <= axis < arr.ndim:
-        raise DomainError(f"axis {axis} out of range for {arr.shape}")
-    axis = axis % arr.ndim
-    block_size = check_block_size(block_size)
+    return _quantize(arr.shape, _flat_elements(arr), code, block_size, axis)[0]
 
-    grid, parts = _geometry(arr.shape, axis, block_size)
+
+def _flat_elements(arr):
+    """elements(start, stop) of an array: views of its C-order elements."""
+    flat = arr.reshape(-1)
+    return lambda start, stop: flat[start:stop]
+
+
+def _quantize(dims, elements, code, block_size, axis=0, report=False):
+    """quantize() in two passes over ``elements(start, stop)``, the C-order
+    elements of the tensor of extents ``dims``, at most _CHUNK at a time.
+    Returns the QuantizedTensor and, if ``report``, reconstruction_errors
+    against its dequantized copy (else None)."""
+    if not -len(dims) <= axis < len(dims):
+        raise DomainError(f"axis {axis} out of range for {dims}")
+    axis %= len(dims)
+    block_size = check_block_size(block_size)
+    grid, parts = _geometry(dims, axis, block_size)
     nb = math.prod(grid)
-    qt = QuantizedTensor(arr.shape, axis, block_size, code,
-                         np.zeros(nb, dtype=np.float32),
+    qt = QuantizedTensor(dims, axis, block_size, code, np.zeros(nb, dtype=np.float32),
                          np.zeros((nb, _width(parts[0][2])), dtype=np.uint8))
-    tensor = arr.reshape(grid[0], arr.shape[axis], grid[2])
 
     # A piece may hold part of a block, so the absmax is accumulated; the
     # maximum commutes with the rounding to the float32 scale.
     with np.errstate(over="ignore"):
-        for start, stop in _runs(arr.shape):
-            for _, _, v, s, _ in _pieces(qt, start, stop, tensor):
+        for start, stop in _runs(dims):
+            for _, _, (v,), s, _ in _pieces(qt, start, stop, elements(start, stop)):
                 np.maximum(s, np.abs(v).max(axis=2), out=s)
     # NaN and inf propagate into their block's scale, and so does an absmax
     # beyond the float32 range.
     bad = ~np.isfinite(qt.scales)
     if bad.any():
-        with np.nditer(arr, flags=["external_loop", "buffered"], order="C",
-                       buffersize=_CHUNK) as it:
-            seen = 0
-            for x in it:
-                found = np.flatnonzero(~np.isfinite(x))
-                if found.size:
-                    pos = np.unravel_index(seen + found[0], arr.shape)
-                    raise DataError("non-finite input value at position "
-                                    f"{tuple(int(i) for i in pos)}")
-                seen += x.size
+        for start, stop in _runs(dims):
+            found = np.flatnonzero(~np.isfinite(elements(start, stop)))
+            if found.size:
+                pos = np.unravel_index(start + found[0], dims)
+                raise DataError("non-finite input value at position "
+                                f"{tuple(int(i) for i in pos)}")
         raise DataError(f"block {int(np.argmax(bad))}: absmax exceeds "
                         "the float32 range of the stored scale")
 
-    for start, stop in _runs(arr.shape):
-        for offset, _, v, s, pk in _pieces(qt, start, stop, tensor):
-            # Divide in the tensor's working precision by the stored
-            # (float32) scale so dequantization sees the same quantity.
-            safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
-            idx = nearest_index(v / safe[:, :, None], code.values)
-            idx = idx.transpose(0, 1, 3, 2)
-            # At an odd offset the first byte's low nibble is an earlier
-            # piece's, so only the high nibble is ORed in; an odd length
-            # leaves its last high nibble zero for a later piece.
-            if offset % 2:
-                pk[..., 0] |= idx[..., 0] << 4
-                pk, idx = pk[..., 1:], idx[..., 1:]
-            pk[...] = pack_nibbles(idx)
-    return qt
+    if not report:
+        for start, stop in _runs(dims):
+            _encode(qt, start, elements(start, stop))
+        return qt, None
+
+    def differences(start, d):
+        x = elements(start, start + d.size)
+        _encode(qt, start, x, d)
+        np.subtract(x, d, out=d)
+
+    return qt, _summary(differences, math.prod(dims))
+
+
+def _encode(qt, start, values, *out):
+    """Quantize the C-order elements [start, start + values.size) of
+    ``qt``'s tensor, whose scales are set, into ``qt.packed``; given a flat
+    array ``out``, also write their dequantized values into it."""
+    # Rounding each code value to float32 before the gather gives the same
+    # elements as gathering in float64 and rounding after.
+    table = qt.code.values.astype(np.float32)
+    for offset, _, (v, *o), s, pk in _pieces(qt, start, start + values.size,
+                                              values, *out):
+        # Divide in the tensor's working precision by the stored
+        # (float32) scale so dequantization sees the same quantity.
+        safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
+        idx = nearest_index(v / safe[:, :, None], qt.code.values)
+        if o:
+            # _dequantize_run's float32 gather and multiply
+            np.multiply(table[idx], s[:, :, None], out=o[0], dtype=np.float32)
+        idx = idx.transpose(0, 1, 3, 2)
+        # At an odd offset the first byte's low nibble is an earlier
+        # piece's, so only the high nibble is ORed in; an odd length
+        # leaves its last high nibble zero for a later piece.
+        if offset % 2:
+            pk[..., 0] |= idx[..., 0] << 4
+            pk, idx = pk[..., 1:], idx[..., 1:]
+        pk[...] = pack_nibbles(idx)
 
 
 def _dequantize_run(qt, start, out):
     """Write the elements [start, start + out.size) of the dequantized
     tensor, in C order, into the flat array ``out``."""
-    # Rounding each code value to float32 before the gather gives the same
-    # elements as gathering in float64 and rounding after.
     table = qt.code.values.astype(np.float32)
-    for offset, length, o, s, pk in _pieces(qt, start, start + out.size, out):
+    for offset, length, (o,), s, pk in _pieces(qt, start, start + out.size, out):
         idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
         np.multiply(table[idx.transpose(0, 1, 3, 2)], s[:, :, None], out=o)
 
@@ -434,58 +454,45 @@ def reconstruction_errors(original, reconstructed):
     """Error summaries between two same-shape tensors: {"mean_abs",
     "mean_sq", "max_abs"} of their double precision difference.
 
-    ``reconstructed`` is an array, or a QuantizedTensor standing for its
-    dequantized tensor.  A QuantizedTensor is dequantized one run at a
-    time, as the differences need it, and never held whole; its figures are
-    those of ``dequantize(reconstructed)`` bit for bit.
-
     The difference is formed and reduced _CHUNK elements at a time, in the
     order numpy's own ``diff.mean()`` sums it, and the run sums are added
     up numpy's pairwise tree; so every figure equals the unchunked numpy
     expression bit for bit, NaN included.
     """
-    a = np.asarray(original)
-    qt = reconstructed if isinstance(reconstructed, QuantizedTensor) else None
-    b = np.asarray(reconstructed) if qt is None else None
-    shape = b.shape if qt is None else qt.dims
-    if a.shape != shape:
-        raise DomainError(f"shape mismatch: {a.shape} vs {shape}")
+    a, b = np.asarray(original), np.asarray(reconstructed)
+    if a.shape != b.shape:
+        raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
         raise DomainError(f"no elements to compare in shape {a.shape}")
     # np.subtract lays its output out in the inputs' memory order, and
     # diff.mean() sums in that order; a 2-wide corner of each input shows it.
-    # Against dequantize's C-order output the order is C: numpy's iterator
-    # reorders two axes only where all operands agree.
-    if qt is None:
-        corner = tuple(slice(0, 2) for _ in a.shape)
-        strides = np.subtract(a[corner], b[corner], dtype=np.float64).strides
-        order = sorted(range(a.ndim), key=lambda k: -strides[k])
-        ops = [a.transpose(order), b.transpose(order)]
-    else:
-        ops = [a]
-    maxima = []
-    with np.nditer(ops, flags=["external_loop", "buffered", "ranged"],
-                   op_dtypes=[np.float64] * len(ops), casting="same_kind",
+    corner = tuple(slice(0, 2) for _ in a.shape)
+    strides = np.subtract(a[corner], b[corner], dtype=np.float64).strides
+    order = sorted(range(a.ndim), key=lambda k: -strides[k])
+    with np.nditer([a.transpose(order), b.transpose(order)],
+                   flags=["external_loop", "buffered", "ranged"],
+                   op_dtypes=[np.float64] * 2, casting="same_kind",
                    order="C", buffersize=_CHUNK // 8) as it:
-        sums = _pairwise_sums(functools.partial(_differences, it, qt),
-                              0, a.size, np.empty(min(a.size, _CHUNK)), maxima)
-    mean_abs, mean_sq = sums / a.size
-    return {"mean_abs": float(mean_abs), "mean_sq": float(mean_sq),
-            "max_abs": float(np.max(maxima))}
+        return _summary(functools.partial(_differences, it), a.size)
 
 
-def _differences(it, qt, start, d):
-    """Write the differences of elements [start, start + d.size) into d:
-    those of the iterator's two operands, or of its one operand and the
-    C-order elements of ``qt``'s dequantized tensor."""
-    if qt is not None:
-        _dequantize_run(qt, start, d)
+def _differences(it, start, d):
+    """Write the differences of the iterator's two operands, elements
+    [start, start + d.size), into d."""
     it.iterrange = (start, start + d.size)
     filled = 0
-    for ops in it:
-        x, y = ops if qt is None else (ops, d[filled:filled + ops.size])
+    for x, y in it:
         np.subtract(x, y, out=d[filled:filled + x.size])
         filled += x.size
+
+
+def _summary(differences, size):
+    """The report of the ``size`` differences _pairwise_sums asks for."""
+    maxima = []
+    sums = _pairwise_sums(differences, 0, size, np.empty(min(size, _CHUNK)), maxima)
+    mean_abs, mean_sq = sums / size
+    return {"mean_abs": float(mean_abs), "mean_sq": float(mean_sq),
+            "max_abs": float(np.max(maxima))}
 
 
 def _pairwise_sums(differences, start, n, buf, maxima):
@@ -536,9 +543,7 @@ def _read_exact(fh, n, path, what):
     if stat.S_ISREG(st.st_mode):
         left = max(st.st_size - fh.tell(), 0)
         if n > left:
-            raise FormatError(
-                f"{path}: truncated {what}: expected {n} bytes, got {left}"
-            )
+            raise _truncated(path, what, n, left)
         data = np.empty(n, dtype=np.uint8)
         got = fh.readinto(data)
     else:
@@ -551,10 +556,12 @@ def _read_exact(fh, n, path, what):
         got = len(data)
         data = np.frombuffer(data, dtype=np.uint8)
     if got != n:
-        raise FormatError(
-            f"{path}: truncated {what}: expected {n} bytes, got {got}"
-        )
+        raise _truncated(path, what, n, got)
     return data
+
+
+def _truncated(path, what, n, got):
+    return FormatError(f"{path}: truncated {what}: expected {n} bytes, got {got}")
 
 
 def _read_header(fh, path, magic, tag, what):
@@ -620,6 +627,36 @@ def tensor_read(path):
         dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
         payload = _read_rest(fh, 4 * math.prod(dims), path, "payload")
     return payload.view("<f4").astype(np.float32, copy=False).reshape(dims)
+
+
+@contextlib.contextmanager
+def _fqt1_elements(path):
+    """The extents of an FQT1 file and its elements(start, stop) (see
+    _quantize).  A regular file's length is checked up front; each call
+    reads its range into one reused buffer, and a short read raises
+    FormatError.  Any other input is read whole, as by tensor_read."""
+    with open(path, "rb") as fh:
+        dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
+        size = 4 * math.prod(dims)
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            payload = _read_rest(fh, size, path, "payload")
+            yield dims, _flat_elements(payload.view("<f4"))
+            return
+        header = fh.tell()
+        left = os.fstat(fh.fileno()).st_size - header
+        if left != size:
+            raise (_truncated(path, "payload", size, left) if left < size else
+                   FormatError(f"{path}: trailing bytes at end of file"))
+        buf = np.empty(min(math.prod(dims), _CHUNK), dtype="<f4")
+
+        def elements(start, stop):
+            fh.seek(header + 4 * start)
+            got = fh.readinto(buf[:stop - start])
+            if got != 4 * (stop - start):
+                raise _truncated(path, "payload", size, 4 * start + got)
+            return buf[:stop - start]
+
+        yield dims, elements
 
 
 # ---------------------------------------------------------------------------

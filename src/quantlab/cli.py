@@ -109,14 +109,15 @@ def cmd_code_gen(args):
 
 def cmd_quantize(args):
     code = codebook.code_read(args.code)
-    block_size = (args.block_size if args.block_size is not None
-                  else code.block_size or DEFAULT_BLOCK_SIZE)
+    block_size = check_block_size(args.block_size if args.block_size is not None
+                                  else code.block_size or DEFAULT_BLOCK_SIZE)
     blockquant._check_fqz1_block_size(block_size)
-    tensor = blockquant.tensor_read(args.input)
-    qt = blockquant.quantize(tensor, code, block_size, axis=args.axis)
+    # The input is closed before the output replaces it: they may be one file.
+    with blockquant._fqt1_elements(args.input) as (dims, elements):
+        qt, errors = blockquant._quantize(dims, elements, code, block_size,
+                                          args.axis, args.report)
     blockquant.qtensor_write(qt, args.output)
     if args.report:
-        errors = blockquant.reconstruction_errors(tensor, qt)
         rows = [(m, _fmt(errors[m])) for m in ("mean_abs", "mean_sq", "max_abs")]
         _emit(rows, ("metric", "value"), args.csv)
     return EXIT_OK
@@ -153,6 +154,8 @@ def _mc_config(args, command):
 def cmd_validate(args):
     B = args.block_size
     cfg = _mc_config(args, "validate")
+    if args.report == "cdf" and (args.code or args.kind or args.variant):
+        raise _UsageError("validate cdf takes no --code, --kind or --variant")
     code = None if args.report == "cdf" else _build_code(args, B)
     # One row per quantity; n counts blocks for cdf (entry 0 of each block)
     # and sampled entries for usage and l1.

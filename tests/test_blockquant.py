@@ -569,6 +569,14 @@ def assert_same_report(a, b):
 LEAF = bq._CHUNK
 
 
+def report_of_quantize(values, code, block_size, axis):
+    """quantize's QuantizedTensor and the report fused into its second
+    pass, over the array's C-order elements."""
+    a = np.asarray(values)
+    return bq._quantize(a.shape, bq._flat_elements(a), code, block_size, axis,
+                        report=True)
+
+
 class TestStreamedReport:
     """The report sums chunk by chunk along numpy's pairwise tree, and must
     give numpy's unchunked figures bit for bit: at sizes below numpy's
@@ -626,7 +634,9 @@ class TestStreamedReport:
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "negative", "permuted"])
     @pytest.mark.parametrize("leaf", [LEAF, 128, 129, 4096])
     def test_quantized_tensor_equals_its_dequantized_copy(
-            self, monkeypatch, codes, shape, B, axis, layout, leaf):
+            self, monkeypatch, tmp_path, codes, shape, B, axis, layout, leaf):
+        # The report quantize's second pass fuses in, against the report on
+        # the dequantized tensor; and the same FQZ1 bytes as without it.
         monkeypatch.setattr(bq, "_CHUNK", leaf)
         rng = np.random.default_rng(B + axis)
         for dtype in (np.float16, np.float32, np.float64):
@@ -645,15 +655,19 @@ class TestStreamedReport:
                 a = np.ascontiguousarray(w.transpose(p)).transpose(np.argsort(p))
             else:
                 a = w
-            got = bq.reconstruction_errors(a, qt)
-            expected = bq.reconstruction_errors(a, bq.dequantize(qt))
+            fused, got = report_of_quantize(a, codes["af4"], B, axis)
+            expected = bq.reconstruction_errors(a, bq.dequantize(fused))
             assert {k: v.hex() for k, v in got.items()} == {
                 k: v.hex() for k, v in expected.items()}
+            bq.qtensor_write(fused, tmp_path / "fused.fqz")
+            bq.qtensor_write(qt, tmp_path / "alone.fqz")
+            assert ((tmp_path / "fused.fqz").read_bytes()
+                    == (tmp_path / "alone.fqz").read_bytes())
 
-    def test_quantized_tensor_of_another_shape(self, codes):
+    def test_quantized_tensor_is_not_a_tensor(self, codes):
         qt = bq.quantize(np.ones((4, 6)), codes["nf4"], 4)
         with pytest.raises(DomainError, match="mismatch"):
-            bq.reconstruction_errors(np.ones((6, 4)), qt)
+            bq.reconstruction_errors(np.ones((4, 6)), qt)
 
     def test_nan_in_a_later_chunk_reaches_the_maximum(self):
         # Python's max would keep the first chunk's maximum over a later NaN
@@ -693,7 +707,7 @@ class TestWorkingSet:
     """No function on the tensor path makes a temporary that grows with the
     tensor: beyond its inputs and outputs, each peaks at a fixed multiple of
     the chunk (16 bytes per chunk element, against 16 MiB of tensor).  The
-    report on a QuantizedTensor holds no dequantized tensor."""
+    report fused into quantize holds no dequantized tensor."""
 
     @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
     def test_quantize_dequantize_report(self, geometry):
@@ -712,9 +726,12 @@ class TestWorkingSet:
             report = bq.reconstruction_errors(w, restored)
         assert peak[0] < slack
         with traced_peak() as peak:
-            streamed = bq.reconstruction_errors(w, qt)
-        assert peak[0] < slack
-        assert streamed == report
+            fused, streamed = report_of_quantize(w, code, B, axis)
+        assert peak[0] < qt.scales.nbytes + qt.packed.nbytes + slack
+        assert {k: v.hex() for k, v in streamed.items()} == {
+            k: v.hex() for k, v in report.items()}
+        np.testing.assert_array_equal(fused.scales, qt.scales)
+        np.testing.assert_array_equal(fused.packed, qt.packed)
 
     @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
     def test_usage_histogram_counts_every_block_part(self, geometry):
@@ -762,18 +779,17 @@ class TestSlices:
         qt = types.SimpleNamespace(
             dims=shape, block_axis=axis, block_size=B, scales=np.arange(nb),
             packed=np.arange(nb * width).reshape(nb, width))
-        tensor = np.arange(math.prod(shape)).reshape(before, length, after)
-        seen = np.zeros(tensor.size, dtype=int)
+        size = math.prod(shape)
+        seen = np.zeros(size, dtype=int)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bq, "_CHUNK", chunk)
             runs = list(bq._runs(shape))
             assert [0] + [stop for _, stop in runs] == [start for start, _ in runs] + [
-                tensor.size]
+                size]
             for start, stop in runs:
                 out = np.full(stop - start, -1)
-                for (offset, n, v, s, pk), (_, _, o, _, _) in zip(
-                        bq._pieces(qt, start, stop, tensor),
-                        bq._pieces(qt, start, stop, out), strict=True):
+                for offset, n, (v, o), s, pk in bq._pieces(
+                        qt, start, stop, np.arange(start, stop), out):
                     assert v.size > 0
                     seen[v] += 1
                     o[...] = v

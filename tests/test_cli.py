@@ -236,10 +236,7 @@ class TestQuantizeDequantize:
     @pytest.mark.parametrize("where", ["option", "code file"])
     def test_header_block_size_is_checked_before_the_tensor_is_read(
             self, capsys, monkeypatch, tmp_path, nf4_file, where):
-        def fail(path):
-            raise AssertionError("tensor_read was called")
-
-        monkeypatch.setattr(bq, "tensor_read", fail)
+        monkeypatch.setattr(bq, "_fqt1_elements", fail_to_open)
         if where == "option":
             extra = ["--code", str(nf4_file), "--block-size", str(1 << 32)]
         else:
@@ -252,6 +249,68 @@ class TestQuantizeDequantize:
         assert code == 2 and out == ""
         assert err == "error: block size 4294967296 overflows the 32-bit header\n"
         assert not out_q.exists()
+
+    @pytest.mark.parametrize("block_size", ["0", "-3"])
+    def test_bad_block_size_is_checked_before_the_tensor_is_read(
+            self, capsys, monkeypatch, tmp_path, nf4_file, block_size):
+        monkeypatch.setattr(bq, "_fqt1_elements", fail_to_open)
+        out_q = tmp_path / "o.fqz"
+        code, out, err = run(capsys, "quantize", str(tmp_path / "nope.fqt"),
+                             str(out_q), "--code", str(nf4_file),
+                             "--block-size", block_size)
+        assert code == 1 and out == ""
+        assert err == f"error: block size must be >= 1, got {block_size}\n"
+        assert not out_q.exists()
+
+    @pytest.mark.parametrize("axis", ["2", "-3"])
+    def test_axis_is_checked_against_the_header(self, capsys, monkeypatch, tmp_path,
+                                                tensor_file, nf4_file, axis):
+        # checked before the first pass reads an element
+        real = bq._quantize
+
+        def no_elements(dims, elements, *args):
+            return real(dims, fail_to_open, *args)
+
+        monkeypatch.setattr(bq, "_quantize", no_elements)
+        out_q = tmp_path / "o.fqz"
+        code, out, err = run(capsys, "quantize", str(tensor_file), str(out_q),
+                             "--code", str(nf4_file), "--axis", axis)
+        assert code == 1 and out == ""
+        assert err == f"error: axis {axis} out of range for (64, 96)\n"
+        assert not out_q.exists()
+
+    def test_output_may_be_the_input(self, capsys, tmp_path, tensor_file, nf4_file):
+        argv = ("--code", str(nf4_file), "--block-size", "16", "--report", "--csv")
+        code, report, _ = run(capsys, "quantize", str(tensor_file),
+                              str(tmp_path / "o.fqz"), *argv)
+        assert code == 0
+        assert run(capsys, "quantize", str(tensor_file), str(tensor_file),
+                   *argv) == (0, report, "")
+        assert tensor_file.read_bytes() == (tmp_path / "o.fqz").read_bytes()
+
+    def test_input_truncated_between_the_passes(self, capsys, monkeypatch, tmp_path,
+                                                nf4_file):
+        # Rows longer than the chunk make several reads per pass; the file
+        # loses its last byte once the second pass has read its first range.
+        monkeypatch.setattr(bq, "_CHUNK", 1 << 10)
+        src, out_q = tmp_path / "w.fqt", tmp_path / "o.fqz"
+        real = bq._encode
+
+        def truncating(qt, start, values, *out):
+            if start == 0:
+                with open(src, "r+b") as fh:
+                    fh.truncate(src.stat().st_size - 1)
+            return real(qt, start, values, *out)
+
+        monkeypatch.setattr(bq, "_encode", truncating)
+        for report in ((), ("--report",)):
+            bq.tensor_write(np.ones((8, 3000), dtype=np.float32), src)
+            code, out, err = run(capsys, "quantize", str(src), str(out_q),
+                                 "--code", str(nf4_file), *report)
+            assert code == 2 and out == ""
+            assert err == (f"error: {src}: truncated payload: expected 96000 bytes, "
+                           "got 95999\n")
+            assert not out_q.exists()
 
     def test_block_longer_than_axis_roundtrips(self, capsys, tmp_path, nf4_file):
         w = np.random.default_rng(8).standard_normal((1000, 1)).astype(np.float32)
@@ -313,6 +372,10 @@ class TestQuantizeDequantize:
         assert not out_t.exists()
 
 
+def fail_to_open(*args):
+    raise AssertionError("the input tensor was read")
+
+
 def traced_run(capsys, *argv):
     """(exit code, stdout, peak traced bytes) of one in-process CLI run."""
     tracemalloc.start()
@@ -325,11 +388,11 @@ def traced_run(capsys, *argv):
 
 
 class TestTensorPathMemory:
-    """Neither command holds a second tensor-sized array: ``quantize
-    --report`` peaks at the tensor, the quantized tensor and its FQZ1 body
+    """Neither command holds a tensor-sized array: ``quantize --report``
+    streams its input and peaks at the quantized tensor and its FQZ1 body
     while that is written; ``dequantize`` at the FQZ1 body and the
-    quantized tensor it is read into, without the tensor.  Beyond those,
-    16 bytes per chunk element (2 MiB, against 16 MiB of tensor)."""
+    quantized tensor it is read into.  Beyond those, 16 bytes per chunk
+    element (2 MiB, against 16 MiB of tensor)."""
 
     @pytest.fixture
     def tensor(self):
@@ -346,8 +409,7 @@ class TestTensorPathMemory:
         assert code == 0 and "mean_abs" in out
         qt = bq.qtensor_read(fqz)
         quantized = qt.scales.nbytes + qt.packed.nbytes
-        assert peak < (tensor.nbytes + quantized + fqz.stat().st_size
-                       + 16 * bq._CHUNK)
+        assert peak < quantized + fqz.stat().st_size + 16 * bq._CHUNK
 
     def test_dequantize(self, capsys, tmp_path, tensor):
         fqz, out = tmp_path / "w.fqz", tmp_path / "back.fqt"
@@ -564,7 +626,8 @@ class TestValidate:
     @pytest.mark.parametrize("report", ["usage", "cdf", "l1"])
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_fewer_than_two_blocks_is_usage_error(self, capsys, report, n):
-        code, out, err = run(capsys, "validate", report, "--kind", "nf4",
+        kind = () if report == "cdf" else ("--kind", "nf4")
+        code, out, err = run(capsys, "validate", report, *kind,
                              "--n", n, "--csv", "--assert")
         assert code == 1 and out == ""
         assert err == f"validate needs --n >= 2 blocks for a standard error, got {n}\n"
@@ -573,12 +636,22 @@ class TestValidate:
         ("cdf", 33, 5), ("usage", 16, 5 * 3), ("l1", 1, 5 * 3)])
     def test_n_column(self, capsys, report, rows, n):
         # cdf keeps entry 0 of each block; usage and l1 count every entry
-        code, out, _ = run(capsys, "validate", report, "--kind", "nf4",
+        kind = () if report == "cdf" else ("--kind", "nf4")
+        code, out, _ = run(capsys, "validate", report, *kind,
                            "--block-size", "3", "--n", "5", "--csv")
         assert code == 0
         _, body = parse_csv(out)
         assert len(body) == rows
         assert {(r[1], r[2]) for r in body} == {("3", str(n))}
+
+    @pytest.mark.parametrize("option", [
+        ("--code", "/nonexistent"), ("--kind", "af4"),
+        ("--variant", "average-of-quantile")])
+    def test_cdf_takes_no_code_options(self, capsys, option):
+        code, out, err = run(capsys, "validate", "cdf", *option, "--n", "4",
+                             "--block-size", "4", "--csv")
+        assert code == 1 and out == ""
+        assert err == "validate cdf takes no --code, --kind or --variant\n"
 
     def test_requires_code_or_kind(self, capsys):
         code, _, err = run(capsys, "validate", "usage", "--block-size", "64")
