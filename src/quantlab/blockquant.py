@@ -87,9 +87,11 @@ class QuantizedTensor:
             raise DomainError(f"block_axis {self.block_axis} out of range for {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "block_size", check_block_size(self.block_size))
-        if self.scales.dtype != np.float32 or self.packed.dtype != np.uint8:
+        got = [a.dtype if isinstance(a, np.ndarray) else type(a).__name__
+               for a in (self.scales, self.packed)]
+        if got != [np.float32, np.uint8]:
             raise DomainError("expected float32 scales and uint8 packed bytes, "
-                              f"got {self.scales.dtype} and {self.packed.dtype}")
+                              "got {} and {}".format(*got))
         grid, parts = _geometry(dims, self.block_axis, self.block_size)
         nb = math.prod(grid)
         if self.scales.shape != (nb,):

@@ -24,6 +24,7 @@ error under the block-size-dependent law of the normalized inputs.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,9 +61,16 @@ class Code16:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (16,):
-            raise DomainError(f"expected 16 code values, got shape {vals.shape}")
+        try:
+            vals = np.array(self.values)
+            if vals.dtype == object:  # e.g. Fraction or Decimal values
+                vals = vals.astype(float)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers
+            raise DomainError(f"code values must be 16 real numbers: {exc}") from None
+        if vals.dtype.kind not in "iuf" or vals.shape != (16,):
+            raise DomainError("code values must be 16 real numbers, got "
+                              f"{vals.dtype} of shape {vals.shape}")
+        vals = vals.astype(float, copy=False)
         if not np.all(np.isfinite(vals)):
             raise DomainError("code values must be finite")
         if np.any(np.diff(vals) <= 0):
@@ -84,6 +92,9 @@ class Code16:
         if anchored and (vals[0] != -1.0 or vals[7] != 0.0 or vals[15] != 1.0):
             raise DomainError(
                 f"kind {self.kind!r} must contain -1, 0, 1 at positions 1, 8, 16")
+        if not isinstance(self.params, Mapping):
+            raise DomainError(
+                f"params must be a mapping, got {type(self.params).__name__}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "params", dict(self.params))

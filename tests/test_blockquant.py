@@ -378,9 +378,11 @@ class TestQuantize:
     @pytest.mark.parametrize("scales, packed", [
         (np.ones(1), np.array([[300, 0]])),
         (np.ones(1, np.float32), np.array([[300, 0]])),
-        (np.ones(1), np.zeros((1, 2), np.uint8))])
+        (np.ones(1), np.zeros((1, 2), np.uint8)),
+        ([1.0], np.zeros((1, 2), np.uint8)),
+        (np.ones(1, np.float32), [[0, 0]])])
     def test_scales_and_packed_dtypes_are_checked(self, scales, packed):
-        # an int64 byte of 300 would dequantize as 44
+        # an int64 byte of 300 would dequantize as 44; a list has no dtype
         with pytest.raises(DomainError, match="float32 scales and uint8"):
             bq.QuantizedTensor((4,), 0, 4, qc.nf4_code(), scales, packed)
 

@@ -696,10 +696,21 @@ def test_largest_block_size_is_two_to_the_53(capsys, argv):
     assert err == f"error: block size must be <= {1 << 53}, got {(1 << 53) + 1}\n"
 
 
+def fresh_python(script):
+    """Run ``script`` in a new interpreter that imports this quantlab;
+    return its stdout lines."""
+    src = os.path.dirname(os.path.dirname(quantlab.__file__))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src),
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 def test_scipy_optimize_is_never_imported():
     # The root finder is the package's own; scipy.optimize would add about
     # 0.25 s and 23 MiB to every command's start.
-    script = """if True:
+    assert fresh_python("""if True:
         import contextlib, io, sys
         loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
         import quantlab
@@ -711,15 +722,52 @@ def test_scipy_optimize_is_never_imported():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = quantlab.cli.main(argv)
             print(" ".join(argv), code, loaded())
-    """
-    src = os.path.dirname(os.path.dirname(quantlab.__file__))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=src),
-                            timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "import quantlab []", "import quantlab.cli []",
-        "code gen --kind af4 --block-size 64 0 []", "dist quantile --p 0.3 0 []"]
+    """) == ["import quantlab []", "import quantlab.cli []",
+             "code gen --kind af4 --block-size 64 0 []", "dist quantile --p 0.3 0 []"]
+
+
+PUBLIC_NAMES = [
+    "BinEdges", "Code16", "ConstructionError", "DataError", "DomainError",
+    "FormatError", "McConfig", "NumericalError", "QuantLabError",
+    "QuantizedTensor", "ScaledMaxDistribution", "absmax_median", "absmax_pdf",
+    "af4_code", "balanced_code", "balanced_code_with_endpoints",
+    "code_bin_masses", "code_read", "code_write", "dequantize",
+    "empirical_cdf_stream", "expected_l1", "feasible_seed_interval", "fx_cdf",
+    "fx_cdf_approx", "fx_quantile", "halfnormal_quantile", "iter_sample_chunks",
+    "l1_statistics", "median_condition_residuals", "nf4_code",
+    "normal_quantile", "qtensor_read", "qtensor_write", "quantize",
+    "reconstruction_errors", "sample_block_values", "scaled_max_distribution",
+    "stationarity_step", "tensor_read", "tensor_write", "trunc_normal_cdf",
+    "uniform_bins", "usage_histogram", "usage_statistics",
+]
+
+
+def test_import_contract():
+    """``import quantlab`` loads no other module: each public name imports
+    its module on first use, and is that module's own object."""
+    assert fresh_python("""if True:
+        import sys
+        import quantlab
+        print("import quantlab", sorted(m for m in sys.modules if m.startswith(
+            ("scipy", "quantlab."))))
+        print("dir", set(quantlab.__all__) <= set(dir(quantlab)))
+        try:
+            quantlab.no_such_name
+        except AttributeError as exc:
+            print(exc)
+        star = {}
+        exec("from quantlab import *", star)
+        star.pop("__builtins__")
+        print("star", sorted(star) == quantlab.__all__)
+        print(" ".join(quantlab.__all__))
+        for name in quantlab.__all__:
+            obj = getattr(quantlab, name)
+            module = "quantlab." + quantlab._OWNER[name]
+            if star[name] is not obj or obj.__module__ != module:
+                print("not its module's object:", name)
+    """) == ["import quantlab []", "dir True",
+             "module 'quantlab' has no attribute 'no_such_name'", "star True",
+             " ".join(PUBLIC_NAMES)]
 
 
 class TestFailedWrites:

@@ -1,5 +1,9 @@
 """Tests for code construction, stationarity, balanced codes, and scoring."""
 
+import warnings
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,28 @@ class TestCode16Validation:
     def test_numpy_integer_block_size_is_stored_as_int(self):
         code = qc.Code16(np.linspace(-1, 1, 16), block_size=np.int64(64))
         assert code.block_size == 64 and type(code.block_size) is int
+
+    @pytest.mark.parametrize("values, params, message", [
+        (np.linspace(-1, 1, 16).astype(complex), {}, "16 real numbers"),
+        (["a"] * 16, {}, "16 real numbers"),
+        ([[-1.0], [0.0, 1.0]], {}, "16 real numbers"),
+        ([True] * 16, {}, "16 real numbers"),
+        (np.linspace(-1, 1, 16), [1, 2], "params must be a mapping"),
+    ])
+    def test_bad_fields_are_domain_errors_without_warnings(self, values, params,
+                                                           message):
+        # numpy would drop the imaginary parts with a ComplexWarning, or
+        # raise its own ValueError or TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                qc.Code16(values, params=params)
+
+    @pytest.mark.parametrize("number", [Fraction, Decimal])
+    def test_number_objects_are_taken_as_floats(self, number):
+        vals = np.linspace(-1, 1, 16)
+        code = qc.Code16([number(v) for v in vals])
+        assert code.values.dtype == np.float64 and code.values.tolist() == vals.tolist()
 
     def test_values_read_only(self):
         code = qc.nf4_code()
