@@ -33,7 +33,7 @@ print(f"  blocks 1000-1009 alone identical: {np.array_equal(v[1000:1010], part)}
 
 # --- empirical CDF vs the exact mixed CDF --------------------------------------
 # One retained sample per block (entry 0) keeps the binomial error bar
-# honest; the estimate streams over the run in chunks.
+# honest; the estimate streams over the run in cache-sized batches.
 print("\nempirical vs exact CDF (B=32):")
 xs = (-0.5, 0.0, 0.5, 0.9)
 for x, p, se in zip(xs, *empirical_cdf_stream(cfg, xs)):

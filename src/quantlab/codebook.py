@@ -51,6 +51,20 @@ SEED_SCAN_POINTS = 64
 BALANCED_SCAN_POINTS = 1024
 
 
+def _reals(values, requirement):
+    """values as a new float64 array; DomainError(requirement) unless they
+    are real numbers, where numpy would warn, or raise an error of its own."""
+    try:
+        vals = np.array(values)
+        if vals.dtype == object:  # e.g. Fraction or Decimal values
+            vals = vals.astype(float)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise DomainError(f"{requirement}: {exc}") from None
+    if vals.dtype.kind not in "iuf":
+        raise DomainError(f"{requirement}, got {vals.dtype}")
+    return vals.astype(float, copy=False)  # np.array made it a copy
+
+
 @dataclass(frozen=True, eq=False)
 class Code16:
     """An ordered 16-value codebook in [-1, 1] plus provenance metadata."""
@@ -61,16 +75,10 @@ class Code16:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            vals = np.array(self.values)
-            if vals.dtype == object:  # e.g. Fraction or Decimal values
-                vals = vals.astype(float)
-        except (TypeError, ValueError) as exc:  # ragged, or not numbers
-            raise DomainError(f"code values must be 16 real numbers: {exc}") from None
-        if vals.dtype.kind not in "iuf" or vals.shape != (16,):
-            raise DomainError("code values must be 16 real numbers, got "
-                              f"{vals.dtype} of shape {vals.shape}")
-        vals = vals.astype(float, copy=False)
+        vals = _reals(self.values, "code values must be 16 real numbers")
+        if vals.shape != (16,):
+            raise DomainError(
+                f"code values must be 16 real numbers, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise DomainError("code values must be finite")
         if np.any(np.diff(vals) <= 0):
@@ -112,12 +120,12 @@ class BinEdges:
     edges: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.edges, dtype=float)
+        e = _reals(self.edges, "bin edges must be 17 real numbers")
         if e.shape != (17,):
             raise DomainError(f"expected 17 bin edges, got shape {e.shape}")
         if e[0] != -1.0 or e[-1] != 1.0:
             raise DomainError("bin edges must start at -1 and end at 1")
-        if np.any(np.diff(e) < 0):
+        if not np.all(np.diff(e) >= 0):  # also false for a NaN edge
             raise DomainError("bin edges must be nondecreasing")
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)

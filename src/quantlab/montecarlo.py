@@ -12,10 +12,15 @@ Every estimator takes a ``McConfig`` first and returns ``(estimate,
 stderr)``.  Within one block the normalized entries are dependent (they
 share the absmax divisor).  The CDF estimator therefore keeps one
 designated entry per block (entry 0), which makes its binomial error
-valid.  Every other per-block figure goes through one chunk loop,
+valid.  Every other per-block figure goes through one batch loop,
 ``block_moments``, and carries a standard error clustered by block: its
 users are ``usage_statistics``, ``l1_statistics`` and the command line's
 ``mc sample``.
+
+A chunk (``CHUNK_ELEMENTS``) is the summation group: float results are
+summed chunk by chunk, which fixes their last bits.  A batch
+(``_BATCH_ELEMENTS``, at least one block) is the working set, sized to stay
+in a core's L2 cache; integer counts are summed batch by batch.
 
 The CDF estimator never normalizes a whole block.  The map from a raw
 draw to u is monotone, so a block's largest |z| comes from its smallest
@@ -37,12 +42,14 @@ from scipy.special import ndtri
 from . import blockquant
 from .errors import DomainError, _check_integer, check_block_size
 
-# Elements per generated chunk.  The draws and every count taken from them
-# are the same whatever it is; a float sum over chunks, as in
+# Elements per summation group (chunk).  The draws and every count taken
+# from them are the same whatever it is; a float sum over chunks, as in
 # l1_statistics, rounds by chunk and moves in its last bits with it.  So
 # changing it moves the `validate l1` digits of runs longer than one chunk:
 # a golden re-pin (tests/test_golden.py pins a four-chunk run).
 CHUNK_ELEMENTS = 1 << 21
+# Elements drawn and processed at once; results do not depend on it.
+_BATCH_ELEMENTS = 1 << 16
 # Largest block size McConfig accepts: one block fits in one default chunk.
 MAX_BLOCK_SIZE = 1 << 21
 
@@ -81,11 +88,17 @@ def _raw_block_range(seed, block_size, start, stop):
 # give u == 1.0 and ndtri == inf.  Clamped to 2^64 - 2^11, the double below,
 # they give the largest u below 1 instead; no other draw moves.
 _RAW_CLAMP = 2.0**64 - 2.0**11
+_HI = int(np.little_endian)  # index of the high 32-bit half of a uint64
 
 
 def _uniform(raw):
     """u = (raw + 0.5) * 2^-64 in (0, 1) for uint64 draws; monotone in raw."""
-    u = np.minimum(raw, _RAW_CLAMP)  # float64: the cast is monotone
+    # raw as float64 from its exact halves: one rounding, as numpy's cast
+    # rounds it, in half the time on a batch.
+    halves = raw[..., None].view(np.uint32)
+    u = halves[..., _HI] * 2.0**32
+    u += halves[..., 1 - _HI]
+    np.minimum(u, _RAW_CLAMP, out=u)
     u += 0.5
     u *= 2.0**-64
     return u
@@ -114,18 +127,20 @@ def _normalize(z, absmax):
     return z / absmax[:, None]
 
 
-def _chunk_ranges(cfg):
-    """(start, stop) of consecutive block ranges of about CHUNK_ELEMENTS
-    elements (at least one block each) covering the run."""
-    step = max(1, CHUNK_ELEMENTS // cfg.block_size)
-    for start in range(0, cfg.num_blocks, step):
-        yield start, min(start + step, cfg.num_blocks)
+def _ranges(cfg, elements, start=0, stop=None):
+    """(a, b) of consecutive block ranges of about `elements` elements (at
+    least one block each) covering blocks [start, stop) of the run, by
+    default all of it: its chunks or its batches."""
+    stop = cfg.num_blocks if stop is None else stop
+    step = max(1, elements // cfg.block_size)
+    for a in range(start, stop, step):
+        yield a, min(a + step, stop)
 
 
 def iter_sample_chunks(cfg):
     """Yield the run as consecutive (blocks, B) arrays of about
     CHUNK_ELEMENTS elements (at least one block each)."""
-    for start, stop in _chunk_ranges(cfg):
+    for start, stop in _ranges(cfg, CHUNK_ELEMENTS):
         yield sample_block_values(cfg, start, stop)
 
 
@@ -156,7 +171,7 @@ def _first_values(raw):
     lo = raw.min(axis=1)
     hi = raw.max(axis=1)
     z = ndtri(_uniform(np.stack([raw[:, 0], lo, hi], axis=1)))
-    absmax = np.abs(z[:, 1:]).max(axis=1)
+    absmax = np.maximum(np.abs(z[:, 1]), np.abs(z[:, 2]))
     tied = _tied_extremes(raw, lo, hi)
     if tied.any():
         absmax[tied] = np.abs(ndtri(_uniform(raw[tied]))).max(axis=1)
@@ -175,7 +190,7 @@ def empirical_cdf_stream(cfg, xs):
     if np.isnan(xs).any():
         raise DomainError("xs must not contain NaN")
     counts = np.zeros(xs.shape, dtype=np.int64)
-    for start, stop in _chunk_ranges(cfg):
+    for start, stop in _ranges(cfg, _BATCH_ELEMENTS):
         first = _first_values(_raw_block_range(cfg.seed, cfg.block_size, start, stop))
         counts += np.searchsorted(np.sort(first), xs, side="right")
     n = cfg.num_blocks
@@ -185,20 +200,28 @@ def empirical_cdf_stream(cfg, xs):
 
 
 def block_moments(cfg, per_block):
-    """Sum over the blocks of cfg of per_block(chunk values) -- one value or
+    """Sum over the blocks of cfg of per_block(batch values) -- one value or
     row per block -- and the standard error of its mean (NaN for one block).
-    per_block sees each chunk once, in block order.
-
-    Integer-valued results (counts) sum exactly, whatever the chunking;
-    float results round by chunk in their last bits."""
-    total = sq = 0.0
-    for values in iter_sample_chunks(cfg):
-        s = per_block(values)
-        total = total + s.sum(axis=0)
-        sq = sq + (s * s).sum(axis=0)
-        # Release this chunk before the generator draws the next one, so
-        # that two chunks are never alive at once.
-        del values, s
+    per_block sees each batch once, in block order.  Integer results sum
+    exactly batch by batch; float results are summed chunk by chunk, so
+    their last bits rest on CHUNK_ELEMENTS, never on the batch size."""
+    total = sq = 0
+    for start, stop in _ranges(cfg, CHUNK_ELEMENTS):
+        floats = None  # this chunk's float results, summed once it is whole
+        for a, b in _ranges(cfg, _BATCH_ELEMENTS, start, stop):
+            s = per_block(sample_block_values(cfg, a, b))
+            if np.issubdtype(s.dtype, np.integer):
+                total, sq = total + s.sum(axis=0), sq + (s * s).sum(axis=0)
+            else:
+                if floats is None:
+                    floats = np.empty((stop - start,) + s.shape[1:], s.dtype)
+                floats[a - start:b - start] = s
+            del s  # released before the next batch is drawn
+        if floats is not None:
+            total = total + floats.sum(axis=0)
+            floats *= floats  # squared in place: no second chunk-sized array
+            sq = sq + floats.sum(axis=0)
+    total, sq = np.asarray(total, dtype=float), np.asarray(sq, dtype=float)
     nb = cfg.num_blocks
     if nb < 2:
         return total, np.full(np.shape(total), np.nan)
@@ -214,8 +237,7 @@ def usage_statistics(cfg, code):
         # Sampled rows have absmax exactly 1: quantizing is nearest_index.
         idx = blockquant.nearest_index(values, code.values)
         idx = idx + 16 * np.arange(len(idx))[:, None]
-        return np.bincount(idx.ravel(), minlength=16 * len(idx)).reshape(
-            -1, 16).astype(np.float64)
+        return np.bincount(idx.ravel(), minlength=16 * len(idx)).reshape(-1, 16)
 
     total, stderr = block_moments(cfg, counts)
     return total / (cfg.num_blocks * cfg.block_size), stderr / cfg.block_size

@@ -891,6 +891,22 @@ class TestMcSample:
         assert ((tmp_path / "chunked.fqt").read_bytes()
                 == (tmp_path / "whole.fqt").read_bytes())
 
+    @pytest.mark.parametrize("B", [5, 32])
+    def test_batches_do_not_change_the_output(self, B, capsys, tmp_path, monkeypatch):
+        # Batches of 1, 3 and 7 blocks in chunks of 50 write the bytes and
+        # print the summary of one batch per chunk.
+        argv = ("mc", "sample", "--block-size", str(B), "--n", "230", "--seed", "3",
+                "--csv", "--out")
+        monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 50 * B)
+        monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", 50 * B)
+        _, whole, _ = run(capsys, *argv, str(tmp_path / "whole.fqt"))
+        for blocks in (1, 3, 7):
+            monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", blocks * B)
+            path = tmp_path / f"batch{blocks}.fqt"
+            _, out, _ = run(capsys, *argv, str(path))
+            assert out == whole
+            assert path.read_bytes() == (tmp_path / "whole.fqt").read_bytes()
+
     def test_stderr_is_clustered_by_block(self, capsys):
         # Over K seeds, (K-1) var(estimates) / mean(stderr^2) follows
         # chi2(K-1) when the printed stderr is the true one.  Entries of a

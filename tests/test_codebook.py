@@ -124,9 +124,34 @@ class TestBinEdges:
         with pytest.raises(DomainError, match=message):
             qc.BinEdges(edges)
 
+    @pytest.mark.parametrize("edges, message", [
+        (np.linspace(-1, 1, 17).astype(complex), "17 real numbers"),
+        (["a"] * 17, "17 real numbers"),
+        ([[-1.0], [0.0, 1.0]], "17 real numbers"),
+        ([True] * 17, "17 real numbers"),
+        (np.r_[-1.0, np.nan, np.linspace(0, 1, 15)], "must be nondecreasing"),
+    ])
+    def test_bad_edges_are_domain_errors_without_warnings(self, edges, message):
+        # as for Code16: no ComplexWarning, no numpy ValueError, no NaN edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                qc.BinEdges(edges)
+
+    @pytest.mark.parametrize("number", [Fraction, Decimal, int])
+    def test_number_objects_are_taken_as_floats(self, number):
+        edges = qc.BinEdges([number(-1)] + [number(0)] * 15 + [number(1)]).edges
+        assert edges.dtype == np.float64 and edges.tolist() == [-1.0] + [0.0] * 15 + [1.0]
+
     def test_stored_read_only(self):
         edges = qc.BinEdges(np.r_[-1.0, np.zeros(15), 1.0]).edges
         assert edges.shape == (17,) and not edges.flags.writeable
+
+    def test_stored_copy(self):
+        given = np.linspace(-1, 1, 17)
+        edges = qc.BinEdges(given).edges
+        given[1] = 0.5
+        assert edges[1] == -0.875
 
 
 class TestNf4:

@@ -155,7 +155,7 @@ def test_l1_statistics_over_several_chunks():
     # than one chunk rest on montecarlo.CHUNK_ELEMENTS; the validate l1
     # golden above fits in one chunk.
     cfg = montecarlo.McConfig(seed=SEED, block_size=4096, num_blocks=1600)
-    assert len(list(montecarlo._chunk_ranges(cfg))) == 4
+    assert len(list(montecarlo._ranges(cfg, montecarlo.CHUNK_ELEMENTS))) == 4
     mean, stderr = montecarlo.l1_statistics(cfg, codebook.af4_code(4096))
     _check("l1_statistics over 4 chunks", (mean.hex(), stderr.hex()),
            GOLDEN_L1_CHUNKED)

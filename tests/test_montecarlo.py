@@ -1,10 +1,13 @@
 """Tests for the deterministic sampling process and its estimators."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import quantlab.blockquant as bq
@@ -293,6 +296,61 @@ class TestUniform:
         assert np.isfinite(z).all() and first[0] == 1.0
 
 
+def _uniform_reference(raw):
+    """u through numpy's uint64 -> float64 cast: the oracle of the
+    two-halves conversion in _uniform."""
+    u = np.minimum(raw, qmc._RAW_CLAMP)
+    u += 0.5
+    u *= 2.0**-64
+    return u
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestUniformOracle:
+    """_uniform converts each draw through its two 32-bit halves; every u is
+    bit for bit what the plain cast gives."""
+
+    def test_rounding_edges(self):
+        clamp = int(qmc._RAW_CLAMP)
+        edges = {0, 1, 2**53 - 1, 2**53, 2**53 + 1, clamp - 1, clamp, clamp + 1,
+                 2**64 - 2**10, 2**64 - 1}
+        for k in range(53, 64):
+            half = 2 ** (k - 53)  # half the spacing of doubles in [2^k, 2^(k+1))
+            # ties that round half to even down, up, and up to 2^(k+1)
+            for odd in (1, 3, 2**53 - 1):
+                tie = 2**k + odd * half
+                edges |= {tie - 1, tie, tie + 1}
+        raw = np.array(sorted(edges), dtype=np.uint64)
+        _assert_same_bits(qmc._uniform(raw), _uniform_reference(raw))
+        # the ties really are ties: the cast rounds them to even
+        ties = np.array([2**k + half for k, half in ((53, 1), (63, 2**10))], np.uint64)
+        assert ties.astype(np.float64).tolist() == [2.0**53, 2.0**63]
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 5, 7, 64])
+    def test_draw_layouts(self, B):
+        # (n, B) views of Philox rows padded to a multiple of 4 draws, as
+        # _raw_block_range returns them, and strided columns and blocks.
+        raw = qmc._raw_block_range(31, B, 1000, 1400)
+        assert raw.flags.c_contiguous == (B % 4 == 0)
+        for view in (raw, raw[:, 0], raw[::3, ::2], raw.T):
+            _assert_same_bits(qmc._uniform(view), _uniform_reference(view))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1),
+        # near a power of two, where the spacing of doubles changes
+        st.tuples(st.integers(0, 64), st.integers(-2**12, 2**12)).map(
+            lambda kd: min(max(2**kd[0] + kd[1], 0), 2**64 - 1))),
+        min_size=1, max_size=40))
+    def test_matches_the_cast(self, values):
+        raw = np.array(values, dtype=np.uint64)
+        _assert_same_bits(qmc._uniform(raw), _uniform_reference(raw))
+
+
 class TestBlocksAtOneHalf:
     """A block whose every draw maps to u = 0.5 has z == 0 throughout; it
     normalizes to all +1.0 instead of 0/0."""
@@ -397,7 +455,7 @@ class TestUsage:
 
 
 class TestChunkBoundaries:
-    """CHUNK_ELEMENTS only batches the draws: chunks of one block (also when
+    """CHUNK_ELEMENTS only groups the sums: chunks of one block (also when
     a block exceeds CHUNK_ELEMENTS), an uneven last chunk and a single chunk
     give the same estimates."""
 
@@ -423,6 +481,65 @@ class TestChunkBoundaries:
             # Block means are floats: where chunks split their sum, the
             # last bits round differently.
             assert l1_2 == pytest.approx(l1, rel=1e-12, abs=0)
+
+
+class TestBatches:
+    """_BATCH_ELEMENTS only sets the working set: batches of one, three and
+    seven blocks, in chunks they do not divide, give the estimates of one
+    batch per chunk bit for bit (also l1's float sums, which round by
+    chunk)."""
+
+    @pytest.mark.parametrize("B", [1, 5, 32])
+    def test_estimates_do_not_depend_on_batches(self, B, monkeypatch):
+        code = qc.nf4_code()
+        xs = np.linspace(-1.0, 1.0, 9)
+        cfg = qmc.McConfig(seed=29, block_size=B, num_blocks=230)
+        # five chunks, the last of 30 blocks
+        monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 50 * B)
+
+        def estimates():
+            results = (qmc.empirical_cdf_stream(cfg, xs),
+                       qmc.usage_statistics(cfg, code),
+                       qmc.l1_statistics(cfg, code))
+            return [float(v).hex() for pair in results for part in pair
+                    for v in np.ravel(part)]
+
+        monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", 50 * B)
+        whole = estimates()
+        for blocks in (1, 3, 7):
+            monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", blocks * B)
+            assert estimates() == whole
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchMemory:
+    """Every estimator holds a fixed number of batches of float64, plus
+    l1_statistics' per-block means of one chunk, however many blocks the
+    run has and whatever the block size.  Counts per block are int64 and
+    never copied to float: at B = 1 usage_statistics' (blocks, 16) table and
+    its square take 32 batches, where a chunk-sized table took 631 MiB."""
+
+    @pytest.mark.parametrize("B", [1, 4, 64])
+    def test_peaks_are_batches_not_chunks(self, B):
+        unit = qmc._BATCH_ELEMENTS * 8
+        assert unit <= 1 << 20  # a batch of float64 fits in a 1 MiB L2 cache
+        code = qc.nf4_code()
+        xs = np.linspace(-1.0, 1.0, 33)
+        chunk_blocks = qmc.CHUNK_ELEMENTS // B
+        for n in (chunk_blocks // 4, chunk_blocks):
+            cfg = qmc.McConfig(seed=30, block_size=B, num_blocks=n)
+            means = 8 * n
+            assert _traced_peak(lambda: qmc.empirical_cdf_stream(cfg, xs)) <= 16 * unit
+            assert _traced_peak(lambda: qmc.usage_statistics(cfg, code)) <= 40 * unit
+            assert _traced_peak(lambda: qmc.l1_statistics(cfg, code)) <= 16 * unit + means
 
 
 def _balanced(B):
