@@ -26,8 +26,9 @@ All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
 zero.  The nearest-value search compares each element with 15 decision
 thresholds, one set per code and search dtype (float32 for float32 input,
-float64 otherwise).  The thresholds are derived from, and give the same
-indices as, the double-precision tie rule of ``_nearest_index_reference``.
+float64 otherwise), one threshold at a time over the whole piece.  The
+thresholds are derived from, and give the same indices as, the
+double-precision tie rule of ``_nearest_index_reference``.
 
 FQT1 (plain float32 tensors) and FQZ1 (quantized tensors) share one header,
 written by ``_header`` and read by ``_read_header``: a 4-byte magic, a tag
@@ -87,6 +88,8 @@ class QuantizedTensor:
             raise DomainError(f"block_axis {self.block_axis} out of range for {dims}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "block_size", check_block_size(self.block_size))
+        if not isinstance(self.code, Code16):
+            raise DomainError(f"code must be a Code16, got {type(self.code).__name__}")
         got = [a.dtype if isinstance(a, np.ndarray) else type(a).__name__
                for a in (self.scales, self.packed)]
         if got != [np.float32, np.uint8]:
@@ -259,36 +262,25 @@ def _thresholds(code_bytes, dtype):
     return t
 
 
-# Elements per pass of the threshold loop: the chunk, its hit mask and its
-# output stay in cache across the 15 comparisons.
-_INDEX_CHUNK = 1 << 15
-
-
 def nearest_index(normalized, code_values):
     """Nearest code index for each element, ties toward the lower index.
 
-    The index is the number of decision thresholds the element reaches.
-    The thresholds are exact for the search dtype -- float32 for float32
-    input, float64 for any other input (which is converted first) -- so the
-    result equals the double-precision rule of ``_nearest_index_reference``
-    for every finite or infinite input.  NaN maps to index 0.
+    The index is the number of decision thresholds the element reaches,
+    counted one threshold at a time over the whole input.  The thresholds
+    are exact for the search dtype -- float32 for float32 input, float64
+    for any other input (which is converted first) -- so the result equals
+    the double-precision rule of ``_nearest_index_reference`` for every
+    finite or infinite input.  NaN maps to index 0.
     """
     x = np.asarray(normalized)
     dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
     q = np.ascontiguousarray(code_values, dtype=np.float64)
     t = _thresholds(q.tobytes(), dtype)
     x = x.astype(dtype, copy=False)
-    out = np.empty(x.shape, dtype=np.uint8)
-    flat, dest = x.reshape(-1), out.reshape(-1)
-    hit = np.empty(min(_INDEX_CHUNK, flat.size), dtype=bool)
-    for start in range(0, flat.size, _INDEX_CHUNK):
-        xs = flat[start:start + _INDEX_CHUNK]
-        d = dest[start:start + _INDEX_CHUNK]
-        h = hit[:xs.size]
-        np.greater_equal(xs, t[0], out=d)
-        for tk in t[1:]:
-            np.greater_equal(xs, tk, out=h)
-            np.add(d, h.view(np.uint8), out=d)
+    out = np.greater_equal(x, t[0], out=np.empty(x.shape, dtype=np.uint8))
+    hit = np.empty(x.shape, dtype=bool)
+    for tk in t[1:]:
+        np.add(out, np.greater_equal(x, tk, out=hit).view(np.uint8), out=out)
     return out
 
 
@@ -672,22 +664,24 @@ def _fqz1_body_length(dims, axis, block_size):
                                 for _, n, block_len in parts)
 
 
-def _fqz1_records(dims, axis, block_size, body, scale_bytes, packed):
-    """Per part: its FQZ1 records (4 scale bytes, then the packed bytes) as a
-    (before, blocks, after, 4 + bytes) view of ``body``, and its views of
-    ``scale_bytes`` and ``packed``, trimmed to the part's bytes.  Within each
-    ``before`` row the full blocks' records precede the tail block's."""
+def _fqz1_records(dims, axis, block_size, body, scales, packed):
+    """Per part: the fields of its FQZ1 records in ``body`` -- the scales as
+    a (before, blocks, after) ``<f4`` view, the packed bytes as a (before,
+    blocks, after, bytes) view -- and its views of ``scales`` and
+    ``packed``, trimmed to the part's bytes.  Within each ``before`` row the
+    full blocks' records precede the tail block's."""
     grid, parts = _geometry(dims, axis, block_size)
     body = body.reshape(grid[0], -1)
-    scale_bytes = scale_bytes.reshape(grid + (4,))
+    scales = scales.reshape(grid)
     packed = packed.reshape(grid + (-1,))
     start = 0
     for first, n, block_len in parts:
         pk = packed[:, first:first + n, :, :_width(block_len)]
         shape = pk.shape[:3] + (4 + pk.shape[3],)
         size = math.prod(shape[1:])
-        yield (body[:, start:start + size].reshape(shape),
-               scale_bytes[:, first:first + n], pk)
+        rec = body[:, start:start + size].reshape(shape)
+        yield (rec[..., :4].view("<f4")[..., 0], rec[..., 4:],
+               scales[:, first:first + n], pk)
         start += size
 
 
@@ -716,11 +710,10 @@ def qtensor_write(qt, path):
               + code_vals.tobytes())
     body = np.empty(_fqz1_body_length(qt.dims, qt.block_axis, qt.block_size),
                     dtype=np.uint8)
-    scale_bytes = np.ascontiguousarray(qt.scales, dtype="<f4").view(np.uint8)
-    for rec, sb, pk in _fqz1_records(qt.dims, qt.block_axis, qt.block_size,
-                                     body, scale_bytes.reshape(-1, 4), qt.packed):
-        rec[..., :4] = sb
-        rec[..., 4:] = pk
+    for rec_s, rec_pk, s, pk in _fqz1_records(qt.dims, qt.block_axis, qt.block_size,
+                                              body, qt.scales, qt.packed):
+        rec_s[...] = s
+        rec_pk[...] = pk
     with output_file(path) as fh:
         fh.write(header)
         fh.write(body)
@@ -758,13 +751,12 @@ def qtensor_read(path):
         body = _read_rest(fh, body_len, path, "blocks")
 
     grid, parts = _geometry(dims, axis, block_size)
-    scale_bytes = np.empty((math.prod(grid), 4), dtype=np.uint8)
+    scales = np.empty(math.prod(grid), dtype=np.float32)
     packed = np.zeros((math.prod(grid), _width(parts[0][2])), dtype=np.uint8)
-    for rec, sb, pk in _fqz1_records(dims, axis, block_size, body,
-                                     scale_bytes, packed):
-        sb[...] = rec[..., :4]
-        pk[...] = rec[..., 4:]
-    scales = scale_bytes.view("<f4").reshape(-1).astype(np.float32, copy=False)
+    for rec_s, rec_pk, s, pk in _fqz1_records(dims, axis, block_size, body,
+                                              scales, packed):
+        s[...] = rec_s
+        pk[...] = rec_pk
     if not np.all(np.isfinite(scales)) or np.any(scales < 0):
         raise FormatError(f"{path}: block scales must be finite and nonnegative")
     return QuantizedTensor(

@@ -10,7 +10,8 @@ Four families are provided:
   median/stationarity recurrence.
 * ``balanced_code`` -- codes whose sixteen values each receive exactly 1/16
   of the probability mass, built by reflecting an initial value through the
-  1/16-quantile bin edges.
+  1/16-quantile bin edges; ``feasible_seed_interval`` reflects a grid of
+  seeds as one array and keeps those whose values all stay in their bins.
 * ``balanced_code_with_endpoints`` -- a balanced code with the values
   nearest to -1, 0 and 1 snapped onto those points.
 
@@ -219,7 +220,7 @@ def _shoot_side(left, lo, hi, num_steps, target, block_size):
 
     Coarse scan to bracket a sign change of endpoint - target, then
     bisection until the endpoint residual is below DEFAULT_SHOOTING_TOL.
-    Seeds whose trajectory escapes the support count as overshoots.
+    Seeds whose trajectory escapes the support overshoot: residual +inf.
     """
 
     def residual(seed):
@@ -228,19 +229,13 @@ def _shoot_side(left, lo, hi, num_steps, target, block_size):
             for _ in range(num_steps):
                 vals.append(stationarity_step(vals[-2], vals[-1], block_size))
         except EscapedSupportError:
-            return None, None  # overshoot
+            return np.inf, None
         return vals[-1] - target, vals
 
     seeds = np.linspace(lo, hi, SEED_SCAN_POINTS + 2)[1:-1]
-    results = [residual(s)[0] for s in seeds]
-
-    brackets = []
-    for i in range(len(seeds) - 1):
-        r0, r1 = results[i], results[i + 1]
-        if r0 is None:
-            continue
-        if r0 < 0.0 and (r1 is None or r1 >= 0.0):
-            brackets.append((seeds[i], seeds[i + 1]))
+    r = np.array([residual(s)[0] for s in seeds])
+    brackets = [(seeds[i], seeds[i + 1])
+                for i in np.flatnonzero((r[:-1] < 0.0) & (r[1:] >= 0.0))]
     if not brackets:
         raise ConstructionError(
             f"no sign change of the shooting residual over seeds in "
@@ -257,9 +252,9 @@ def _shoot_side(left, lo, hi, num_steps, target, block_size):
     for _ in range(200):
         s_mid = 0.5 * (s_lo + s_hi)
         r_mid, vals = residual(s_mid)
-        if r_mid is not None and abs(r_mid) < DEFAULT_SHOOTING_TOL:
+        if abs(r_mid) < DEFAULT_SHOOTING_TOL:
             return s_mid, vals
-        if r_mid is None or r_mid > 0.0:
+        if r_mid > 0.0:
             s_hi = s_mid
         else:
             s_lo = s_mid
@@ -282,6 +277,7 @@ def af4_code(block_size):
 
     Runs in pure Python and is interruptible at any iteration.
     """
+    block_size = check_block_size(block_size)
     if block_size < 2:
         raise DomainError("af4 requires block size >= 2")
     seed_neg, neg_vals = _shoot_side(-1.0, -1.0, 0.0, 6, 0.0, block_size)
@@ -338,6 +334,7 @@ def uniform_bins(block_size):
     outermost bins; this needs the atom mass 1/(2B) to be below 1/16,
     i.e. block size >= 9.
     """
+    block_size = check_block_size(block_size)
     if block_size < 9:
         raise DomainError(
             f"uniform bins require block size >= 9 so the atoms fit inside "
@@ -351,23 +348,22 @@ def uniform_bins(block_size):
     return BinEdges(edges)
 
 
-def _reflect(seed, edges):
-    """q_k = 2 b_k - q_{k-1}: each edge becomes the midpoint of a code pair."""
-    q = np.empty(16)
-    q[0] = seed
+def _reflect(seeds, edges):
+    """q_k = 2 b_k - q_{k-1} from q_0 = each of ``seeds``, shape seeds' +
+    (16,): each edge becomes the midpoint of a code pair."""
+    q = np.empty(np.shape(seeds) + (16,))
+    q[..., 0] = seeds
     for k in range(1, 16):
-        q[k] = 2.0 * edges[k] - q[k - 1]
+        q[..., k] = 2.0 * edges[k] - q[..., k - 1]
     return q
 
 
-def _first_violation(q, edges):
-    """Index (1-based) of the first value outside its bin, or None."""
-    for k in range(16):
-        if not (edges[k] <= q[k] <= edges[k + 1]):
-            return k + 1
-        if k and q[k] <= q[k - 1]:
-            return k + 1
-    return None
+def _escaped(q, edges):
+    """Mask of the values of codes q (..., 16) that lie outside their bin
+    or not above the value before them."""
+    bad = ~((edges[:-1] <= q) & (q <= edges[1:]))
+    bad[..., 1:] |= q[..., 1:] <= q[..., :-1]
+    return bad
 
 
 def balanced_code(q1_seed, bins, *, block_size=None):
@@ -390,12 +386,12 @@ def balanced_code(q1_seed, bins, *, block_size=None):
             f"[{edges[0]:.6g}, {edges[1]:.6g}]"
         )
     q = _reflect(q1_seed, edges)
-    bad = _first_violation(q, edges)
-    if bad is not None:
+    bad = np.flatnonzero(_escaped(q, edges))
+    if bad.size:
+        k = bad[0]
         raise ConstructionError(
-            f"infeasible q1 seed {q1_seed:.6g}: code value {bad} "
-            f"({q[bad - 1]:.6g}) escapes its bin "
-            f"[{edges[bad - 1]:.6g}, {edges[bad]:.6g}]"
+            f"infeasible q1 seed {q1_seed:.6g}: code value {k + 1} "
+            f"({q[k]:.6g}) escapes its bin [{edges[k]:.6g}, {edges[k + 1]:.6g}]"
         )
     return Code16(
         q,
@@ -412,12 +408,8 @@ def feasible_seed_interval(bins):
     """
     edges = bins.edges
     seeds = np.linspace(edges[0], edges[1], BALANCED_SCAN_POINTS)
-    feasible = []
-    for s in seeds:
-        q = _reflect(s, edges)
-        if _first_violation(q, edges) is None:
-            feasible.append(s)
-    if not feasible:
+    feasible = seeds[~_escaped(_reflect(seeds, edges), edges).any(axis=1)]
+    if not feasible.size:
         raise ConstructionError(
             f"no feasible balanced-code seed among {BALANCED_SCAN_POINTS} "
             f"scanned values in [{edges[0]:.6g}, {edges[1]:.6g}]"
@@ -431,6 +423,7 @@ def _midpoint_balanced_code(block_size):
     Below block size 12 the interval is empty: the lower bound that the 16
     bins put on the seed exceeds their upper bound.
     """
+    block_size = check_block_size(block_size)
     if block_size < 12:
         raise DomainError(
             "balanced codes require block size >= 12, below which no seed "

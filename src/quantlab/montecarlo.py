@@ -21,6 +21,8 @@ A chunk (``CHUNK_ELEMENTS``) is the summation group: float results are
 summed chunk by chunk, which fixes their last bits.  A batch
 (``_BATCH_ELEMENTS``, at least one block) is the working set, sized to stay
 in a core's L2 cache; integer counts are summed batch by batch.
+``block_moments`` takes at most ``_BATCH_ELEMENTS // 16`` blocks a batch,
+so a per-block row of 16 counts takes no more room than the batch.
 
 The CDF estimator never normalizes a whole block.  The map from a raw
 draw to u is monotone, so a block's largest |z| comes from its smallest
@@ -206,9 +208,11 @@ def block_moments(cfg, per_block):
     exactly batch by batch; float results are summed chunk by chunk, so
     their last bits rest on CHUNK_ELEMENTS, never on the batch size."""
     total = sq = 0
+    # At most _BATCH_ELEMENTS // 16 blocks: 16 counts a block fit in a batch.
+    batch = _BATCH_ELEMENTS // max(cfg.block_size, 16) * cfg.block_size
     for start, stop in _ranges(cfg, CHUNK_ELEMENTS):
         floats = None  # this chunk's float results, summed once it is whole
-        for a, b in _ranges(cfg, _BATCH_ELEMENTS, start, stop):
+        for a, b in _ranges(cfg, batch, start, stop):
             s = per_block(sample_block_values(cfg, a, b))
             if np.issubdtype(s.dtype, np.integer):
                 total, sq = total + s.sum(axis=0), sq + (s * s).sum(axis=0)

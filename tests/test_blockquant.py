@@ -192,6 +192,22 @@ class TestNearestIndexThresholds:
                 np.testing.assert_array_equal(
                     got, bq.nearest_index(x.astype(np.float64), code.values))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_input_in_one_pass(self, threshold_codes, dtype):
+        # 0-d, empty, strided and reversed inputs, and one longer than a
+        # tensor piece (_CHUNK), keep their shape and the reference indices
+        rng = np.random.default_rng(31)
+        big = rng.uniform(-1.1, 1.1, bq._CHUNK + 5).astype(dtype)
+        inputs = [np.array(0.3, dtype), dtype(-0.7), np.empty((0, 3), dtype),
+                  big, big[::-1], big[:-5].reshape(256, -1)[:, ::3],
+                  big[:-5].reshape(-1, 256).T]
+        for name, code in threshold_codes.items():
+            for x in inputs:
+                got = bq.nearest_index(x, code.values)
+                assert got.shape == np.shape(x) and got.dtype == np.uint8
+                np.testing.assert_array_equal(
+                    got, bq._nearest_index_reference(x, code.values), err_msg=name)
+
     def test_shape_and_nan(self, codes):
         q = codes["nf4"].values
         x = np.linspace(-1, 1, 24, dtype=np.float32).reshape(2, 3, 4)[:, ::2]
@@ -385,6 +401,17 @@ class TestQuantize:
         # an int64 byte of 300 would dequantize as 44; a list has no dtype
         with pytest.raises(DomainError, match="float32 scales and uint8"):
             bq.QuantizedTensor((4,), 0, 4, qc.nf4_code(), scales, packed)
+
+    @pytest.mark.parametrize("code", [np.linspace(-1, 1, 16), None, "nf4"])
+    def test_code_must_be_a_code16(self, code):
+        # checked when the QuantizedTensor is made, before the absmax pass
+        # reads the input: its NaN would be a DataError there
+        w = np.full((4, 8), np.nan, np.float32)
+        with pytest.raises(DomainError, match="code must be a Code16"):
+            bq.quantize(w, code, 4)
+        with pytest.raises(DomainError, match="code must be a Code16"):
+            bq.QuantizedTensor((4,), 0, 4, code, np.ones(1, np.float32),
+                               np.zeros((1, 2), np.uint8))
 
     @pytest.mark.parametrize("dims, axis, scales, packed, message", [
         ((), 0, 1, (1, 2), "invalid dims"),
@@ -1050,6 +1077,37 @@ class TestQuantizedTensorFiles:
         np.testing.assert_allclose(
             back.code.values, qt.code.values, atol=1e-7
         )
+
+    @pytest.mark.parametrize("dims, axis", [((7, 10), 1), ((10, 3), 0),
+                                            ((2, 9, 3), 1), ((6,), 0)])
+    def test_records_hold_scales_bit_for_bit(self, tmp_path, dims, axis):
+        # B = 4 leaves a tail part of 2, 2, 1 and 2 elements; the records
+        # are built here one by one with struct
+        B, f32 = 4, np.finfo(np.float32)
+        rng = np.random.default_rng(22)
+        grid, _ = bq._geometry(dims, axis, B)
+        nb = math.prod(grid)
+        scales = rng.random(nb).astype(np.float32)
+        special = [0.0, f32.smallest_subnormal, f32.smallest_normal - f32.smallest_subnormal,
+                   f32.smallest_normal, f32.max, 1.0]
+        scales[:min(nb, 6)] = special[:nb]
+        packed = rng.integers(0, 256, (nb, 2), dtype=np.uint8)
+        tail = dims[axis] % B
+        packed.reshape(grid + (2,))[:, -1, :, bq._width(tail):] = 0  # pad bytes
+        qt = bq.QuantizedTensor(dims, axis, B, qc.nf4_code(), scales, packed)
+        path = tmp_path / "t.fqz"
+        bq.qtensor_write(qt, path)
+
+        s, pk = scales.reshape(grid), packed.reshape(grid + (2,))
+        before, nblocks, after = grid
+        body = b"".join(
+            struct.pack("<f", s[i, k, j])
+            + pk[i, k, j, :2 if k < nblocks - 1 else bq._width(tail)].tobytes()
+            for i in range(before) for k in range(nblocks) for j in range(after))
+        assert path.read_bytes()[4 + 2 + 4 * len(dims) + 6 + 64:] == body
+        back = bq.qtensor_read(path)
+        np.testing.assert_array_equal(back.scales.view(np.uint32), scales.view(np.uint32))
+        np.testing.assert_array_equal(back.packed, packed)
 
     def test_byte_identical_rewrite(self, tmp_path, codes):
         rng = np.random.default_rng(21)

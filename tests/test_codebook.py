@@ -273,6 +273,15 @@ class TestAf4:
             qc.af4_code(1)
 
 
+@pytest.mark.parametrize("build", [qc.af4_code, qc.uniform_bins,
+                                   qc._midpoint_balanced_code,
+                                   qc.balanced_code_with_endpoints])
+@pytest.mark.parametrize("block_size", [None, "64", True])
+def test_constructors_check_the_block_size_first(build, block_size):
+    with pytest.raises(DomainError, match="block size must be an integer"):
+        build(block_size)
+
+
 class TestUniformBins:
     def test_median_edge_is_zero(self):
         bins = qc.uniform_bins(64)
@@ -343,6 +352,53 @@ class TestBalanced:
         code = qc.balanced_code(0.5 * (lo + hi), bins, block_size=B)
         masses = qc.code_bin_masses(code, B)
         np.testing.assert_allclose(masses, 1 / 16, atol=1e-7)
+
+
+def _reflect_one(seed, edges):
+    """The reflection recurrence for one seed, value by value."""
+    q = np.empty(16)
+    q[0] = seed
+    for k in range(1, 16):
+        q[k] = 2.0 * edges[k] - q[k - 1]
+    return q
+
+
+def _first_violation(q, edges):
+    """Index (1-based) of the first value outside its bin or not above the
+    value before it, or None."""
+    for k in range(16):
+        if not (edges[k] <= q[k] <= edges[k + 1]):
+            return k + 1
+        if k and q[k] <= q[k - 1]:
+            return k + 1
+    return None
+
+
+class TestBalancedScanOracle:
+    """The array scan against the per-seed scan, seed by seed."""
+
+    @pytest.mark.parametrize("B", [12, 13, 64, 4096, 1 << 20])
+    def test_matches_the_per_seed_scan(self, B):
+        bins = qc.uniform_bins(B)
+        edges = bins.edges
+        scan = np.linspace(edges[0], edges[1], qc.BALANCED_SCAN_POINTS)
+        feasible = [s for s in scan
+                    if _first_violation(_reflect_one(s, edges), edges) is None]
+        lo, hi = qc.feasible_seed_interval(bins)
+        assert (lo, hi) == (float(feasible[0]), float(feasible[-1]))
+        rng = np.random.default_rng(B)
+        seeds = np.concatenate([scan, rng.uniform(edges[0], edges[1], 64),
+                                np.nextafter([lo, lo, hi, hi], [-2, 2, -2, 2])])
+        seeds = seeds[(edges[0] <= seeds) & (seeds <= edges[1])]
+        for seed in seeds:
+            q = _reflect_one(seed, edges)
+            bad = _first_violation(q, edges)
+            if bad is None:
+                code = qc.balanced_code(seed, bins, block_size=B)
+                assert np.array_equal(code.values, q)
+            else:
+                with pytest.raises(ConstructionError, match=rf": code value {bad} \("):
+                    qc.balanced_code(seed, bins, block_size=B)
 
 
 class TestBalancedWithEndpoints:

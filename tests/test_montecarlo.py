@@ -541,6 +541,15 @@ class TestBatchMemory:
             assert _traced_peak(lambda: qmc.usage_statistics(cfg, code)) <= 40 * unit
             assert _traced_peak(lambda: qmc.l1_statistics(cfg, code)) <= 16 * unit + means
 
+    @pytest.mark.parametrize("B", [1, 4, 64])
+    def test_usage_table_fits_in_a_batch(self, B):
+        # A batch holds at most _BATCH_ELEMENTS // 16 blocks, so the (blocks,
+        # 16) int64 count table and its square take no more than the batch;
+        # with _BATCH_ELEMENTS // B blocks they took 32 units at B = 1.
+        unit = qmc._BATCH_ELEMENTS * 8
+        cfg = qmc.McConfig(seed=30, block_size=B, num_blocks=qmc.CHUNK_ELEMENTS // B)
+        assert _traced_peak(lambda: qmc.usage_statistics(cfg, qc.nf4_code())) <= 3 * unit
+
 
 def _balanced(B):
     bins = qc.uniform_bins(B)
