@@ -27,14 +27,16 @@ B = 64
 nf4 = nf4_code()
 qt = quantize(weights, nf4, B, axis=0)
 print(f"tensor {weights.shape} -> {qt.num_blocks} blocks of {B}")
-print(f"scales: {qt.scales.shape} float32, packed indices: {qt.packed.shape} bytes")
+print(f"FQZ1 records: {qt.records.size} bytes, a float32 scale and "
+      f"{B // 2} bytes of packed indices per block")
 
 recon = dequantize(qt)
 for metric, value in reconstruction_errors(weights, recon).items():
     print(f"  {metric:>8}: {value:.6f}")
 
-# Storage cost: 4 bits per element plus 4 bytes per block.
-bits = (qt.packed.size + 4 * qt.scales.size) * 8 / weights.size
+# Storage cost: 4 bits per element plus 4 bytes per block, exactly the
+# records the FQZ1 file holds after its header.
+bits = qt.records.size * 8 / weights.size
 print(f"  {bits:.2f} bits per element (fp32 is 32)\n")
 
 # How often is each code value used?  The outer values are rare even at
@@ -61,8 +63,7 @@ with tempfile.TemporaryDirectory() as td:
     qtensor_write(qt, q_path)
     assert np.array_equal(tensor_read(t_path), weights)
     back = qtensor_read(q_path)
-    assert np.array_equal(back.scales, qt.scales)
-    assert np.array_equal(back.packed, qt.packed)
+    assert np.array_equal(back.records, qt.records)
     fqt_mb = os.path.getsize(t_path) / 2**20
     fqz_mb = os.path.getsize(q_path) / 2**20
     print(f"\nFQT1 file: {fqt_mb:.1f} MiB   FQZ1 file: {fqz_mb:.1f} MiB")

@@ -5,12 +5,12 @@ axis (the final block may be short).  Each block stores one float32 scale --
 its largest absolute value -- and one 4-bit code index per element, packed
 two per byte.  Dequantization is ``code.values[index] * scale``.
 
-One block geometry serves every function here: the tensor is viewed as
-(before, length, after) with blocks along the middle axis, so row-major
-block order -- of ``scales``, of ``packed`` rows and of FQZ1 records -- is
-(before, block number, after).  The full blocks and a short final block are
-processed as separate parts at their own block length; ``packed`` rows are
-``ceil(min(block_size, length) / 2)`` bytes, as wide as the longest block.
+A QuantizedTensor is its FQZ1 body: per block, in row-major block order,
+a float32 scale and ``ceil(block_len / 2)`` bytes of packed indices.  The
+tensor is viewed as (before, length, after) with blocks along the middle
+axis, so that order is (before, block number, after).  The full blocks and
+a short final block are separate parts; ``_parts`` gives each part's
+fields as strided views of the records, and every pass goes through them.
 
 Quantization, dequantization, the usage histogram and the error report cut
 the tensor the same way, so no temporary grows with the tensor: ``_runs``
@@ -19,8 +19,8 @@ into its pairwise-sum leaves instead), and ``_pieces`` cuts a range into
 pieces that each lie inside one block part.  Quantization reads the
 tensor range by range, from an array or an FQT1 file, in two passes; the
 report is fused into the second, which dequantizes each leaf's new indices
-and subtracts.  So ``quantize --report`` peaks at about the packed indices
-and one leaf.  Each piece's results are a whole-tensor pass's, bit for bit.
+and subtracts.  So ``quantize --report`` peaks at about the FQZ1 body and
+one leaf.  Each piece's results are a whole-tensor pass's, bit for bit.
 
 All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Code16
-from .errors import (DataError, DomainError, FormatError, check_block_size,
-                     output_file)
+from .errors import (DataError, DomainError, FormatError, _check_integer,
+                     check_block_size, output_file)
 
 FQT1_MAGIC = b"FQT1"
 FQZ1_MAGIC = b"FQZ1"
@@ -65,49 +65,62 @@ _MAX_NDIM = 64
 
 @dataclass(frozen=True, eq=False)
 class QuantizedTensor:
-    """Blockwise-quantized tensor: scales plus packed 4-bit indices.
+    """Blockwise-quantized tensor, held as its FQZ1 block records.
 
-    ``scales`` holds one float32 absmax per block, in row-major block order.
-    ``packed`` is a (num_blocks, ceil(min(block_size, dims[block_axis]) / 2))
-    uint8 array, rows as wide as the longest block; a short final block's
-    row is padded with zero nibbles, which are not serialized.
+    ``records`` is a contiguous 1-D uint8 array: per block, in row-major
+    block order, the little-endian float32 absmax, then ceil(block_len / 2)
+    bytes of packed indices.  ``scales`` and ``packed`` are read-only copies
+    of the fields: (num_blocks,) float32, and uint8 rows as wide as the
+    longest block, a short final block's padded with zero nibbles.
     """
 
     dims: tuple
     block_axis: int
     block_size: int
     code: Code16
-    scales: np.ndarray
-    packed: np.ndarray
+    records: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d <= 0 for d in dims):
+        dims = tuple(_check_integer(d, f"extent of {self.dims}", 1) for d in self.dims)
+        if not dims:
             raise DomainError(f"invalid dims {self.dims}")
-        if not 0 <= self.block_axis < len(dims):
-            raise DomainError(f"block_axis {self.block_axis} out of range for {dims}")
+        axis = _check_integer(self.block_axis, "block_axis")
+        if not 0 <= axis < len(dims):
+            raise DomainError(f"block_axis {axis} out of range for {dims}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "block_axis", axis)
         object.__setattr__(self, "block_size", check_block_size(self.block_size))
         if not isinstance(self.code, Code16):
             raise DomainError(f"code must be a Code16, got {type(self.code).__name__}")
-        got = [a.dtype if isinstance(a, np.ndarray) else type(a).__name__
-               for a in (self.scales, self.packed)]
-        if got != [np.float32, np.uint8]:
-            raise DomainError("expected float32 scales and uint8 packed bytes, "
-                              "got {} and {}".format(*got))
-        grid, parts = _geometry(dims, self.block_axis, self.block_size)
-        nb = math.prod(grid)
-        if self.scales.shape != (nb,):
-            raise DomainError(f"expected {nb} scales, got {self.scales.shape}")
-        row = _width(parts[0][2])
-        if self.packed.shape != (nb, row):
-            raise DomainError(
-                f"expected packed shape {(nb, row)}, got {self.packed.shape}"
-            )
+        if not isinstance(self.records, np.ndarray) or self.records.dtype != np.uint8:
+            got = getattr(self.records, "dtype", type(self.records).__name__)
+            raise DomainError(f"records must be a uint8 array, got {got}")
+        size = _fqz1_body_length(dims, axis, self.block_size)
+        if self.records.shape != (size,):
+            raise DomainError(f"expected {size} record bytes, got shape "
+                              f"{self.records.shape}")
 
     @property
     def num_blocks(self):
-        return self.scales.shape[0]
+        return math.prod(_geometry(self.dims, self.block_axis, self.block_size)[0])
+
+    @property
+    def scales(self):
+        grid, _ = _geometry(self.dims, self.block_axis, self.block_size)
+        out = np.empty(grid, dtype=np.float32)
+        for first, n, _, s, _ in _parts(self):
+            out[:, first:first + n] = s
+        out.setflags(write=False)
+        return out.reshape(-1)
+
+    @property
+    def packed(self):
+        grid, parts = _geometry(self.dims, self.block_axis, self.block_size)
+        out = np.zeros(grid + (_width(parts[0][2]),), dtype=np.uint8)
+        for first, n, _, _, pk in _parts(self):
+            out[:, first:first + n, :, :pk.shape[-1]] = pk
+        out.setflags(write=False)
+        return out.reshape(-1, out.shape[-1])
 
 
 def _geometry(dims, axis, block_size):
@@ -126,6 +139,30 @@ def _geometry(dims, axis, block_size):
 def _width(block_len):
     """Packed bytes of a block of ``block_len`` indices."""
     return (block_len + 1) // 2
+
+
+def _fqz1_body_length(dims, axis, block_size):
+    """Bytes of the per-block records of an FQZ1 file."""
+    (before, _, after), parts = _geometry(dims, axis, block_size)
+    return before * after * sum(n * (4 + _width(block_len))
+                                for _, n, block_len in parts)
+
+
+def _parts(qt):
+    """Per block part (see _geometry): its first block, block count and
+    block length, and views of its fields in ``qt.records`` -- the scales
+    as a (before, blocks, after) ``<f4`` array and the index bytes as a
+    (before, blocks, after, bytes) array.  Within each ``before`` row the
+    full blocks' records precede the tail block's."""
+    grid, parts = _geometry(qt.dims, qt.block_axis, qt.block_size)
+    rows = qt.records.reshape(grid[0], -1)
+    start = 0
+    for first, n, block_len in parts:
+        shape = (grid[0], n, grid[2], 4 + _width(block_len))
+        size = math.prod(shape[1:])
+        rec = rows[:, start:start + size].reshape(shape)
+        yield first, n, block_len, rec[..., :4].view("<f4")[..., 0], rec[..., 4:]
+        start += size
 
 
 # Elements per run of the tensor path.  A run's temporaries -- its
@@ -181,27 +218,26 @@ def _pieces(qt, start, stop, *ranges):
 
     Per piece: its offset and length inside its blocks; a tuple of its
     (before, blocks, length, after) views of each of ``ranges`` -- flat
-    arrays of the range's elements; and its (before, blocks, after) view of
-    ``qt.scales`` and (before, blocks, after, bytes) view of the
-    ``qt.packed`` bytes that hold its nibbles.  A piece at an odd offset
-    shares its first byte with an earlier piece."""
-    grid, parts = _geometry(qt.dims, qt.block_axis, qt.block_size)
-    scales = qt.scales.reshape(grid)
-    packed = qt.packed.reshape(grid + (-1,))
+    arrays of the range's elements; and its views of ``qt.records`` (see
+    _parts): the (before, blocks, after) scales and the (before, blocks,
+    after, bytes) index bytes that hold its nibbles.  A piece at an odd
+    offset shares its first byte with an earlier piece."""
+    grid, _ = _geometry(qt.dims, qt.block_axis, qt.block_size)
+    parts = list(_parts(qt))
     at = 0
     for (b0, b1), (l0, l1), (a0, a1) in _boxes(
             (grid[0], qt.dims[qt.block_axis], grid[2]), start, stop):
         shape = (b1 - b0, l1 - l0, a1 - a0)
         boxes = [r[at:at + math.prod(shape)].reshape(shape) for r in ranges]
         at += math.prod(shape)
-        for first, n, block_len in parts:
+        for first, n, block_len, scales, packed in parts:
             begin = first * qt.block_size
             for (k0, k1), (j0, j1) in _boxes((n, block_len), max(l0 - begin, 0),
                                              min(l1, begin + n * block_len) - begin):
                 lo = begin + k0 * block_len + j0 - l0
                 views = tuple(box[:, lo:lo + (k1 - k0) * (j1 - j0)].reshape(
                     shape[0], k1 - k0, j1 - j0, shape[2]) for box in boxes)
-                blocks = (slice(b0, b1), slice(first + k0, first + k1), slice(a0, a1))
+                blocks = (slice(b0, b1), slice(k0, k1), slice(a0, a1))
                 nibbles = slice(j0 // 2, j0 // 2 + _width(j0 % 2 + j1 - j0))
                 yield j0, j1 - j0, views, scales[blocks], packed[blocks + (nibbles,)]
 
@@ -332,14 +368,14 @@ def _quantize(dims, elements, code, block_size, axis=0, report=False):
     elements of the tensor of extents ``dims``, at most _CHUNK at a time.
     Returns the QuantizedTensor and, if ``report``, reconstruction_errors
     against its dequantized copy (else None)."""
+    axis = _check_integer(axis, "axis")
     if not -len(dims) <= axis < len(dims):
         raise DomainError(f"axis {axis} out of range for {dims}")
     axis %= len(dims)
     block_size = check_block_size(block_size)
-    grid, parts = _geometry(dims, axis, block_size)
-    nb = math.prod(grid)
-    qt = QuantizedTensor(dims, axis, block_size, code, np.zeros(nb, dtype=np.float32),
-                         np.zeros((nb, _width(parts[0][2])), dtype=np.uint8))
+    # zeros: the absmax pass raises scales from 0; _encode ORs into nibbles
+    qt = QuantizedTensor(dims, axis, block_size, code, np.zeros(
+        _fqz1_body_length(dims, axis, block_size), dtype=np.uint8))
 
     # A piece may hold part of a block, so the absmax is accumulated; the
     # maximum commutes with the rounding to the float32 scale.
@@ -375,13 +411,14 @@ def _quantize(dims, elements, code, block_size, axis=0, report=False):
 
 def _encode(qt, start, values, *out):
     """Quantize the C-order elements [start, start + values.size) of
-    ``qt``'s tensor, whose scales are set, into ``qt.packed``; given a flat
+    ``qt``'s tensor, whose scales are set, into ``qt.records``; given a flat
     array ``out``, also write their dequantized values into it."""
     # Rounding each code value to float32 before the gather gives the same
     # elements as gathering in float64 and rounding after.
     table = qt.code.values.astype(np.float32)
     for offset, _, (v, *o), s, pk in _pieces(qt, start, start + values.size,
                                               values, *out):
+        s = s.copy()  # aligned, as in _dequantize_run
         # Divide in the tensor's working precision by the stored
         # (float32) scale so dequantization sees the same quantity.
         safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
@@ -405,7 +442,9 @@ def _dequantize_run(qt, start, out):
     table = qt.code.values.astype(np.float32)
     for offset, length, (o,), s, pk in _pieces(qt, start, start + out.size, out):
         idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
-        np.multiply(table[idx.transpose(0, 1, 3, 2)], s[:, :, None], out=o)
+        # A copy: with records not a multiple of 4 bytes long the scale
+        # view is unaligned, and numpy multiplies by it about 4x slower.
+        np.multiply(table[idx.transpose(0, 1, 3, 2)], s.copy()[:, :, None], out=o)
 
 
 def _dequantized_runs(qt):
@@ -657,34 +696,6 @@ def _fqt1_elements(path):
 # FQZ1: quantized tensors
 # ---------------------------------------------------------------------------
 
-def _fqz1_body_length(dims, axis, block_size):
-    """Bytes of the per-block records of an FQZ1 file."""
-    (before, _, after), parts = _geometry(dims, axis, block_size)
-    return before * after * sum(n * (4 + _width(block_len))
-                                for _, n, block_len in parts)
-
-
-def _fqz1_records(dims, axis, block_size, body, scales, packed):
-    """Per part: the fields of its FQZ1 records in ``body`` -- the scales as
-    a (before, blocks, after) ``<f4`` view, the packed bytes as a (before,
-    blocks, after, bytes) view -- and its views of ``scales`` and
-    ``packed``, trimmed to the part's bytes.  Within each ``before`` row the
-    full blocks' records precede the tail block's."""
-    grid, parts = _geometry(dims, axis, block_size)
-    body = body.reshape(grid[0], -1)
-    scales = scales.reshape(grid)
-    packed = packed.reshape(grid + (-1,))
-    start = 0
-    for first, n, block_len in parts:
-        pk = packed[:, first:first + n, :, :_width(block_len)]
-        shape = pk.shape[:3] + (4 + pk.shape[3],)
-        size = math.prod(shape[1:])
-        rec = body[:, start:start + size].reshape(shape)
-        yield (rec[..., :4].view("<f4")[..., 0], rec[..., 4:],
-               scales[:, first:first + n], pk)
-        start += size
-
-
 def _check_fqz1_block_size(block_size):
     """FormatError unless block_size fits FQZ1's u32 field."""
     if block_size >= 1 << 32:
@@ -692,12 +703,10 @@ def _check_fqz1_block_size(block_size):
 
 
 def qtensor_write(qt, path):
-    """Write a QuantizedTensor as FQZ1.
+    """Write a QuantizedTensor as FQZ1: the header, then ``qt.records``.
 
-    Per block, in row-major block order: the float32 absmax followed by the
-    packed indices, trimmed to ceil(effective_block_len / 2) bytes for a
-    short final block.  More than 64 dimensions, or a block size or extent
-    of 2^32 or more, does not fit the header and raises FormatError.
+    More than 64 dimensions, or a block size or extent of 2^32 or more,
+    does not fit the header and raises FormatError.
     """
     code_vals = qt.code.values.astype("<f4")
     if np.any(np.diff(code_vals) <= 0):
@@ -708,15 +717,9 @@ def qtensor_write(qt, path):
     header = (_header(FQZ1_MAGIC, 1, qt.dims)
               + struct.pack("<IBB", qt.block_size, qt.block_axis, 16)
               + code_vals.tobytes())
-    body = np.empty(_fqz1_body_length(qt.dims, qt.block_axis, qt.block_size),
-                    dtype=np.uint8)
-    for rec_s, rec_pk, s, pk in _fqz1_records(qt.dims, qt.block_axis, qt.block_size,
-                                              body, qt.scales, qt.packed):
-        rec_s[...] = s
-        rec_pk[...] = pk
     with output_file(path) as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(qt.records)
 
 
 def qtensor_read(path):
@@ -746,24 +749,13 @@ def qtensor_read(path):
             raise FormatError(f"{path}: {exc}") from exc
 
         # Body length from the header alone, so a lying header fails in
-        # _read_exact before the per-block arrays below are built.
-        body_len = _fqz1_body_length(dims, axis, block_size)
-        body = _read_rest(fh, body_len, path, "blocks")
+        # _read_exact before the body is allocated.
+        body = _read_rest(fh, _fqz1_body_length(dims, axis, block_size), path,
+                          "blocks")
 
-    grid, parts = _geometry(dims, axis, block_size)
-    scales = np.empty(math.prod(grid), dtype=np.float32)
-    packed = np.zeros((math.prod(grid), _width(parts[0][2])), dtype=np.uint8)
-    for rec_s, rec_pk, s, pk in _fqz1_records(dims, axis, block_size, body,
-                                              scales, packed):
-        s[...] = rec_s
-        pk[...] = rec_pk
-    if not np.all(np.isfinite(scales)) or np.any(scales < 0):
-        raise FormatError(f"{path}: block scales must be finite and nonnegative")
-    return QuantizedTensor(
-        dims=dims,
-        block_axis=int(axis),
-        block_size=int(block_size),
-        code=code,
-        scales=scales,
-        packed=packed,
-    )
+    qt = QuantizedTensor(dims, axis, block_size, code, body)
+    for _, _, _, scales, _ in _parts(qt):
+        # NaN propagates through min and max
+        if not (scales.min() >= 0 and scales.max() < np.inf):
+            raise FormatError(f"{path}: block scales must be finite and nonnegative")
+    return qt

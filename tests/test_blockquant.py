@@ -1,6 +1,7 @@
 """Tests for blockwise quantization, packing, and the binary file formats."""
 
 import contextlib
+import dataclasses
 import math
 import os
 import stat
@@ -85,6 +86,22 @@ def tail_block_mask(dims, axis, block_size):
     k = np.unravel_index(np.arange(nb), bshape)[axis]
     tail = dims[axis] - (nb_axis - 1) * block_size
     return k == nb_axis - 1, tail
+
+
+def fqz1_records(dims, axis, block_size, scales, packed):
+    """The FQZ1 body of per-block ``scales`` and zero-padded ``packed``
+    rows, both in row-major block order, built one record at a time with
+    struct: each block's float32 scale, then the first ceil(block_len / 2)
+    bytes of its row."""
+    (before, nblocks, after), _ = bq._geometry(dims, axis, block_size)
+    s = np.asarray(scales).reshape(before, nblocks, after)
+    pk = np.asarray(packed).reshape(before, nblocks, after, -1)
+    widths = [(min(block_size, dims[axis] - k * block_size) + 1) // 2
+              for k in range(nblocks)]
+    body = b"".join(
+        struct.pack("<f", s[i, k, j]) + pk[i, k, j, :widths[k]].tobytes()
+        for i in range(before) for k in range(nblocks) for j in range(after))
+    return np.frombuffer(body, dtype=np.uint8).copy()
 
 
 def brute_force_indices(normalized, values):
@@ -348,10 +365,12 @@ class TestQuantize:
                 idx[np.ix_(tail_mask, np.arange(tail_len, B))] = 0
                 # packed rows are as wide as the longest block
                 width = (min(B, shape[axis]) + 1) // 2
-                ref = bq.QuantizedTensor(w.shape, axis, B, code, scales,
-                                         bq.pack_nibbles(idx)[:, :width])
-                np.testing.assert_array_equal(qt.scales, ref.scales)
-                np.testing.assert_array_equal(qt.packed, ref.packed)
+                packed = bq.pack_nibbles(idx)[:, :width]
+                ref = bq.QuantizedTensor(w.shape, axis, B, code, fqz1_records(
+                    w.shape, axis, B, scales, packed))
+                np.testing.assert_array_equal(qt.records, ref.records)
+                np.testing.assert_array_equal(qt.scales, scales)
+                np.testing.assert_array_equal(qt.packed, packed)
 
                 deq = bq.dequantize(qt)
                 assert deq.dtype == np.float32 and deq.flags.c_contiguous
@@ -366,8 +385,8 @@ class TestQuantize:
                 assert ((tmp_path / "a.fqz").read_bytes()
                         == (tmp_path / "b.fqz").read_bytes())
                 back = bq.qtensor_read(tmp_path / "a.fqz")
-                np.testing.assert_array_equal(back.scales, ref.scales)
-                np.testing.assert_array_equal(back.packed, ref.packed)
+                np.testing.assert_array_equal(back.scales, scales)
+                np.testing.assert_array_equal(back.packed, packed)
 
     def test_axis_handling(self, codes):
         rng = np.random.default_rng(13)
@@ -389,18 +408,17 @@ class TestQuantize:
         qt = bq.quantize(w, codes["nf4"], np.int64(4), axis=1)
         assert qt.block_size == 4 and type(qt.block_size) is int
         with pytest.raises(DomainError, match="block size must be"):
-            bq.QuantizedTensor(qt.dims, 1, 4.0, qt.code, qt.scales, qt.packed)
+            bq.QuantizedTensor(qt.dims, 1, 4.0, qt.code, qt.records)
 
-    @pytest.mark.parametrize("scales, packed", [
-        (np.ones(1), np.array([[300, 0]])),
-        (np.ones(1, np.float32), np.array([[300, 0]])),
-        (np.ones(1), np.zeros((1, 2), np.uint8)),
-        ([1.0], np.zeros((1, 2), np.uint8)),
-        (np.ones(1, np.float32), [[0, 0]])])
-    def test_scales_and_packed_dtypes_are_checked(self, scales, packed):
-        # an int64 byte of 300 would dequantize as 44; a list has no dtype
-        with pytest.raises(DomainError, match="float32 scales and uint8"):
-            bq.QuantizedTensor((4,), 0, 4, qc.nf4_code(), scales, packed)
+    # One block of 4: a 4-byte scale and 2 index bytes.
+    @pytest.mark.parametrize("records", [
+        np.array([0, 0, 128, 63, 300, 0]), np.zeros(6, np.int8),
+        np.zeros(6, np.float32), [0] * 6, bytes(6)])
+    def test_records_dtype_is_checked(self, records):
+        # an int64 byte of 300 would dequantize as 44; a list and bytes
+        # have no dtype
+        with pytest.raises(DomainError, match="records must be a uint8 array"):
+            bq.QuantizedTensor((4,), 0, 4, qc.nf4_code(), records)
 
     @pytest.mark.parametrize("code", [np.linspace(-1, 1, 16), None, "nf4"])
     def test_code_must_be_a_code16(self, code):
@@ -410,21 +428,48 @@ class TestQuantize:
         with pytest.raises(DomainError, match="code must be a Code16"):
             bq.quantize(w, code, 4)
         with pytest.raises(DomainError, match="code must be a Code16"):
-            bq.QuantizedTensor((4,), 0, 4, code, np.ones(1, np.float32),
-                               np.zeros((1, 2), np.uint8))
+            bq.QuantizedTensor((4,), 0, 4, code, np.zeros(6, np.uint8))
 
-    @pytest.mark.parametrize("dims, axis, scales, packed, message", [
-        ((), 0, 1, (1, 2), "invalid dims"),
-        ((4, 0), 0, 1, (1, 2), "invalid dims"),
-        ((4,), 1, 1, (1, 2), "block_axis 1 out of range"),
-        ((4,), -1, 1, (1, 2), "block_axis -1 out of range"),
-        ((8,), 0, 1, (2, 2), r"expected 2 scales, got \(1,\)"),
-        ((8,), 0, 2, (2, 3), r"expected packed shape \(2, 2\), got \(2, 3\)"),
+    # Records of 4 + 2 bytes per block of 4, and of 4 + 1 for a tail of 2.
+    @pytest.mark.parametrize("dims, axis, records, message", [
+        ((), 0, 6, "invalid dims"),
+        ((4, 0), 0, 6, r"extent of \(4, 0\) must be >= 1, got 0"),
+        ((4,), 1, 6, "block_axis 1 out of range"),
+        ((4,), -1, 6, "block_axis -1 out of range"),
+        ((8,), 0, 6, r"expected 12 record bytes, got shape \(6,\)"),
+        ((8,), 0, (2, 6), r"expected 12 record bytes, got shape \(2, 6\)"),
+        ((6,), 0, 12, r"expected 11 record bytes, got shape \(12,\)"),
     ])
-    def test_geometry_is_checked(self, dims, axis, scales, packed, message):
+    def test_geometry_is_checked(self, dims, axis, records, message):
         with pytest.raises(DomainError, match=message):
-            bq.QuantizedTensor(dims, axis, 4, qc.nf4_code(),
-                               np.ones(scales, np.float32), np.zeros(packed, np.uint8))
+            bq.QuantizedTensor(dims, axis, 4, qc.nf4_code(), np.zeros(records, np.uint8))
+
+    # dataclasses.replace keeps the records of a valid (4, 4) tensor quantized
+    # in blocks of 4 along axis 1, and runs the checks again.
+    @pytest.mark.parametrize("dims, message", [
+        ((4.7, 4), "must be an integer, got 4.7"),
+        ((True, 4), "must be an integer, got True"),
+        (("4", 4), "must be an integer, got '4'"),
+    ], ids=["float", "bool", "str"])
+    def test_extents_must_be_integers(self, codes, dims, message):
+        qt = bq.quantize(np.ones((4, 4), np.float32), codes["nf4"], 4, axis=1)
+        with pytest.raises(DomainError, match=f"extent of .* {message}"):
+            dataclasses.replace(qt, dims=dims)
+
+    @pytest.mark.parametrize("axis", [True, 1.0], ids=["bool", "float"])
+    def test_block_axis_must_be_an_integer(self, codes, axis):
+        qt = bq.quantize(np.ones((4, 4), np.float32), codes["nf4"], 4, axis=1)
+        with pytest.raises(DomainError, match="block_axis must be an integer"):
+            dataclasses.replace(qt, block_axis=axis)
+
+    def test_numpy_integer_block_axis_is_stored_as_int(self, codes):
+        qt = bq.quantize(np.ones((4, 4), np.float32), codes["nf4"], 4, axis=1)
+        qt = dataclasses.replace(qt, block_axis=np.int64(1))
+        assert qt.block_axis == 1 and type(qt.block_axis) is int
+
+    def test_quantize_axis_must_be_an_integer(self, codes):
+        with pytest.raises(DomainError, match="axis must be an integer, got 1.0"):
+            bq.quantize(np.ones((4, 4), np.float32), codes["nf4"], 2, axis=1.0)
 
     def test_integer_tensor_quantizes_as_float32(self, codes):
         w = np.arange(-12, 12).reshape(3, 8)
@@ -747,7 +792,7 @@ class TestWorkingSet:
         code = qc.nf4_code()
         with traced_peak() as peak:
             qt = bq.quantize(w, code, B, axis=axis)
-        assert peak[0] < qt.scales.nbytes + qt.packed.nbytes + slack
+        assert peak[0] < qt.records.nbytes + slack
         with traced_peak() as peak:
             restored = bq.dequantize(qt)
         assert peak[0] < restored.nbytes + slack
@@ -756,11 +801,39 @@ class TestWorkingSet:
         assert peak[0] < slack
         with traced_peak() as peak:
             fused, streamed = report_of_quantize(w, code, B, axis)
-        assert peak[0] < qt.scales.nbytes + qt.packed.nbytes + slack
+        assert peak[0] < qt.records.nbytes + slack
         assert {k: v.hex() for k, v in streamed.items()} == {
             k: v.hex() for k, v in report.items()}
-        np.testing.assert_array_equal(fused.scales, qt.scales)
-        np.testing.assert_array_equal(fused.packed, qt.packed)
+        np.testing.assert_array_equal(fused.records, qt.records)
+
+    @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
+    def test_scales_and_packed_copy_out_the_records(self, geometry):
+        # Against the padded layout built from the tensor; then a write
+        # through the part views lands in the records, pad bytes excepted.
+        shape, B, axis = WORKING_SET_GEOMETRIES[geometry]
+        w = np.random.default_rng(8).standard_normal(shape, dtype=np.float32)
+        code = qc.nf4_code()
+        qt = bq.quantize(w, code, B, axis=axis)
+        rows, _ = blocks_view(w, axis, B)
+        scales = np.abs(rows).max(axis=1)
+        safe = np.where(scales > 0, scales, np.float32(1))
+        idx = bq.nearest_index(rows / safe[:, None], code.values)
+        del rows
+        tail_mask, tail_len = tail_block_mask(shape, axis, B)
+        idx[np.ix_(tail_mask, np.arange(tail_len, B))] = 0
+        packed = bq.pack_nibbles(idx)[:, :(min(B, shape[axis]) + 1) // 2]
+        np.testing.assert_array_equal(qt.scales, scales)
+        np.testing.assert_array_equal(qt.packed, packed)
+        # copies, so a write to them would change nothing
+        assert not (qt.scales.flags.writeable or qt.packed.flags.writeable)
+
+        for _, _, _, s, pk in bq._parts(qt):
+            s *= 2
+            pk ^= 0xFF
+        packed ^= 0xFF
+        packed[np.ix_(tail_mask, np.arange((tail_len + 1) // 2, packed.shape[1]))] = 0
+        np.testing.assert_array_equal(qt.scales, 2 * scales)
+        np.testing.assert_array_equal(qt.packed, packed)
 
     @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
     def test_usage_histogram_counts_every_block_part(self, geometry):
@@ -785,6 +858,19 @@ class TestWorkingSet:
         assert peak[0] < back.nbytes + (64 << 10)
         np.testing.assert_array_equal(back, w)
 
+    def test_qtensor_read_allocates_the_body_once(self, tmp_path):
+        # a tail block of 96 elements per row: its record is 52 bytes, not
+        # the full block's 2,004
+        w = np.random.default_rng(9).standard_normal((1024, 4096), dtype=np.float32)
+        qt = bq.quantize(w, qc.nf4_code(), 4000, axis=1)
+        path = tmp_path / "w.fqz"
+        bq.qtensor_write(qt, path)
+        with traced_peak() as peak:
+            back = bq.qtensor_read(path)
+        assert back.records.nbytes == 1024 * (4 + 2000 + 4 + 48)
+        assert peak[0] < back.records.nbytes + (64 << 10)
+        np.testing.assert_array_equal(back.records, qt.records)
+
     def test_tensor_write_copies_nothing_contiguous(self, tmp_path):
         w = np.ones((1024, 4097), dtype=np.float32)
         with traced_peak() as peak:
@@ -802,12 +888,16 @@ class TestSlices:
         axis = data.draw(st.integers(0, len(shape) - 1))
         B = data.draw(st.integers(1, shape[axis] + 3))
         chunk = data.draw(st.integers(1, 40))
-        (before, nblocks, after), parts = bq._geometry(shape, axis, B)
-        length, nb, width = shape[axis], before * nblocks * after, bq._width(parts[0][2])
-        # block numbers stand in for the scales, byte numbers for the packed bytes
+        (before, nblocks, after), _ = bq._geometry(shape, axis, B)
+        length = shape[axis]
+        # byte numbers stand in for the record bytes, so a scale field's
+        # <f4 view holds the bit pattern of its record's first byte number
         qt = types.SimpleNamespace(
-            dims=shape, block_axis=axis, block_size=B, scales=np.arange(nb),
-            packed=np.arange(nb * width).reshape(nb, width))
+            dims=shape, block_axis=axis, block_size=B,
+            records=np.arange(bq._fqz1_body_length(shape, axis, B), dtype=np.uint32))
+        record = 4 + (np.minimum(B, length - B * np.arange(nblocks)) + 1) // 2
+        sizes = np.broadcast_to(record[:, None], (before, nblocks, after)).ravel()
+        starts = np.cumsum(sizes) - sizes
         size = math.prod(shape)
         seen = np.zeros(size, dtype=int)
         with pytest.MonkeyPatch.context() as mp:
@@ -827,9 +917,10 @@ class TestSlices:
                     assert np.all(pos % B == offset + np.arange(n)[:, None])
                     block = ((v // (length * after) * nblocks + pos // B) * after
                              + v % after)
-                    assert np.all(block == s[:, :, None])
+                    first = s.view(np.uint32)
+                    assert np.all(starts[block] == first[:, :, None])
                     assert pk.shape[-1] == bq._width(offset % 2 + n)
-                    assert np.all(pk[..., 0] == s * width + offset // 2)
+                    assert np.all(pk[..., 0] == first + 4 + offset // 2)
                 np.testing.assert_array_equal(out, np.arange(start, stop))
         assert np.all(seen == 1)
 
@@ -1082,7 +1173,7 @@ class TestQuantizedTensorFiles:
                                             ((2, 9, 3), 1), ((6,), 0)])
     def test_records_hold_scales_bit_for_bit(self, tmp_path, dims, axis):
         # B = 4 leaves a tail part of 2, 2, 1 and 2 elements; the records
-        # are built here one by one with struct
+        # are built one by one with struct (fqz1_records)
         B, f32 = 4, np.finfo(np.float32)
         rng = np.random.default_rng(22)
         grid, _ = bq._geometry(dims, axis, B)
@@ -1094,20 +1185,17 @@ class TestQuantizedTensorFiles:
         packed = rng.integers(0, 256, (nb, 2), dtype=np.uint8)
         tail = dims[axis] % B
         packed.reshape(grid + (2,))[:, -1, :, bq._width(tail):] = 0  # pad bytes
-        qt = bq.QuantizedTensor(dims, axis, B, qc.nf4_code(), scales, packed)
+        body = fqz1_records(dims, axis, B, scales, packed)
+        qt = bq.QuantizedTensor(dims, axis, B, qc.nf4_code(), body)
         path = tmp_path / "t.fqz"
         bq.qtensor_write(qt, path)
 
-        s, pk = scales.reshape(grid), packed.reshape(grid + (2,))
-        before, nblocks, after = grid
-        body = b"".join(
-            struct.pack("<f", s[i, k, j])
-            + pk[i, k, j, :2 if k < nblocks - 1 else bq._width(tail)].tobytes()
-            for i in range(before) for k in range(nblocks) for j in range(after))
-        assert path.read_bytes()[4 + 2 + 4 * len(dims) + 6 + 64:] == body
+        assert path.read_bytes()[4 + 2 + 4 * len(dims) + 6 + 64:] == body.tobytes()
         back = bq.qtensor_read(path)
-        np.testing.assert_array_equal(back.scales.view(np.uint32), scales.view(np.uint32))
-        np.testing.assert_array_equal(back.packed, packed)
+        for got in (qt, back):
+            np.testing.assert_array_equal(got.scales.view(np.uint32),
+                                          scales.view(np.uint32))
+            np.testing.assert_array_equal(got.packed, packed)
 
     def test_byte_identical_rewrite(self, tmp_path, codes):
         rng = np.random.default_rng(21)
@@ -1177,11 +1265,10 @@ class TestQuantizedTensorFiles:
                          1 << 32, axis=1)
         with pytest.raises(FormatError, match="block size 4294967296"):
             bq.qtensor_write(qt, path)
-        # zero-stride arrays stand in for the 2^32 blocks
+        # a zero-stride array stands in for the records of 2^32 blocks of 2
         nb = 1 << 32
         big = bq.QuantizedTensor((2, nb), 0, 2, codes["nf4"],
-                                 np.broadcast_to(np.float32(1), (nb,)),
-                                 np.broadcast_to(np.uint8(0), (nb, 1)))
+                                 np.broadcast_to(np.uint8(0), (5 * nb,)))
         with pytest.raises(FormatError, match="extent 4294967296"):
             with traced_peak() as peak:
                 bq.qtensor_write(big, path)
@@ -1344,13 +1431,13 @@ class TestHeaderRules:
     @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
     def test_extent_overflow_on_write_creates_no_file(self, tmp_path, fmt):
         nb = 1 << 32
-        # zero-stride arrays stand in for 2^32 elements (FQZ1: 2^32 blocks)
+        # zero-stride arrays stand in for 2^32 elements (FQZ1: the records
+        # of 2^32 blocks of 2)
         if fmt == "fqt1":
             obj, write = np.broadcast_to(np.float32(1), (2, nb)), bq.tensor_write
         else:
             obj = bq.QuantizedTensor((2, nb), 0, 2, qc.nf4_code(),
-                                     np.broadcast_to(np.float32(1), (nb,)),
-                                     np.broadcast_to(np.uint8(0), (nb, 1)))
+                                     np.broadcast_to(np.uint8(0), (5 * nb,)))
             write = bq.qtensor_write
         path = tmp_path / "t.bin"
         with pytest.raises(FormatError) as exc:
@@ -1364,8 +1451,7 @@ class TestHeaderRules:
     def test_too_many_dimensions_on_write_creates_no_file(self, tmp_path, ndim):
         # numpy arrays stop at 64 dimensions, so only a hand-built
         # QuantizedTensor can declare more; its reader would reject the file
-        qt = bq.QuantizedTensor((1,) * ndim, 0, 2, qc.nf4_code(),
-                                np.zeros(1, np.float32), np.zeros((1, 1), np.uint8))
+        qt = bq.QuantizedTensor((1,) * ndim, 0, 2, qc.nf4_code(), np.zeros(5, np.uint8))
         path = tmp_path / "t.fqz"
         with pytest.raises(FormatError) as exc:
             bq.qtensor_write(qt, path)

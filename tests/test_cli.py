@@ -388,11 +388,15 @@ def traced_run(capsys, *argv):
 
 
 class TestTensorPathMemory:
-    """Neither command holds a tensor-sized array: ``quantize --report``
-    streams its input and peaks at the quantized tensor and its FQZ1 body
-    while that is written; ``dequantize`` at the FQZ1 body and the
-    quantized tensor it is read into.  Beyond those, 16 bytes per chunk
-    element (2 MiB, against 16 MiB of tensor)."""
+    """Neither command holds a tensor-sized array or a padded copy of the
+    records: ``quantize --report`` streams its input and peaks at the FQZ1
+    body it builds and writes; ``dequantize`` at the body it reads.  Beyond
+    that, 24 bytes per chunk element for the report (3 MiB) and 16 for
+    ``dequantize`` (2 MiB), against 16 MiB of tensor.  Blocks of 64 down
+    axis 0 leave no tail; blocks of 4000 along axis 1 leave a tail of 96,
+    whose record is 52 bytes against the full block's 2,004."""
+
+    GEOMETRIES = [(64, 0), (4000, 1)]
 
     @pytest.fixture
     def tensor(self):
@@ -400,25 +404,24 @@ class TestTensorPathMemory:
         assert w.size >= 1 << 22
         return w
 
-    def test_quantize_report(self, capsys, tmp_path, tensor, nf4_file):
+    @pytest.mark.parametrize("B, axis", GEOMETRIES)
+    def test_quantize_report(self, capsys, tmp_path, tensor, nf4_file, B, axis):
         src, fqz = tmp_path / "w.fqt", tmp_path / "w.fqz"
         bq.tensor_write(tensor, src)
         code, out, peak = traced_run(capsys, "quantize", str(src), str(fqz),
-                                     "--code", str(nf4_file), "--block-size", "64",
-                                     "--report")
+                                     "--code", str(nf4_file), "--block-size", str(B),
+                                     "--axis", str(axis), "--report")
         assert code == 0 and "mean_abs" in out
-        qt = bq.qtensor_read(fqz)
-        quantized = qt.scales.nbytes + qt.packed.nbytes
-        assert peak < quantized + fqz.stat().st_size + 16 * bq._CHUNK
+        assert peak < bq.qtensor_read(fqz).records.nbytes + 24 * bq._CHUNK
 
-    def test_dequantize(self, capsys, tmp_path, tensor):
+    @pytest.mark.parametrize("B, axis", GEOMETRIES)
+    def test_dequantize(self, capsys, tmp_path, tensor, B, axis):
         fqz, out = tmp_path / "w.fqz", tmp_path / "back.fqt"
-        qt = bq.quantize(tensor, qc.nf4_code(), 64)
+        qt = bq.quantize(tensor, qc.nf4_code(), B, axis=axis)
         bq.qtensor_write(qt, fqz)
         code, _, peak = traced_run(capsys, "dequantize", str(fqz), str(out))
         assert code == 0
-        quantized = qt.scales.nbytes + qt.packed.nbytes
-        assert peak < quantized + fqz.stat().st_size + 16 * bq._CHUNK
+        assert peak < qt.records.nbytes + 16 * bq._CHUNK
         np.testing.assert_array_equal(bq.tensor_read(out), bq.dequantize(qt))
 
 
