@@ -16,11 +16,17 @@ Quantization, dequantization, the usage histogram and the error report cut
 the tensor the same way, so no temporary grows with the tensor: ``_runs``
 splits it into C-order ranges of at most ``_CHUNK`` elements (the report
 into its pairwise-sum leaves instead), and ``_pieces`` cuts a range into
-pieces that each lie inside one block part.  Quantization reads the
-tensor range by range, from an array or an FQT1 file, in two passes; the
-report is fused into the second, which dequantizes each leaf's new indices
-and subtracts.  So ``quantize --report`` peaks at about the FQZ1 body and
-one leaf.  Each piece's results are a whole-tensor pass's, bit for bit.
+pieces that each lie inside one block part.  ``_slab_layout`` cuts the tensor
+into slabs of whole block groups; a slab is a small tensor of its own,
+whose records are one byte range of the body.  Quantization reads the
+tensor range by range, from an array or an FQT1 file, in two passes: the
+first fills a scales array slab by slab, the second encodes each range
+into the few slabs it reaches and hands each slab on once it is complete;
+the report is fused into the second, which dequantizes each leaf's new
+indices and subtracts.  Dequantization expands one slab at a time.  So the
+tensor commands never hold the body: ``quantize --report`` peaks at about
+4 bytes per block, one leaf and a few slabs, and ``dequantize`` at one run
+and one slab.  Each piece's results are a whole-tensor pass's, bit for bit.
 
 All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
@@ -41,6 +47,7 @@ the target as it was.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
@@ -209,6 +216,52 @@ def _runs(dims):
     return ((start, min(start + step, size)) for start in range(0, size, step))
 
 
+def _slab_layout(dims, axis, block_size):
+    """The tensor's slabs, in order.  A block group -- block j of one
+    ``before`` row across all ``after`` columns -- is one C-order range of
+    elements and one byte range of the records, in the same order.  A slab
+    is as many whole groups as fit in _CHUNK elements, at least one: whole
+    before rows if one fits, else groups of one before row.  So a slab is a
+    (rows, extent, after) tensor blocked along axis 1 whose records are its
+    byte range.  Per slab: its first element, those extents, and its blocks
+    and its bytes as slices of the block order and of the records."""
+    (before, nblocks, after), _ = _geometry(dims, axis, block_size)
+    length = dims[axis]
+    row_bytes = _fqz1_body_length((length, after), 0, block_size)
+    if length * after <= _CHUNK:
+        step = _CHUNK // (length * after)
+        spans = ((b, min(step, before - b), 0, length) for b in range(0, before, step))
+    else:
+        step = max(_CHUNK // (block_size * after), 1) * block_size
+        spans = ((b, 1, lo, min(lo + step, length))
+                 for b in range(before) for lo in range(0, length, step))
+    for b, rows, lo, hi in spans:
+        slab = (rows, hi - lo, after)
+        first = (b * nblocks + lo // block_size) * after
+        at = b * row_bytes + lo // block_size * after * (4 + _width(block_size))
+        yield ((b * length + lo) * after, slab,
+               slice(first, first + rows * -(-(hi - lo) // block_size) * after),
+               slice(at, at + _fqz1_body_length(slab, 1, block_size)))
+
+
+def _slabs(dims, axis, block_size, code, records):
+    """Per slab (_slab_layout): its first element, its blocks' slice of the
+    block order, and the slab as a QuantizedTensor over ``records(part)``:
+    the bytes ``part`` of the tensor's records, or an array standing in for
+    them."""
+    for start, slab, blocks, part in _slab_layout(dims, axis, block_size):
+        yield start, blocks, QuantizedTensor(slab, 1, block_size, code, records(part))
+
+
+def _set_scales(qt, scales):
+    """Write the (num_blocks,) ``scales``, in block order, into
+    ``qt.records``: the inverse of ``qt.scales``."""
+    grid, _ = _geometry(qt.dims, qt.block_axis, qt.block_size)
+    scales = scales.reshape(grid)
+    for first, n, _, s, _ in _parts(qt):
+        s[...] = scales[:, first:first + n]
+
+
 def _pieces(qt, start, stop, *ranges):
     """Cut the elements [start, stop) of ``qt``'s tensor, counted in C
     order, into pieces that each lie inside one block part: the range splits
@@ -363,69 +416,110 @@ def _flat_elements(arr):
     return lambda start, stop: flat[start:stop]
 
 
-def _quantize(dims, elements, code, block_size, axis=0, report=False):
+def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None):
     """quantize() in two passes over ``elements(start, stop)``, the C-order
     elements of the tensor of extents ``dims``, at most _CHUNK at a time.
     Returns the QuantizedTensor and, if ``report``, reconstruction_errors
-    against its dequantized copy (else None)."""
+    against its dequantized copy (else None).  Given ``path``, the FQZ1
+    file is written there slab by slab instead, once every input check has
+    passed, and the tensor returned is None: no array holds its records."""
     axis = _check_integer(axis, "axis")
     if not -len(dims) <= axis < len(dims):
         raise DomainError(f"axis {axis} out of range for {dims}")
     axis %= len(dims)
     block_size = check_block_size(block_size)
-    # zeros: the absmax pass raises scales from 0; _encode ORs into nibbles
-    qt = QuantizedTensor(dims, axis, block_size, code, np.zeros(
-        _fqz1_body_length(dims, axis, block_size), dtype=np.uint8))
+    # Zeros: the absmax pass raises scales from 0; _encode ORs into nibbles.
+    if path is None:
+        body = np.zeros(_fqz1_body_length(dims, axis, block_size), dtype=np.uint8)
+        records = body.__getitem__
+    else:
+        def records(part):
+            return np.zeros(part.stop - part.start, dtype=np.uint8)
 
     # A piece may hold part of a block, so the absmax is accumulated; the
     # maximum commutes with the rounding to the float32 scale.
+    grid, _ = _geometry(dims, axis, block_size)
+    scales = np.empty(math.prod(grid), dtype=np.float32)
     with np.errstate(over="ignore"):
-        for start, stop in _runs(dims):
-            for _, _, (v,), s, _ in _pieces(qt, start, stop, elements(start, stop)):
-                np.maximum(s, np.abs(v).max(axis=2), out=s)
+        for start, blocks, slab in _slabs(dims, axis, block_size, code, records):
+            for a, b in _runs(slab.dims):
+                run = elements(start + a, start + b)
+                for _, _, (v,), s, _ in _pieces(slab, a, b, run):
+                    np.maximum(s, np.abs(v).max(axis=2), out=s)
+            scales[blocks] = slab.scales
     # NaN and inf propagate into their block's scale, and so does an absmax
     # beyond the float32 range.
-    bad = ~np.isfinite(qt.scales)
-    if bad.any():
+    if not np.isfinite(scales).all():
         for start, stop in _runs(dims):
             found = np.flatnonzero(~np.isfinite(elements(start, stop)))
             if found.size:
                 pos = np.unravel_index(start + found[0], dims)
                 raise DataError("non-finite input value at position "
                                 f"{tuple(int(i) for i in pos)}")
-        raise DataError(f"block {int(np.argmax(bad))}: absmax exceeds "
-                        "the float32 range of the stored scale")
+        block = int(np.argmax(~np.isfinite(scales)))
+        raise DataError(f"block {block}: absmax exceeds the float32 range of "
+                        "the stored scale")
+
+    slabs = _slabs(dims, axis, block_size, code, records)
+    if path is None:
+        return (QuantizedTensor(dims, axis, block_size, code, body),
+                _encode_slabs(dims, elements, slabs, scales, report, lambda _: None))
+    header = _fqz1_header(dims, axis, block_size, code)
+    with output_file(path) as fh:
+        fh.write(header)
+        return None, _encode_slabs(dims, elements, slabs, scales, report, fh.write)
+
+
+def _encode_slabs(dims, elements, slabs, scales, report, write):
+    """The second pass of _quantize.  Walk the tensor in C order -- the
+    ranges of _runs, or the report's leaves -- and encode each range into
+    the slabs it reaches, opened in order with their ``scales`` set; pass
+    each slab's records to ``write`` once the walk is past its last
+    element.  Returns the report, or None."""
+    opened = collections.deque()
+
+    def encode(start, values, *out):
+        stop = start + values.size
+        while not opened or opened[-1][1] < stop:
+            first, blocks, slab = next(slabs)
+            _set_scales(slab, scales[blocks])
+            opened.append((first, first + math.prod(slab.dims), slab))
+        # every open slab ends after ``start`` and begins before ``stop``
+        for first, last, slab in opened:
+            lo, hi = max(start, first) - start, min(stop, last) - start
+            _encode(slab, start + lo - first, values[lo:hi], *(o[lo:hi] for o in out))
+        while opened and opened[0][1] <= stop:
+            write(opened.popleft()[2].records)
 
     if not report:
         for start, stop in _runs(dims):
-            _encode(qt, start, elements(start, stop))
-        return qt, None
+            encode(start, elements(start, stop))
+        return None
 
     def differences(start, d):
         x = elements(start, start + d.size)
-        _encode(qt, start, x, d)
+        encode(start, x, d)
         np.subtract(x, d, out=d)
 
-    return qt, _summary(differences, math.prod(dims))
+    return _summary(differences, math.prod(dims))
 
 
 def _encode(qt, start, values, *out):
     """Quantize the C-order elements [start, start + values.size) of
     ``qt``'s tensor, whose scales are set, into ``qt.records``; given a flat
     array ``out``, also write their dequantized values into it."""
-    # Rounding each code value to float32 before the gather gives the same
-    # elements as gathering in float64 and rounding after.
-    table = qt.code.values.astype(np.float32)
+    indices = [np.empty(values.size, dtype=np.uint8)] if out else []
+    scaled = []
     for offset, _, (v, *o), s, pk in _pieces(qt, start, start + values.size,
-                                              values, *out):
+                                              values, *out, *indices):
         s = s.copy()  # aligned, as in _dequantize_run
         # Divide in the tensor's working precision by the stored
         # (float32) scale so dequantization sees the same quantity.
         safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
         idx = nearest_index(v / safe[:, :, None], qt.code.values)
         if o:
-            # _dequantize_run's float32 gather and multiply
-            np.multiply(table[idx], s[:, :, None], out=o[0], dtype=np.float32)
+            o[1][...] = idx
+            scaled.append((o[0], s))
         idx = idx.transpose(0, 1, 3, 2)
         # At an odd offset the first byte's low nibble is an earlier
         # piece's, so only the high nibble is ORed in; an odd length
@@ -434,34 +528,62 @@ def _encode(qt, start, values, *out):
             pk[..., 0] |= idx[..., 0] << 4
             pk, idx = pk[..., 1:], idx[..., 1:]
         pk[...] = pack_nibbles(idx)
+    if out:
+        _dequantize_pieces(qt.code, *indices, out[0], scaled)
 
 
 def _dequantize_run(qt, start, out):
     """Write the elements [start, start + out.size) of the dequantized
     tensor, in C order, into the flat array ``out``."""
-    table = qt.code.values.astype(np.float32)
-    for offset, length, (o,), s, pk in _pieces(qt, start, start + out.size, out):
+    indices = np.empty(out.size, dtype=np.uint8)
+    scaled = []
+    for offset, length, (o, i), s, pk in _pieces(qt, start, start + out.size,
+                                                 out, indices):
         idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
+        i[...] = idx.transpose(0, 1, 3, 2)
         # A copy: with records not a multiple of 4 bytes long the scale
         # view is unaligned, and numpy multiplies by it about 4x slower.
-        np.multiply(table[idx.transpose(0, 1, 3, 2)], s.copy()[:, :, None], out=o)
+        scaled.append((o, s.copy()))
+    _dequantize_pieces(qt.code, indices, out, scaled)
 
 
-def _dequantized_runs(qt):
-    """Dequantize the tensor run by run (_runs) into one reused buffer and
-    yield each run."""
-    buf = np.empty(min(math.prod(qt.dims), _CHUNK), dtype=np.float32)
-    for start, stop in _runs(qt.dims):
-        run = buf[:stop - start]
-        _dequantize_run(qt, start, run)
-        yield run
+# Indices per np.take call: it casts them to intp, 8 bytes each.
+_GATHER = 1 << 14
+
+
+def _dequantize_pieces(code, indices, out, scaled):
+    """Dequantize a range whose pieces' (view of ``out``, scales) pairs are
+    ``scaled``: gather the code values at ``indices`` into ``out``, both
+    flat and in the range's order, then scale each piece in place, in
+    float32 whatever the dtype of ``out``."""
+    # Rounding each code value to float32 before the gather gives the same
+    # elements as gathering in float64 and rounding after.
+    table = code.values.astype(np.float32).astype(out.dtype)
+    for i in range(0, out.size, _GATHER):
+        np.take(table, indices[i:i + _GATHER], out=out[i:i + _GATHER], mode="clip")
+    for o, s in scaled:
+        np.multiply(o, s[:, :, None], out=o, dtype=np.float32)
+
+
+def _dequantized_runs(slabs):
+    """Dequantize ``slabs`` (see _slabs) run by run (_runs) into one reused
+    buffer and yield each run."""
+    buf = np.empty(_CHUNK, dtype=np.float32)
+    for _, _, slab in slabs:
+        for start, stop in _runs(slab.dims):
+            run = buf[:stop - start]
+            _dequantize_run(slab, start, run)
+            yield run
 
 
 def dequantize(qt):
     """Reconstruct a C-contiguous float32 tensor: code value times scale."""
     out = np.empty(qt.dims, dtype=np.float32)
-    for start, stop in _runs(qt.dims):
-        _dequantize_run(qt, start, out.reshape(-1)[start:stop])
+    flat = out.reshape(-1)
+    for first, _, slab in _slabs(qt.dims, qt.block_axis, qt.block_size, qt.code,
+                                 qt.records.__getitem__):
+        for start, stop in _runs(slab.dims):
+            _dequantize_run(slab, start, flat[first + start:first + stop])
     return out
 
 
@@ -662,12 +784,33 @@ def tensor_read(path):
     return payload.view("<f4").astype(np.float32, copy=False).reshape(dims)
 
 
+def _payload_reader(fh, path, what, size):
+    """For a regular file that holds exactly ``size`` bytes past the header
+    read so far, else FormatError: read(offset, out) fills the array
+    ``out`` with the bytes from ``offset`` on, and a short read (the file
+    shrank) raises FormatError."""
+    header = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - header
+    if left != size:
+        raise (_truncated(path, what, size, left) if left < size else
+               FormatError(f"{path}: trailing bytes at end of file"))
+
+    def read(offset, out):
+        fh.seek(header + offset)
+        got = fh.readinto(out)
+        if got != out.nbytes:
+            raise _truncated(path, what, size, offset + got)
+        return out
+
+    return read
+
+
 @contextlib.contextmanager
 def _fqt1_elements(path):
     """The extents of an FQT1 file and its elements(start, stop) (see
     _quantize).  A regular file's length is checked up front; each call
-    reads its range into one reused buffer, and a short read raises
-    FormatError.  Any other input is read whole, as by tensor_read."""
+    reads its range into one reused buffer (_payload_reader).  Any other
+    input is read whole, as by tensor_read."""
     with open(path, "rb") as fh:
         dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
         size = 4 * math.prod(dims)
@@ -675,21 +818,9 @@ def _fqt1_elements(path):
             payload = _read_rest(fh, size, path, "payload")
             yield dims, _flat_elements(payload.view("<f4"))
             return
-        header = fh.tell()
-        left = os.fstat(fh.fileno()).st_size - header
-        if left != size:
-            raise (_truncated(path, "payload", size, left) if left < size else
-                   FormatError(f"{path}: trailing bytes at end of file"))
+        read = _payload_reader(fh, path, "payload", size)
         buf = np.empty(min(math.prod(dims), _CHUNK), dtype="<f4")
-
-        def elements(start, stop):
-            fh.seek(header + 4 * start)
-            got = fh.readinto(buf[:stop - start])
-            if got != 4 * (stop - start):
-                raise _truncated(path, "payload", size, 4 * start + got)
-            return buf[:stop - start]
-
-        yield dims, elements
+        yield dims, lambda start, stop: read(4 * start, buf[:stop - start])
 
 
 # ---------------------------------------------------------------------------
@@ -702,24 +833,64 @@ def _check_fqz1_block_size(block_size):
         raise FormatError(f"block size {block_size} overflows the 32-bit header")
 
 
+def _fqz1_header(dims, axis, block_size, code):
+    """FQZ1 header bytes.  More than 64 dimensions, a block size or extent
+    of 2^32 or more, or code values that collide in float32 raise
+    FormatError."""
+    code_vals = code.values.astype("<f4")
+    if np.any(np.diff(code_vals) <= 0):
+        raise FormatError(
+            "code values collide after float32 rounding; cannot serialize"
+        )
+    _check_fqz1_block_size(block_size)
+    return (_header(FQZ1_MAGIC, 1, dims)
+            + struct.pack("<IBB", block_size, axis, 16)
+            + code_vals.tobytes())
+
+
 def qtensor_write(qt, path):
     """Write a QuantizedTensor as FQZ1: the header, then ``qt.records``.
 
     More than 64 dimensions, or a block size or extent of 2^32 or more,
     does not fit the header and raises FormatError.
     """
-    code_vals = qt.code.values.astype("<f4")
-    if np.any(np.diff(code_vals) <= 0):
-        raise FormatError(
-            "code values collide after float32 rounding; cannot serialize"
-        )
-    _check_fqz1_block_size(qt.block_size)
-    header = (_header(FQZ1_MAGIC, 1, qt.dims)
-              + struct.pack("<IBB", qt.block_size, qt.block_axis, 16)
-              + code_vals.tobytes())
+    header = _fqz1_header(qt.dims, qt.block_axis, qt.block_size, qt.code)
     with output_file(path) as fh:
         fh.write(header)
         fh.write(qt.records)
+
+
+def _read_fqz1_header(fh, path):
+    """Read an FQZ1 header written by _fqz1_header and return its extents,
+    block axis, block size and code."""
+    dims = _read_header(fh, path, FQZ1_MAGIC, 1, "FQZ1 version")
+    block_size, axis, code_len = struct.unpack(
+        "<IBB", _read_exact(fh, 6, path, "block header")
+    )
+    if code_len != 16:
+        raise FormatError(f"{path}: code length must be 16, got {code_len}")
+    if block_size < 1:
+        raise FormatError(f"{path}: invalid block size {block_size}")
+    if axis >= len(dims):
+        raise FormatError(f"{path}: block axis {axis} out of range")
+    # Code16 rejects non-finite and unordered values; sNaN casts warn.
+    with np.errstate(invalid="ignore"):
+        code_vals = _read_exact(fh, 64, path, "code values").view(
+            "<f4").astype(np.float64)
+    try:
+        code = Code16(code_vals, params={"source": "fqz1"})
+    except DomainError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return dims, axis, block_size, code
+
+
+def _check_scales(qt, path):
+    """FormatError unless every block scale of ``qt`` is finite and
+    nonnegative."""
+    for _, _, _, scales, _ in _parts(qt):
+        # NaN propagates through min and max
+        if not (scales.min() >= 0 and scales.max() < np.inf):
+            raise FormatError(f"{path}: block scales must be finite and nonnegative")
 
 
 def qtensor_read(path):
@@ -729,33 +900,36 @@ def qtensor_read(path):
     provenance lives in code16/v1 files, not here.
     """
     with open(path, "rb") as fh:
-        dims = _read_header(fh, path, FQZ1_MAGIC, 1, "FQZ1 version")
-        block_size, axis, code_len = struct.unpack(
-            "<IBB", _read_exact(fh, 6, path, "block header")
-        )
-        if code_len != 16:
-            raise FormatError(f"{path}: code length must be 16, got {code_len}")
-        if block_size < 1:
-            raise FormatError(f"{path}: invalid block size {block_size}")
-        if axis >= len(dims):
-            raise FormatError(f"{path}: block axis {axis} out of range")
-        # Code16 rejects non-finite and unordered values; sNaN casts warn.
-        with np.errstate(invalid="ignore"):
-            code_vals = _read_exact(fh, 64, path, "code values").view(
-                "<f4").astype(np.float64)
-        try:
-            code = Code16(code_vals, params={"source": "fqz1"})
-        except DomainError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-
+        dims, axis, block_size, code = _read_fqz1_header(fh, path)
         # Body length from the header alone, so a lying header fails in
         # _read_exact before the body is allocated.
         body = _read_rest(fh, _fqz1_body_length(dims, axis, block_size), path,
                           "blocks")
-
     qt = QuantizedTensor(dims, axis, block_size, code, body)
-    for _, _, _, scales, _ in _parts(qt):
-        # NaN propagates through min and max
-        if not (scales.min() >= 0 and scales.max() < np.inf):
-            raise FormatError(f"{path}: block scales must be finite and nonnegative")
+    _check_scales(qt, path)
     return qt
+
+
+@contextlib.contextmanager
+def _fqz1_slabs(path):
+    """The extents of an FQZ1 file and its slabs (see _slabs), each read
+    into one reused buffer when the iteration reaches it.  Every check of
+    qtensor_read runs on entry -- the header, the exact body length, and
+    every scale field, slab by slab -- so a bad file fails before anything
+    is written.  Any other input than a regular file is read whole, as by
+    qtensor_read."""
+    with open(path, "rb") as fh:
+        dims, axis, block_size, code = _read_fqz1_header(fh, path)
+        size = _fqz1_body_length(dims, axis, block_size)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            read = _payload_reader(fh, path, "blocks", size)
+            buf = np.empty(max(part.stop - part.start for *_, part in
+                               _slab_layout(dims, axis, block_size)), dtype=np.uint8)
+
+            def records(part):
+                return read(part.start, buf[:part.stop - part.start])
+        else:
+            records = _read_rest(fh, size, path, "blocks").__getitem__
+        for _, _, slab in _slabs(dims, axis, block_size, code, records):
+            _check_scales(slab, path)
+        yield dims, _slabs(dims, axis, block_size, code, records)

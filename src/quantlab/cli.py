@@ -112,11 +112,11 @@ def cmd_quantize(args):
     block_size = check_block_size(args.block_size if args.block_size is not None
                                   else code.block_size or DEFAULT_BLOCK_SIZE)
     blockquant._check_fqz1_block_size(block_size)
-    # The input is closed before the output replaces it: they may be one file.
+    # The output is written to a new file that replaces its path only at the
+    # end, so it may be the input.
     with blockquant._fqt1_elements(args.input) as (dims, elements):
-        qt, errors = blockquant._quantize(dims, elements, code, block_size,
-                                          args.axis, args.report)
-    blockquant.qtensor_write(qt, args.output)
+        _, errors = blockquant._quantize(dims, elements, code, block_size,
+                                         args.axis, args.report, args.output)
     if args.report:
         rows = [(m, _fmt(errors[m])) for m in ("mean_abs", "mean_sq", "max_abs")]
         _emit(rows, ("metric", "value"), args.csv)
@@ -124,9 +124,9 @@ def cmd_quantize(args):
 
 
 def cmd_dequantize(args):
-    qt = blockquant.qtensor_read(args.input)
-    with blockquant.tensor_writer(qt.dims, args.output) as write:
-        for run in blockquant._dequantized_runs(qt):
+    with (blockquant._fqz1_slabs(args.input) as (dims, slabs),
+          blockquant.tensor_writer(dims, args.output) as write):
+        for run in blockquant._dequantized_runs(slabs):
             write(run)
     return EXIT_OK
 

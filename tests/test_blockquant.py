@@ -780,8 +780,9 @@ WORKING_SET_GEOMETRIES = {
 class TestWorkingSet:
     """No function on the tensor path makes a temporary that grows with the
     tensor: beyond its inputs and outputs, each peaks at a fixed multiple of
-    the chunk (16 bytes per chunk element, against 16 MiB of tensor).  The
-    report fused into quantize holds no dequantized tensor."""
+    the chunk (16 bytes per chunk element, against 16 MiB of tensor), and
+    quantize also at the scales its first pass fills, 4 bytes per block.
+    The report fused into quantize holds no dequantized tensor."""
 
     @pytest.mark.parametrize("geometry", sorted(WORKING_SET_GEOMETRIES))
     def test_quantize_dequantize_report(self, geometry):
@@ -792,7 +793,8 @@ class TestWorkingSet:
         code = qc.nf4_code()
         with traced_peak() as peak:
             qt = bq.quantize(w, code, B, axis=axis)
-        assert peak[0] < qt.records.nbytes + slack
+        scales = 4 * qt.num_blocks
+        assert peak[0] < qt.records.nbytes + scales + slack
         with traced_peak() as peak:
             restored = bq.dequantize(qt)
         assert peak[0] < restored.nbytes + slack
@@ -801,7 +803,7 @@ class TestWorkingSet:
         assert peak[0] < slack
         with traced_peak() as peak:
             fused, streamed = report_of_quantize(w, code, B, axis)
-        assert peak[0] < qt.records.nbytes + slack
+        assert peak[0] < qt.records.nbytes + scales + slack
         assert {k: v.hex() for k, v in streamed.items()} == {
             k: v.hex() for k, v in report.items()}
         np.testing.assert_array_equal(fused.records, qt.records)
@@ -961,6 +963,39 @@ class TestSlices:
             np.testing.assert_array_equal(pieces.packed, whole.packed)
             np.testing.assert_array_equal(bq.dequantize(pieces), restored)
             np.testing.assert_array_equal(bq.usage_histogram(pieces), counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_slab_is_its_own_tensor(self, codes, data):
+        # Each slab is a (rows, extent, after) tensor blocked along axis 1:
+        # quantized alone, its elements give exactly the records and scales
+        # that are its byte range and its blocks of the whole tensor's.  The
+        # slabs follow one another in elements, blocks and bytes; each holds
+        # at most a chunk of elements, or one block group.
+        shape = tuple(data.draw(st.lists(st.integers(1, 11), min_size=1, max_size=3)))
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        B = data.draw(st.integers(1, shape[axis] + 3))
+        chunk = data.draw(st.integers(1, 300))
+        w = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(
+            shape).astype(np.float32)
+        qt = bq.quantize(w, codes["af4"], B, axis=axis)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", chunk)
+            layout = list(bq._slab_layout(shape, axis, B))
+        after = math.prod(shape[axis + 1:])
+        element = block = byte = 0
+        for start, slab, blocks, part in layout:
+            assert (start, blocks.start, part.start) == (element, block, byte)
+            size = math.prod(slab)
+            assert slab[2] == after
+            assert size <= chunk or slab[:2] == (1, min(B, shape[axis] - (
+                start // after) % shape[axis]))
+            alone = bq.quantize(w.reshape(-1)[start:start + size].reshape(slab),
+                                codes["af4"], B, axis=1)
+            np.testing.assert_array_equal(alone.records, qt.records[part])
+            np.testing.assert_array_equal(alone.scales, qt.scales[blocks])
+            element, block, byte = start + size, blocks.stop, part.stop
+        assert (element, block, byte) == (w.size, qt.num_blocks, qt.records.size)
 
 
 class TestPacking:

@@ -288,6 +288,18 @@ class TestQuantizeDequantize:
                    *argv) == (0, report, "")
         assert tensor_file.read_bytes() == (tmp_path / "o.fqz").read_bytes()
 
+    def test_dequantize_output_may_be_the_input(self, capsys, monkeypatch, tmp_path,
+                                                tensor_file, nf4_file):
+        # Small chunks make 16 slabs of one 4-row block group each, so the
+        # input is still being read while the output is written.
+        monkeypatch.setattr(bq, "_CHUNK", 256)
+        fqz, fresh = tmp_path / "w.fqz", tmp_path / "back.fqt"
+        assert run(capsys, "quantize", str(tensor_file), str(fqz), "--code",
+                   str(nf4_file), "--block-size", "4")[0] == 0
+        assert run(capsys, "dequantize", str(fqz), str(fresh)) == (0, "", "")
+        assert run(capsys, "dequantize", str(fqz), str(fqz)) == (0, "", "")
+        assert fqz.read_bytes() == fresh.read_bytes()
+
     def test_input_truncated_between_the_passes(self, capsys, monkeypatch, tmp_path,
                                                 nf4_file):
         # Rows longer than the chunk make several reads per pass; the file
@@ -388,13 +400,15 @@ def traced_run(capsys, *argv):
 
 
 class TestTensorPathMemory:
-    """Neither command holds a tensor-sized array or a padded copy of the
-    records: ``quantize --report`` streams its input and peaks at the FQZ1
-    body it builds and writes; ``dequantize`` at the body it reads.  Beyond
-    that, 24 bytes per chunk element for the report (3 MiB) and 16 for
-    ``dequantize`` (2 MiB), against 16 MiB of tensor.  Blocks of 64 down
-    axis 0 leave no tail; blocks of 4000 along axis 1 leave a tail of 96,
-    whose record is 52 bytes against the full block's 2,004."""
+    """Neither command holds a tensor-sized array or the FQZ1 body: both
+    walk the tensor slab by slab.  Beyond that, ``quantize --report`` peaks
+    at the scales of its first pass (4 bytes per block), 24 bytes per chunk
+    element (3 MiB) and the slabs a leaf reaches, here at most two;
+    ``dequantize`` at 16 bytes per chunk element (2 MiB) and one slab,
+    against 16 MiB of tensor.  Blocks of 64 down axis 0 leave no tail, and
+    a slab is one block group of 147,456 bytes; blocks of 4000 along axis 1
+    leave a tail of 96, whose record is 52 bytes against the full block's
+    2,004, and a slab is 32 rows."""
 
     GEOMETRIES = [(64, 0), (4000, 1)]
 
@@ -404,6 +418,11 @@ class TestTensorPathMemory:
         assert w.size >= 1 << 22
         return w
 
+    @staticmethod
+    def slab_bytes(dims, B, axis):
+        return max(part.stop - part.start
+                   for *_, part in bq._slab_layout(dims, axis, B))
+
     @pytest.mark.parametrize("B, axis", GEOMETRIES)
     def test_quantize_report(self, capsys, tmp_path, tensor, nf4_file, B, axis):
         src, fqz = tmp_path / "w.fqt", tmp_path / "w.fqz"
@@ -412,7 +431,8 @@ class TestTensorPathMemory:
                                      "--code", str(nf4_file), "--block-size", str(B),
                                      "--axis", str(axis), "--report")
         assert code == 0 and "mean_abs" in out
-        assert peak < bq.qtensor_read(fqz).records.nbytes + 24 * bq._CHUNK
+        assert peak < (4 * bq.qtensor_read(fqz).num_blocks + 24 * bq._CHUNK
+                       + 2 * self.slab_bytes(tensor.shape, B, axis))
 
     @pytest.mark.parametrize("B, axis", GEOMETRIES)
     def test_dequantize(self, capsys, tmp_path, tensor, B, axis):
@@ -421,8 +441,33 @@ class TestTensorPathMemory:
         bq.qtensor_write(qt, fqz)
         code, _, peak = traced_run(capsys, "dequantize", str(fqz), str(out))
         assert code == 0
-        assert peak < qt.records.nbytes + 16 * bq._CHUNK
+        assert peak < 16 * bq._CHUNK + self.slab_bytes(tensor.shape, B, axis)
         np.testing.assert_array_equal(bq.tensor_read(out), bq.dequantize(qt))
+
+    @pytest.mark.parametrize("command", ["quantize", "dequantize"])
+    def test_twice_the_rows_add_only_their_scales(self, capsys, tmp_path, nf4_file,
+                                                  command):
+        # B=64 down axis 0: the body grows by 2.25 MiB, the scales by
+        # 256 KiB.  The 64 KiB allow for Python objects that the report
+        # keeps per leaf, such as its list of leaf maxima: 10-20 KiB here.
+        peaks, blocks = [], []
+        for rows in (1024, 2048):
+            w = np.random.default_rng(6).standard_normal((rows, 4096),
+                                                         dtype=np.float32)
+            src, fqz = tmp_path / "w.fqt", tmp_path / "w.fqz"
+            bq.tensor_write(w, src)
+            bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 64), fqz)
+            del w
+            if command == "quantize":
+                argv = ("quantize", str(src), str(tmp_path / "o.fqz"),
+                        "--code", str(nf4_file), "--report")
+            else:
+                argv = ("dequantize", str(fqz), str(tmp_path / "back.fqt"))
+            code, _, peak = traced_run(capsys, *argv)
+            assert code == 0
+            peaks.append(peak)
+            blocks.append(rows * 4096 // 64)
+        assert peaks[1] - peaks[0] <= 4 * (blocks[1] - blocks[0]) + (64 << 10)
 
 
 class TestDist:
@@ -858,6 +903,81 @@ def test_lying_header_on_a_pipe_is_a_format_error(capsys, tmp_path, command):
     assert err.startswith("error: ") and "truncated" in err
     assert err.count("\n") == 1
     assert peak < 8 << 20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["quantize", "dequantize"])
+def test_input_on_a_pipe_gives_the_same_output(capsys, monkeypatch, tmp_path,
+                                               command):
+    # A pipe is read whole and then walked slab by slab like a file; small
+    # chunks make many slabs.
+    monkeypatch.setattr(bq, "_CHUNK", 256)
+    w = np.random.default_rng(4).standard_normal((30, 50)).astype(np.float32)
+    code_path, src = tmp_path / "nf4.json", tmp_path / "input"
+    qc.code_write(qc.nf4_code(), code_path)
+    if command == "quantize":
+        bq.tensor_write(w, src)
+        options = ("--code", str(code_path), "--block-size", "7", "--report")
+    else:
+        bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 7, axis=1), src)
+        options = ()
+    expected = run(capsys, command, str(src), str(tmp_path / "from-file"), *options)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(src.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    try:
+        got = run(capsys, command, str(fifo), str(tmp_path / "from-pipe"), *options)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == expected and got[0] == 0
+    assert ((tmp_path / "from-pipe").read_bytes()
+            == (tmp_path / "from-file").read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case", ["nan last", "negative last scale",
+                                  "body one byte short"])
+def test_no_output_byte_on_a_data_or_format_error(capsys, monkeypatch, tmp_path,
+                                                  case):
+    # An output that is a pipe is written in place, so every check must run
+    # before the first byte.  Small chunks make many slabs, and the fault is
+    # in the last one.  The reader end is opened first, without blocking,
+    # so that opening the output would not block either.
+    monkeypatch.setattr(bq, "_CHUNK", 256)
+    w = np.random.default_rng(3).standard_normal((32, 40)).astype(np.float32)
+    code_path, src = tmp_path / "nf4.json", tmp_path / "input"
+    qc.code_write(qc.nf4_code(), code_path)
+    if case == "nan last":
+        w[-1, -1] = np.nan
+        bq.tensor_write(w, src)
+        argv = ("quantize", str(src), "--code", str(code_path), "--block-size", "8")
+    else:
+        bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 8), src)
+        data = bytearray(src.read_bytes())
+        if case == "negative last scale":
+            # B=8 down axis 0: every record is a scale and 4 index bytes
+            data[-8:-4] = struct.pack("<f", -1.0)
+        else:
+            del data[-1]
+        src.write_bytes(bytes(data))
+        argv = ("dequantize", str(src))
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = run(capsys, *argv[:2], str(fifo), *argv[2:])
+        try:
+            received = os.read(reader, 1 << 16)
+        except BlockingIOError:
+            received = b""
+    finally:
+        os.close(reader)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert received == b""
 
 
 class TestMcSample:
