@@ -17,22 +17,25 @@ the tensor the same way, so no temporary grows with the tensor: ``_runs``
 splits it into C-order ranges of at most ``_CHUNK`` elements (the report
 into its pairwise-sum leaves instead), and ``_pieces`` cuts a range into
 pieces that each lie inside one block part.  ``_slab_layout`` cuts the tensor
-into slabs of whole block groups; a slab is a small tensor of its own,
-whose records are one byte range of the body.  Quantization reads the
-tensor range by range, from an array or an FQT1 file, in two passes: the
-first fills a scales array slab by slab, the second encodes each range
-into the few slabs it reaches and hands each slab on once it is complete;
-the report is fused into the second, which dequantizes each leaf's new
-indices and subtracts.  Dequantization expands one slab at a time.  So the
-tensor commands never hold the body: ``quantize --report`` peaks at about
-4 bytes per block, one leaf and a few slabs, and ``dequantize`` at one run
-and one slab.  Each piece's results are a whole-tensor pass's, bit for bit.
+into slabs of whole block groups, at most a chunk of elements or one
+group; a slab is a small tensor of its own, whose records are one byte
+range of the body.  Quantization reads the tensor range by range, from an
+array or an FQT1 file, in two passes: the first raises every block's
+scale to its absmax -- in the body, or when the records go to a file, in
+an array of 4 bytes per block -- and the second encodes each range into
+the few slabs it reaches, with one nearest-value search per range, and
+hands each slab on once it is complete; the report is fused into the
+second, which dequantizes each leaf's new indices and subtracts.
+Dequantization expands one slab at a time.  So the tensor commands never
+hold the body: ``quantize --report`` peaks at about 4 bytes per block,
+one leaf and the slabs it reaches, and ``dequantize`` at one run and one
+slab.  Each piece's results are a whole-tensor pass's, bit for bit.
 
 All operations are deterministic: ties in the nearest-value search go to
 the lower index, all-zero blocks store a scale of zero, and pad nibbles are
 zero.  The nearest-value search compares each element with 15 decision
 thresholds, one set per code and search dtype (float32 for float32 input,
-float64 otherwise), one threshold at a time over the whole piece.  The
+float64 otherwise), one threshold at a time over the whole range.  The
 thresholds are derived from, and give the same indices as, the
 double-precision tie rule of ``_nearest_index_reference``.
 
@@ -262,29 +265,35 @@ def _set_scales(qt, scales):
         s[...] = scales[:, first:first + n]
 
 
-def _pieces(qt, start, stop, *ranges):
-    """Cut the elements [start, stop) of ``qt``'s tensor, counted in C
-    order, into pieces that each lie inside one block part: the range splits
-    into boxes of the (before, length, after) view, and each box along the
-    block axis into a partial first block, whole blocks and a partial last
-    block.
+def _layout(qt):
+    """``qt``'s (dims, block axis, block size, block parts) for _pieces."""
+    return qt.dims, qt.block_axis, qt.block_size, list(_parts(qt))
+
+
+def _pieces(layout, start, stop, *ranges):
+    """Cut the elements [start, stop) of a tensor, counted in C order, into
+    pieces that each lie inside one block part: the range splits into boxes
+    of the (before, length, after) view, and each box along the block axis
+    into a partial first block, whole blocks and a partial last block.
+    ``layout`` is the tensor's (dims, axis, block size, parts): the parts
+    as _parts yields them, whose index bytes may be None.
 
     Per piece: its offset and length inside its blocks; a tuple of its
     (before, blocks, length, after) views of each of ``ranges`` -- flat
-    arrays of the range's elements; and its views of ``qt.records`` (see
-    _parts): the (before, blocks, after) scales and the (before, blocks,
-    after, bytes) index bytes that hold its nibbles.  A piece at an odd
-    offset shares its first byte with an earlier piece."""
-    grid, _ = _geometry(qt.dims, qt.block_axis, qt.block_size)
-    parts = list(_parts(qt))
+    arrays of the range's elements; and its views of the part's fields: the
+    (before, blocks, after) scales and the (before, blocks, after, bytes)
+    index bytes that hold its nibbles.  A piece at an odd offset shares its
+    first byte with an earlier piece."""
+    dims, axis, block_size, parts = layout
+    grid, _ = _geometry(dims, axis, block_size)
     at = 0
-    for (b0, b1), (l0, l1), (a0, a1) in _boxes(
-            (grid[0], qt.dims[qt.block_axis], grid[2]), start, stop):
+    for (b0, b1), (l0, l1), (a0, a1) in _boxes((grid[0], dims[axis], grid[2]),
+                                               start, stop):
         shape = (b1 - b0, l1 - l0, a1 - a0)
         boxes = [r[at:at + math.prod(shape)].reshape(shape) for r in ranges]
         at += math.prod(shape)
         for first, n, block_len, scales, packed in parts:
-            begin = first * qt.block_size
+            begin = first * block_size
             for (k0, k1), (j0, j1) in _boxes((n, block_len), max(l0 - begin, 0),
                                              min(l1, begin + n * block_len) - begin):
                 lo = begin + k0 * block_len + j0 - l0
@@ -292,7 +301,8 @@ def _pieces(qt, start, stop, *ranges):
                     shape[0], k1 - k0, j1 - j0, shape[2]) for box in boxes)
                 blocks = (slice(b0, b1), slice(k0, k1), slice(a0, a1))
                 nibbles = slice(j0 // 2, j0 // 2 + _width(j0 % 2 + j1 - j0))
-                yield j0, j1 - j0, views, scales[blocks], packed[blocks + (nibbles,)]
+                yield (j0, j1 - j0, views, scales[blocks],
+                       None if packed is None else packed[blocks + (nibbles,)])
 
 
 def _nearest_index_reference(normalized, code_values):
@@ -428,66 +438,74 @@ def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None)
         raise DomainError(f"axis {axis} out of range for {dims}")
     axis %= len(dims)
     block_size = check_block_size(block_size)
-    # Zeros: the absmax pass raises scales from 0; _encode ORs into nibbles.
+    # The first pass raises each block's scale from zero to its absmax: in
+    # the scale fields of the body, or given a path, in a (before, blocks,
+    # after) array, 4 bytes per block.
+    grid, parts = _geometry(dims, axis, block_size)
     if path is None:
-        body = np.zeros(_fqz1_body_length(dims, axis, block_size), dtype=np.uint8)
-        records = body.__getitem__
+        qt = QuantizedTensor(dims, axis, block_size, code, np.zeros(
+            _fqz1_body_length(dims, axis, block_size), dtype=np.uint8))
+        layout = _layout(qt)
     else:
-        def records(part):
-            return np.zeros(part.stop - part.start, dtype=np.uint8)
-
+        scales = np.zeros(grid, dtype=np.float32)
+        layout = (dims, axis, block_size,
+                  [(first, n, block_len, scales[:, first:first + n], None)
+                   for first, n, block_len in parts])
     # A piece may hold part of a block, so the absmax is accumulated; the
     # maximum commutes with the rounding to the float32 scale.
-    grid, _ = _geometry(dims, axis, block_size)
-    scales = np.empty(math.prod(grid), dtype=np.float32)
     with np.errstate(over="ignore"):
-        for start, blocks, slab in _slabs(dims, axis, block_size, code, records):
-            for a, b in _runs(slab.dims):
-                run = elements(start + a, start + b)
-                for _, _, (v,), s, _ in _pieces(slab, a, b, run):
-                    np.maximum(s, np.abs(v).max(axis=2), out=s)
-            scales[blocks] = slab.scales
+        for start, stop in _runs(dims):
+            run = elements(start, stop)
+            for _, _, (v,), s, _ in _pieces(layout, start, stop, run):
+                np.maximum(s, np.abs(v).max(axis=2), out=s)
     # NaN and inf propagate into their block's scale, and so does an absmax
-    # beyond the float32 range.
-    if not np.isfinite(scales).all():
+    # beyond the float32 range; max() propagates NaN.
+    if not all(s.max() < np.inf for *_, s, _ in layout[3]):
         for start, stop in _runs(dims):
             found = np.flatnonzero(~np.isfinite(elements(start, stop)))
             if found.size:
                 pos = np.unravel_index(start + found[0], dims)
                 raise DataError("non-finite input value at position "
                                 f"{tuple(int(i) for i in pos)}")
-        block = int(np.argmax(~np.isfinite(scales)))
+        block = int(np.argmax(~np.isfinite(qt.scales if path is None else scales)))
         raise DataError(f"block {block}: absmax exceeds the float32 range of "
                         "the stored scale")
 
-    slabs = _slabs(dims, axis, block_size, code, records)
     if path is None:
-        return (QuantizedTensor(dims, axis, block_size, code, body),
-                _encode_slabs(dims, elements, slabs, scales, report, lambda _: None))
+        slabs = _slabs(dims, axis, block_size, code, qt.records.__getitem__)
+        return qt, _encode_slabs(dims, elements, slabs, report, lambda _: None)
     header = _fqz1_header(dims, axis, block_size, code)
     with output_file(path) as fh:
         fh.write(header)
-        return None, _encode_slabs(dims, elements, slabs, scales, report, fh.write)
+        return None, _encode_slabs(dims, elements, _filled_slabs(
+            dims, axis, block_size, code, scales.reshape(-1)), report, fh.write)
 
 
-def _encode_slabs(dims, elements, slabs, scales, report, write):
+def _filled_slabs(dims, axis, block_size, code, scales):
+    """The slabs (see _slabs) of a tensor whose (num_blocks,) ``scales``
+    are known, each over new records with its scales set.  The second pass
+    of _quantize writes every index byte, so the records need no zeros."""
+    for start, blocks, slab in _slabs(dims, axis, block_size, code, lambda part:
+                                      np.empty(part.stop - part.start, dtype=np.uint8)):
+        _set_scales(slab, scales[blocks])
+        yield start, blocks, slab
+
+
+def _encode_slabs(dims, elements, slabs, report, write):
     """The second pass of _quantize.  Walk the tensor in C order -- the
     ranges of _runs, or the report's leaves -- and encode each range into
-    the slabs it reaches, opened in order with their ``scales`` set; pass
-    each slab's records to ``write`` once the walk is past its last
-    element.  Returns the report, or None."""
+    the slabs it reaches, which are opened in order and whose scales are
+    set; pass each slab's records to ``write`` once the walk is past its
+    last element.  Returns the report, or None."""
     opened = collections.deque()
 
     def encode(start, values, *out):
         stop = start + values.size
         while not opened or opened[-1][1] < stop:
-            first, blocks, slab = next(slabs)
-            _set_scales(slab, scales[blocks])
+            first, _, slab = next(slabs)
             opened.append((first, first + math.prod(slab.dims), slab))
         # every open slab ends after ``start`` and begins before ``stop``
-        for first, last, slab in opened:
-            lo, hi = max(start, first) - start, min(stop, last) - start
-            _encode(slab, start + lo - first, values[lo:hi], *(o[lo:hi] for o in out))
+        _encode(opened, start, values, *out)
         while opened and opened[0][1] <= stop:
             write(opened.popleft()[2].records)
 
@@ -504,23 +522,34 @@ def _encode_slabs(dims, elements, slabs, scales, report, write):
     return _summary(differences, math.prod(dims))
 
 
-def _encode(qt, start, values, *out):
-    """Quantize the C-order elements [start, start + values.size) of
-    ``qt``'s tensor, whose scales are set, into ``qt.records``; given a flat
-    array ``out``, also write their dequantized values into it."""
-    indices = [np.empty(values.size, dtype=np.uint8)] if out else []
-    scaled = []
-    for offset, _, (v, *o), s, pk in _pieces(qt, start, start + values.size,
-                                              values, *out, *indices):
-        s = s.copy()  # aligned, as in _dequantize_run
-        # Divide in the tensor's working precision by the stored
-        # (float32) scale so dequantization sees the same quantity.
-        safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
-        idx = nearest_index(v / safe[:, :, None], qt.code.values)
-        if o:
-            o[1][...] = idx
-            scaled.append((o[0], s))
-        idx = idx.transpose(0, 1, 3, 2)
+def _encode(slabs, start, values, *out):
+    """Quantize the C-order elements [start, start + values.size) of a
+    tensor into the records of ``slabs``: (first element, end, slab) per
+    slab (see _slabs) that the range reaches, each with its scales set.
+    Given a flat array ``out``, also write the dequantized values into it.
+    The range is normalized into one array, so one nearest_index call
+    searches it whatever the slabs and block parts it spans."""
+    stop = start + values.size
+    # v / s has the dtype of v, in native byte order
+    normalized = np.empty(values.size, dtype=np.result_type(values.dtype))
+    indices = np.empty(values.size, dtype=np.uint8)
+    pieces, scaled = [], []
+    for first, end, qt in slabs:
+        lo, hi = max(start, first), min(stop, end)
+        ranges = (r[lo - start:hi - start] for r in (values, normalized, indices, *out))
+        for offset, _, (v, n, i, *o), s, pk in _pieces(_layout(qt), lo - first,
+                                                        hi - first, *ranges):
+            s = s.copy()  # aligned, as in _dequantize_run
+            # Divide in the tensor's working precision by the stored
+            # (float32) scale so dequantization sees the same quantity.
+            safe = np.where(s > 0, s, np.float32(1.0)).astype(v.dtype)
+            np.divide(v, safe[:, :, None], out=n)
+            pieces.append((offset, i.transpose(0, 1, 3, 2), pk))
+            if o:
+                scaled.append((o[0], s))
+    code = slabs[0][2].code
+    indices[...] = nearest_index(normalized, code.values)
+    for offset, idx, pk in pieces:
         # At an odd offset the first byte's low nibble is an earlier
         # piece's, so only the high nibble is ORed in; an odd length
         # leaves its last high nibble zero for a later piece.
@@ -529,7 +558,7 @@ def _encode(qt, start, values, *out):
             pk, idx = pk[..., 1:], idx[..., 1:]
         pk[...] = pack_nibbles(idx)
     if out:
-        _dequantize_pieces(qt.code, *indices, out[0], scaled)
+        _dequantize_pieces(code, indices, out[0], scaled)
 
 
 def _dequantize_run(qt, start, out):
@@ -537,7 +566,7 @@ def _dequantize_run(qt, start, out):
     tensor, in C order, into the flat array ``out``."""
     indices = np.empty(out.size, dtype=np.uint8)
     scaled = []
-    for offset, length, (o, i), s, pk in _pieces(qt, start, start + out.size,
+    for offset, length, (o, i), s, pk in _pieces(_layout(qt), start, start + out.size,
                                                  out, indices):
         idx = unpack_nibbles(pk, offset % 2 + length)[..., offset % 2:]
         i[...] = idx.transpose(0, 1, 3, 2)
@@ -591,8 +620,9 @@ def usage_histogram(qt):
     """How often each code index occurs (pad nibbles excluded): 16 int64
     counts."""
     counts = np.zeros(16, dtype=np.int64)
+    layout = _layout(qt)
     for start, stop in _runs(qt.dims):
-        for offset, length, _, _, pk in _pieces(qt, start, stop):
+        for offset, length, _, _, pk in _pieces(layout, start, stop):
             # Count both nibbles of every byte, high by low, then take back
             # the ones that are not the piece's: the low nibble before an odd
             # offset and the high nibble after an odd end.
@@ -916,8 +946,10 @@ def _fqz1_slabs(path):
     into one reused buffer when the iteration reaches it.  Every check of
     qtensor_read runs on entry -- the header, the exact body length, and
     every scale field, slab by slab -- so a bad file fails before anything
-    is written.  Any other input than a regular file is read whole, as by
-    qtensor_read."""
+    is written.  Each slab's scales are checked again as it is read back,
+    so a file that changes in between fails too, though an output written
+    in place, such as a pipe, may then have had part of the tensor.  Any
+    other input than a regular file is read whole, as by qtensor_read."""
     with open(path, "rb") as fh:
         dims, axis, block_size, code = _read_fqz1_header(fh, path)
         size = _fqz1_body_length(dims, axis, block_size)
@@ -930,6 +962,12 @@ def _fqz1_slabs(path):
                 return read(part.start, buf[:part.stop - part.start])
         else:
             records = _read_rest(fh, size, path, "blocks").__getitem__
-        for _, _, slab in _slabs(dims, axis, block_size, code, records):
-            _check_scales(slab, path)
-        yield dims, _slabs(dims, axis, block_size, code, records)
+
+        def checked():
+            for start, blocks, slab in _slabs(dims, axis, block_size, code, records):
+                _check_scales(slab, path)
+                yield start, blocks, slab
+
+        for _ in checked():
+            pass
+        yield dims, checked()

@@ -401,20 +401,25 @@ def traced_run(capsys, *argv):
 
 class TestTensorPathMemory:
     """Neither command holds a tensor-sized array or the FQZ1 body: both
-    walk the tensor slab by slab.  Beyond that, ``quantize --report`` peaks
+    walk the tensor slab by slab, and a slab holds at most a chunk of
+    elements or one block group.  Beyond that, ``quantize --report`` peaks
     at the scales of its first pass (4 bytes per block), 24 bytes per chunk
     element (3 MiB) and the slabs a leaf reaches, here at most two;
     ``dequantize`` at 16 bytes per chunk element (2 MiB) and one slab,
     against 16 MiB of tensor.  Blocks of 64 down axis 0 leave no tail, and
     a slab is one block group of 147,456 bytes; blocks of 4000 along axis 1
     leave a tail of 96, whose record is 52 bytes against the full block's
-    2,004, and a slab is 32 rows."""
+    2,004, and a slab is 32 rows.  A block longer than its axis makes each
+    row one group of 1 MiB of records, and the report leaf that ends 3
+    elements before the first row does reaches both."""
 
-    GEOMETRIES = [(64, 0), (4000, 1)]
+    GEOMETRIES = [pytest.param((1024, 4096), 64, 0, id="64-0"),
+                  pytest.param((1024, 4096), 4000, 1, id="4000-1"),
+                  pytest.param((2, (1 << 21) + 3), 1 << 22, 1, id="4194304-1")]
 
-    @pytest.fixture
-    def tensor(self):
-        w = np.random.default_rng(6).standard_normal((1024, 4096), dtype=np.float32)
+    @staticmethod
+    def tensor(shape):
+        w = np.random.default_rng(6).standard_normal(shape, dtype=np.float32)
         assert w.size >= 1 << 22
         return w
 
@@ -423,25 +428,25 @@ class TestTensorPathMemory:
         return max(part.stop - part.start
                    for *_, part in bq._slab_layout(dims, axis, B))
 
-    @pytest.mark.parametrize("B, axis", GEOMETRIES)
-    def test_quantize_report(self, capsys, tmp_path, tensor, nf4_file, B, axis):
+    @pytest.mark.parametrize("shape, B, axis", GEOMETRIES)
+    def test_quantize_report(self, capsys, tmp_path, nf4_file, shape, B, axis):
         src, fqz = tmp_path / "w.fqt", tmp_path / "w.fqz"
-        bq.tensor_write(tensor, src)
+        bq.tensor_write(self.tensor(shape), src)
         code, out, peak = traced_run(capsys, "quantize", str(src), str(fqz),
                                      "--code", str(nf4_file), "--block-size", str(B),
                                      "--axis", str(axis), "--report")
         assert code == 0 and "mean_abs" in out
         assert peak < (4 * bq.qtensor_read(fqz).num_blocks + 24 * bq._CHUNK
-                       + 2 * self.slab_bytes(tensor.shape, B, axis))
+                       + 2 * self.slab_bytes(shape, B, axis))
 
-    @pytest.mark.parametrize("B, axis", GEOMETRIES)
-    def test_dequantize(self, capsys, tmp_path, tensor, B, axis):
+    @pytest.mark.parametrize("shape, B, axis", GEOMETRIES)
+    def test_dequantize(self, capsys, tmp_path, shape, B, axis):
         fqz, out = tmp_path / "w.fqz", tmp_path / "back.fqt"
-        qt = bq.quantize(tensor, qc.nf4_code(), B, axis=axis)
+        qt = bq.quantize(self.tensor(shape), qc.nf4_code(), B, axis=axis)
         bq.qtensor_write(qt, fqz)
         code, _, peak = traced_run(capsys, "dequantize", str(fqz), str(out))
         assert code == 0
-        assert peak < 16 * bq._CHUNK + self.slab_bytes(tensor.shape, B, axis)
+        assert peak < 16 * bq._CHUNK + self.slab_bytes(shape, B, axis)
         np.testing.assert_array_equal(bq.tensor_read(out), bq.dequantize(qt))
 
     @pytest.mark.parametrize("command", ["quantize", "dequantize"])
@@ -978,6 +983,28 @@ def test_no_output_byte_on_a_data_or_format_error(capsys, monkeypatch, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert received == b""
+
+
+def test_scales_changed_between_the_passes(capsys, monkeypatch, tmp_path):
+    # dequantize checks every scale before it opens the output, and each
+    # slab's scales again as it reads the slab back: a scale made negative
+    # in between fails the run, and a regular output is left as it was.
+    monkeypatch.setattr(bq, "_CHUNK", 256)
+    w = np.random.default_rng(3).standard_normal((32, 40)).astype(np.float32)
+    src, out = tmp_path / "w.fqz", tmp_path / "back.fqt"
+    bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 8), src)
+    real = bq._dequantized_runs
+
+    def corrupting(slabs):
+        data = bytearray(src.read_bytes())
+        data[-8:-4] = struct.pack("<f", -1.0)  # the last record's scale
+        src.write_bytes(bytes(data))
+        yield from real(slabs)
+
+    monkeypatch.setattr(bq, "_dequantized_runs", corrupting)
+    assert run(capsys, "dequantize", str(src), str(out)) == (
+        2, "", f"error: {src}: block scales must be finite and nonnegative\n")
+    assert not out.exists()
 
 
 class TestMcSample:
