@@ -42,7 +42,9 @@ double-precision tie rule of ``_nearest_index_reference``.
 FQT1 (plain float32 tensors) and FQZ1 (quantized tensors) share one header,
 written by ``_header`` and read by ``_read_header``: a 4-byte magic, a tag
 byte (FQT1's dtype, FQZ1's version), ndim from 1 to 64 and ndim nonzero u32
-LE extents.  The payload or block records are exactly the rest of the file.
+LE extents.  The payload or block records are exactly the rest of the file;
+every reader takes them through ``_payload``, the one place that tells a
+regular file (its length checked up front) from a pipe (read whole).
 Every broken rule is a FormatError, which a writer raises before it opens
 the file.  Writers go through ``errors.output_file``: a failed write leaves
 the target as it was.
@@ -417,13 +419,9 @@ def quantize(values, code, block_size, axis=0):
         raise DomainError("cannot quantize a scalar")
     if 0 in arr.shape:
         raise DomainError(f"cannot quantize an empty tensor of shape {arr.shape}")
-    return _quantize(arr.shape, _flat_elements(arr), code, block_size, axis)[0]
-
-
-def _flat_elements(arr):
-    """elements(start, stop) of an array: views of its C-order elements."""
     flat = arr.reshape(-1)
-    return lambda start, stop: flat[start:stop]
+    return _quantize(arr.shape, lambda start, stop: flat[start:stop], code,
+                     block_size, axis)[0]
 
 
 def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None):
@@ -432,12 +430,14 @@ def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None)
     Returns the QuantizedTensor and, if ``report``, reconstruction_errors
     against its dequantized copy (else None).  Given ``path``, the FQZ1
     file is written there slab by slab instead, once every input check has
-    passed, and the tensor returned is None: no array holds its records."""
+    passed (the header's before the first element is read), and the tensor
+    returned is None: no array holds its records."""
     axis = _check_integer(axis, "axis")
     if not -len(dims) <= axis < len(dims):
         raise DomainError(f"axis {axis} out of range for {dims}")
     axis %= len(dims)
     block_size = check_block_size(block_size)
+    header = None if path is None else _fqz1_header(dims, axis, block_size, code)
     # The first pass raises each block's scale from zero to its absmax: in
     # the scale fields of the body, or given a path, in a (before, blocks,
     # after) array, 4 bytes per block.
@@ -474,7 +474,6 @@ def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None)
     if path is None:
         slabs = _slabs(dims, axis, block_size, code, qt.records.__getitem__)
         return qt, _encode_slabs(dims, elements, slabs, report, lambda _: None)
-    header = _fqz1_header(dims, axis, block_size, code)
     with output_file(path) as fh:
         fh.write(header)
         return None, _encode_slabs(dims, elements, _filled_slabs(
@@ -721,28 +720,15 @@ _PIPE_PIECE = 1 << 20
 
 
 def _read_exact(fh, n, path, what):
-    """Read n bytes into a uint8 array.  A regular file's length is checked
-    before the array is allocated and read into in place; other inputs are
-    read in pieces of at most _PIPE_PIECE bytes."""
-    st = os.fstat(fh.fileno())
-    if stat.S_ISREG(st.st_mode):
-        left = max(st.st_size - fh.tell(), 0)
-        if n > left:
-            raise _truncated(path, what, n, left)
-        data = np.empty(n, dtype=np.uint8)
-        got = fh.readinto(data)
-    else:
-        data = bytearray()
-        while len(data) < n:
-            piece = fh.read(min(n - len(data), _PIPE_PIECE))
-            if not piece:
-                break
-            data += piece
-        got = len(data)
-        data = np.frombuffer(data, dtype=np.uint8)
-    if got != n:
-        raise _truncated(path, what, n, got)
-    return data
+    """Read n bytes into a uint8 array, in pieces of at most _PIPE_PIECE
+    bytes; fewer before the end of the input raise FormatError."""
+    data = bytearray()
+    while len(data) < n:
+        piece = fh.read(min(n - len(data), _PIPE_PIECE))
+        if not piece:
+            raise _truncated(path, what, n, len(data))
+        data += piece
+    return np.frombuffer(data, dtype=np.uint8)
 
 
 def _truncated(path, what, n, got):
@@ -766,14 +752,6 @@ def _read_header(fh, path, magic, tag, what):
     if 0 in dims:
         raise FormatError(f"{path}: zero extent in {dims}")
     return dims
-
-
-def _read_rest(fh, n, path, what):
-    """Read the last n bytes of the file: exactly n must be left."""
-    data = _read_exact(fh, n, path, what)
-    if fh.read(1):
-        raise FormatError(f"{path}: trailing bytes at end of file")
-    return data
 
 
 @contextlib.contextmanager
@@ -810,17 +788,29 @@ def tensor_read(path):
     """Read an FQT1 file back into a float32 array."""
     with open(path, "rb") as fh:
         dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
-        payload = _read_rest(fh, 4 * math.prod(dims), path, "payload")
-    return payload.view("<f4").astype(np.float32, copy=False).reshape(dims)
+        size = math.prod(dims)
+        payload = _payload(fh, path, "payload", 4 * size)(0, np.empty(size, "<f4"))
+    return payload.astype(np.float32, copy=False).reshape(dims)
 
 
-def _payload_reader(fh, path, what, size):
-    """For a regular file that holds exactly ``size`` bytes past the header
-    read so far, else FormatError: read(offset, out) fills the array
-    ``out`` with the bytes from ``offset`` on, and a short read (the file
-    shrank) raises FormatError."""
+def _payload(fh, path, what, size):
+    """The ``size`` bytes that must be the rest of the file past the header
+    read so far, else FormatError: read(offset, out) gives the ``out.nbytes``
+    of them from ``offset`` on as an array of ``out``'s dtype.  A regular
+    file's length is checked here; each call reads into ``out`` and returns
+    it, and a short read (the file shrank) raises FormatError.  Any other
+    input, such as a pipe, has no length until its end, so it is read whole
+    here, in pieces, and each call returns a view of those bytes; ``out``
+    then gives only the dtype and length: an np.empty left untouched holds
+    no resident memory."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        data = _read_exact(fh, size, path, what)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes at end of file")
+        return lambda offset, out: data[offset:offset + out.nbytes].view(out.dtype)
     header = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - header
+    left = st.st_size - header
     if left != size:
         raise (_truncated(path, what, size, left) if left < size else
                FormatError(f"{path}: trailing bytes at end of file"))
@@ -838,17 +828,12 @@ def _payload_reader(fh, path, what, size):
 @contextlib.contextmanager
 def _fqt1_elements(path):
     """The extents of an FQT1 file and its elements(start, stop) (see
-    _quantize).  A regular file's length is checked up front; each call
-    reads its range into one reused buffer (_payload_reader).  Any other
-    input is read whole, as by tensor_read."""
+    _quantize), read through _payload: from a regular file, each call's
+    range into one reused buffer; from any other input, views of the
+    payload, read whole on entry."""
     with open(path, "rb") as fh:
         dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
-        size = 4 * math.prod(dims)
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            payload = _read_rest(fh, size, path, "payload")
-            yield dims, _flat_elements(payload.view("<f4"))
-            return
-        read = _payload_reader(fh, path, "payload", size)
+        read = _payload(fh, path, "payload", 4 * math.prod(dims))
         buf = np.empty(min(math.prod(dims), _CHUNK), dtype="<f4")
         yield dims, lambda start, stop: read(4 * start, buf[:stop - start])
 
@@ -932,9 +917,9 @@ def qtensor_read(path):
     with open(path, "rb") as fh:
         dims, axis, block_size, code = _read_fqz1_header(fh, path)
         # Body length from the header alone, so a lying header fails in
-        # _read_exact before the body is allocated.
-        body = _read_rest(fh, _fqz1_body_length(dims, axis, block_size), path,
-                          "blocks")
+        # _payload before the body is read.
+        size = _fqz1_body_length(dims, axis, block_size)
+        body = _payload(fh, path, "blocks", size)(0, np.empty(size, dtype=np.uint8))
     qt = QuantizedTensor(dims, axis, block_size, code, body)
     _check_scales(qt, path)
     return qt
@@ -942,29 +927,25 @@ def qtensor_read(path):
 
 @contextlib.contextmanager
 def _fqz1_slabs(path):
-    """The extents of an FQZ1 file and its slabs (see _slabs), each read
-    into one reused buffer when the iteration reaches it.  Every check of
-    qtensor_read runs on entry -- the header, the exact body length, and
-    every scale field, slab by slab -- so a bad file fails before anything
-    is written.  Each slab's scales are checked again as it is read back,
-    so a file that changes in between fails too, though an output written
-    in place, such as a pipe, may then have had part of the tensor.  Any
-    other input than a regular file is read whole, as by qtensor_read."""
+    """The extents of an FQZ1 file and its slabs (see _slabs), read through
+    _payload when the iteration reaches them: from a regular file into one
+    reused buffer; from any other input, views of the body, read whole on
+    entry.  Every check of qtensor_read runs on entry -- the header, the
+    exact body length, and every scale field, slab by slab -- so a bad file
+    fails before anything is written.  Each slab's scales are checked again
+    as it is read back, so a file that changes in between fails too, though
+    an output written in place, such as a pipe, may then have had part of
+    the tensor."""
     with open(path, "rb") as fh:
         dims, axis, block_size, code = _read_fqz1_header(fh, path)
-        size = _fqz1_body_length(dims, axis, block_size)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            read = _payload_reader(fh, path, "blocks", size)
-            buf = np.empty(max(part.stop - part.start for *_, part in
-                               _slab_layout(dims, axis, block_size)), dtype=np.uint8)
-
-            def records(part):
-                return read(part.start, buf[:part.stop - part.start])
-        else:
-            records = _read_rest(fh, size, path, "blocks").__getitem__
+        read = _payload(fh, path, "blocks", _fqz1_body_length(dims, axis, block_size))
+        buf = np.empty(max(part.stop - part.start for *_, part in
+                           _slab_layout(dims, axis, block_size)), dtype=np.uint8)
 
         def checked():
-            for start, blocks, slab in _slabs(dims, axis, block_size, code, records):
+            for start, blocks, slab in _slabs(
+                    dims, axis, block_size, code,
+                    lambda part: read(part.start, buf[:part.stop - part.start])):
                 _check_scales(slab, path)
                 yield start, blocks, slab
 

@@ -70,9 +70,11 @@ def _fmt(x):
 
 
 def _build_code(args, block_size):
-    """Code from --code path or --kind name (constructed on the fly).
-    --variant goes only with --kind nf4."""
+    """Code from --code path or --kind name (constructed on the fly), not
+    both.  --variant goes only with --kind nf4."""
     code_path = getattr(args, "code", None)
+    if code_path and args.kind:
+        raise _UsageError("give --code or --kind, not both")
     if args.variant and (code_path or args.kind != "nf4"):
         raise _UsageError("--variant goes only with --kind nf4")
     if code_path:

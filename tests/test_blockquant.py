@@ -647,8 +647,9 @@ def report_of_quantize(values, code, block_size, axis):
     """quantize's QuantizedTensor and the report fused into its second
     pass, over the array's C-order elements."""
     a = np.asarray(values)
-    return bq._quantize(a.shape, bq._flat_elements(a), code, block_size, axis,
-                        report=True)
+    flat = a.reshape(-1)
+    return bq._quantize(a.shape, lambda start, stop: flat[start:stop], code,
+                        block_size, axis, report=True)
 
 
 class TestStreamedReport:
@@ -1428,12 +1429,13 @@ class TestHeaderRules:
         assert str(exc.value) == f"{path}: trailing bytes at end of file"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize("trailing", [b"", b"\0"])
+    @pytest.mark.parametrize("extra", [0, 1, -1], ids=["exact", "long", "short"])
     @pytest.mark.parametrize("fmt", sorted(HEADER_FORMATS))
-    def test_pipe_payload_and_trailing_byte(self, tmp_path, fmt, trailing):
+    def test_pipe_payload_and_trailing_byte(self, tmp_path, fmt, extra):
         # A pipe has no length to check up front: the reader takes the exact
         # payload in pieces (FQT1: more than one), then must still see the
-        # one byte after it.
+        # one byte after it.  A short or long body fails with the text a
+        # regular file of the same bytes gives.
         read = HEADER_FORMATS[fmt][3]
         w = np.random.default_rng(2).standard_normal((700, 500)).astype(np.float32)
         source = tmp_path / "source.bin"
@@ -1442,16 +1444,26 @@ class TestHeaderRules:
         else:
             bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 64), source)
         data = source.read_bytes()
+        data = data[:len(data) + extra] if extra < 0 else data + bytes(extra)
+        regular = tmp_path / "regular.bin"
+        regular.write_bytes(data)
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(data + trailing,),
-                                  daemon=True)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
         writer.start()
         try:
-            if trailing:
+            if extra:
                 with pytest.raises(FormatError) as exc:
                     read(fifo)
-                assert str(exc.value) == f"{fifo}: trailing bytes at end of file"
+                with pytest.raises(FormatError) as from_file:
+                    read(regular)
+                assert str(exc.value) == str(from_file.value).replace(
+                    str(regular), str(fifo))
+                if extra > 0:
+                    assert str(exc.value) == f"{fifo}: trailing bytes at end of file"
+                else:
+                    what = "payload" if fmt == "fqt1" else "blocks"
+                    assert str(exc.value).startswith(f"{fifo}: truncated {what}: ")
             elif fmt == "fqt1":
                 np.testing.assert_array_equal(read(fifo), w)
             else:

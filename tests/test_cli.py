@@ -721,6 +721,12 @@ class TestValidate:
         assert code == 1 and out == ""
         assert err == "--variant goes only with --kind nf4\n"
 
+    @pytest.mark.parametrize("report", ["usage", "l1"])
+    def test_code_with_kind_is_usage_error(self, capsys, nf4_file, report):
+        assert run(capsys, "validate", report, "--code", str(nf4_file), "--kind",
+                   "af4", "--block-size", "64", "--n", "2") == (
+            1, "", "give --code or --kind, not both\n")
+
 
 @pytest.mark.parametrize("argv", [
     ("validate", "cdf", "--n", "2"),
@@ -1005,6 +1011,30 @@ def test_scales_changed_between_the_passes(capsys, monkeypatch, tmp_path):
     assert run(capsys, "dequantize", str(src), str(out)) == (
         2, "", f"error: {src}: block scales must be finite and nonnegative\n")
     assert not out.exists()
+
+
+def test_colliding_code_fails_before_the_tensor_is_read(capsys, monkeypatch,
+                                                        tmp_path):
+    # quantize builds the FQZ1 header before its first pass, so a code the
+    # header cannot hold fails ahead of the NaN in the tensor, and no
+    # element is read.
+    values = np.linspace(-1, 1, 16)
+    values[3] = np.nextafter(values[4], -2.0)  # distinct only in float64
+    code_path, src, dst = tmp_path / "c.json", tmp_path / "w.fqt", tmp_path / "w.fqz"
+    qc.code_write(qc.Code16(values), code_path)
+    bq.tensor_write(np.full((4, 8), np.nan, dtype=np.float32), src)
+    real, calls = bq._fqt1_elements, []
+
+    @contextlib.contextmanager
+    def counted(path):
+        with real(path) as (dims, elements):
+            yield dims, lambda start, stop: calls.append(start) or elements(start, stop)
+
+    monkeypatch.setattr(bq, "_fqt1_elements", counted)
+    assert run(capsys, "quantize", str(src), str(dst), "--code", str(code_path),
+               "--block-size", "8") == (
+        2, "", "error: code values collide after float32 rounding; cannot serialize\n")
+    assert calls == [] and not dst.exists()
 
 
 class TestMcSample:
