@@ -363,17 +363,27 @@ def _thresholds(code_bytes, dtype):
     return t
 
 
+def _real(values):
+    """``values`` as an array of bool, integer or float dtype, else
+    DomainError: no element of any other dtype is read or converted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"expected real numbers, got an array of dtype {arr.dtype}")
+    return arr
+
+
 def nearest_index(normalized, code_values):
     """Nearest code index for each element, ties toward the lower index.
 
     The index is the number of decision thresholds the element reaches,
     counted one threshold at a time over the whole input.  The thresholds
     are exact for the search dtype -- float32 for float32 input, float64
-    for any other input (which is converted first) -- so the result equals
-    the double-precision rule of ``_nearest_index_reference`` for every
-    finite or infinite input.  NaN maps to index 0.
+    for any other bool, integer or float input (which is converted first)
+    -- so the result equals the double-precision rule of
+    ``_nearest_index_reference`` for every finite or infinite input.  NaN
+    maps to index 0.  Input of any other dtype raises DomainError.
     """
-    x = np.asarray(normalized)
+    x = _real(normalized)
     dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
     q = np.ascontiguousarray(code_values, dtype=np.float64)
     t = _thresholds(q.tobytes(), dtype)
@@ -409,10 +419,11 @@ def quantize(values, code, block_size, axis=0):
     Each block of ``block_size`` consecutive elements along ``axis`` is
     scaled by its absmax and every element mapped to the nearest code value.
     All-zero blocks store scale 0 and the index of the code value nearest 0.
-    Raises DataError for non-finite input and for a block whose absmax
+    Raises DomainError for input that is not of bool, integer or float
+    dtype, and DataError for non-finite input and for a block whose absmax
     overflows the float32 scale.
     """
-    arr = np.asarray(values)
+    arr = _real(values)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float32)
     if arr.ndim == 0:
@@ -591,17 +602,6 @@ def _dequantize_pieces(code, indices, out, scaled):
         np.take(table, indices[i:i + _GATHER], out=out[i:i + _GATHER], mode="clip")
     for o, s in scaled:
         np.multiply(o, s[:, :, None], out=o, dtype=np.float32)
-
-
-def _dequantized_runs(slabs):
-    """Dequantize ``slabs`` (see _slabs) run by run (_runs) into one reused
-    buffer and yield each run."""
-    buf = np.empty(_CHUNK, dtype=np.float32)
-    for _, _, slab in slabs:
-        for start, stop in _runs(slab.dims):
-            run = buf[:stop - start]
-            _dequantize_run(slab, start, run)
-            yield run
 
 
 def dequantize(qt):
@@ -825,19 +825,6 @@ def _payload(fh, path, what, size):
     return read
 
 
-@contextlib.contextmanager
-def _fqt1_elements(path):
-    """The extents of an FQT1 file and its elements(start, stop) (see
-    _quantize), read through _payload: from a regular file, each call's
-    range into one reused buffer; from any other input, views of the
-    payload, read whole on entry."""
-    with open(path, "rb") as fh:
-        dims = _read_header(fh, path, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
-        read = _payload(fh, path, "payload", 4 * math.prod(dims))
-        buf = np.empty(min(math.prod(dims), _CHUNK), dtype="<f4")
-        yield dims, lambda start, stop: read(4 * start, buf[:stop - start])
-
-
 # ---------------------------------------------------------------------------
 # FQZ1: quantized tensors
 # ---------------------------------------------------------------------------
@@ -925,30 +912,48 @@ def qtensor_read(path):
     return qt
 
 
-@contextlib.contextmanager
-def _fqz1_slabs(path):
-    """The extents of an FQZ1 file and its slabs (see _slabs), read through
-    _payload when the iteration reaches them: from a regular file into one
-    reused buffer; from any other input, views of the body, read whole on
-    entry.  Every check of qtensor_read runs on entry -- the header, the
-    exact body length, and every scale field, slab by slab -- so a bad file
-    fails before anything is written.  Each slab's scales are checked again
-    as it is read back, so a file that changes in between fails too, though
-    an output written in place, such as a pipe, may then have had part of
-    the tensor."""
-    with open(path, "rb") as fh:
-        dims, axis, block_size, code = _read_fqz1_header(fh, path)
-        read = _payload(fh, path, "blocks", _fqz1_body_length(dims, axis, block_size))
+def _quantize_file(src, dst, code, block_size, axis, report):
+    """Quantize the FQT1 file ``src`` into the FQZ1 file ``dst`` (see
+    _quantize) and return the report, or None.  The header's block-size
+    field is checked before ``src`` is opened.  The elements are read
+    through _payload, from a regular file into one reused buffer.  ``dst``
+    replaces its path only at the end, so it may be ``src``."""
+    _check_fqz1_block_size(block_size)
+    with open(src, "rb") as fh:
+        dims = _read_header(fh, src, FQT1_MAGIC, _FQT1_DTYPE_F32, "dtype tag")
+        read = _payload(fh, src, "payload", 4 * math.prod(dims))
+        buf = np.empty(min(math.prod(dims), _CHUNK), dtype="<f4")
+        return _quantize(dims, lambda start, stop: read(4 * start, buf[:stop - start]),
+                         code, block_size, axis, report, dst)[1]
+
+
+def _dequantize_file(src, dst):
+    """Dequantize the FQZ1 file ``src`` into the FQT1 file ``dst``, slab by
+    slab (see _slabs) and run by run (_runs), through one reused buffer
+    each, the slabs read through _payload.  Every check of qtensor_read
+    runs before ``dst`` is opened -- the header, the exact body length and
+    every scale -- so a bad file fails before anything is written.  Each
+    slab's scales are checked again as it is read back, so a file that
+    changes in between fails too, though an output written in place, such
+    as a pipe, may then have had part of the tensor."""
+    with open(src, "rb") as fh:
+        dims, axis, block_size, code = _read_fqz1_header(fh, src)
+        read = _payload(fh, src, "blocks", _fqz1_body_length(dims, axis, block_size))
         buf = np.empty(max(part.stop - part.start for *_, part in
                            _slab_layout(dims, axis, block_size)), dtype=np.uint8)
 
         def checked():
-            for start, blocks, slab in _slabs(
+            for _, _, slab in _slabs(
                     dims, axis, block_size, code,
                     lambda part: read(part.start, buf[:part.stop - part.start])):
-                _check_scales(slab, path)
-                yield start, blocks, slab
+                _check_scales(slab, src)
+                yield slab
 
         for _ in checked():
             pass
-        yield dims, checked()
+        run = np.empty(_CHUNK, dtype=np.float32)
+        with tensor_writer(dims, dst) as write:
+            for slab in checked():
+                for start, stop in _runs(slab.dims):
+                    _dequantize_run(slab, start, run[:stop - start])
+                    write(run[:stop - start])

@@ -113,12 +113,8 @@ def cmd_quantize(args):
     code = codebook.code_read(args.code)
     block_size = check_block_size(args.block_size if args.block_size is not None
                                   else code.block_size or DEFAULT_BLOCK_SIZE)
-    blockquant._check_fqz1_block_size(block_size)
-    # The output is written to a new file that replaces its path only at the
-    # end, so it may be the input.
-    with blockquant._fqt1_elements(args.input) as (dims, elements):
-        _, errors = blockquant._quantize(dims, elements, code, block_size,
-                                         args.axis, args.report, args.output)
+    errors = blockquant._quantize_file(args.input, args.output, code, block_size,
+                                       args.axis, args.report)
     if args.report:
         rows = [(m, _fmt(errors[m])) for m in ("mean_abs", "mean_sq", "max_abs")]
         _emit(rows, ("metric", "value"), args.csv)
@@ -126,10 +122,7 @@ def cmd_quantize(args):
 
 
 def cmd_dequantize(args):
-    with (blockquant._fqz1_slabs(args.input) as (dims, slabs),
-          blockquant.tensor_writer(dims, args.output) as write):
-        for run in blockquant._dequantized_runs(slabs):
-            write(run)
+    blockquant._dequantize_file(args.input, args.output)
     return EXIT_OK
 
 

@@ -121,7 +121,7 @@ def _brentq(f, xa, xb, xtol):
 def normal_quantile(p):
     """Inverse standard normal CDF; requires 0 < p < 1."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise DomainError(f"normal_quantile requires 0 < p < 1, got {p}")
     return ndtri(p)
 
@@ -135,7 +135,7 @@ def normal_pdf(x):
 def halfnormal_quantile(p):
     """Inverse half-normal CDF; requires 0 <= p < 1."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr >= 0.0) & (p_arr < 1.0)):
         raise DomainError(f"halfnormal_quantile requires 0 <= p < 1, got {p}")
     out = _SQRT2 * erfinv(p_arr)
     return out if p_arr.ndim else float(out)
@@ -144,11 +144,13 @@ def halfnormal_quantile(p):
 def trunc_normal_cdf(x, m):
     """CDF of a standard normal truncated to [-m, m], evaluated at x.
 
-    Values of x outside [-m, m] clamp to 0/1.  Requires m > 0.
+    Values of x outside [-m, m] clamp to 0/1.  Requires m > 0 and x not NaN.
     """
     if not (m > 0):
         raise DomainError(f"trunc_normal_cdf requires m > 0, got m={m}")
     x_arr = np.asarray(x, dtype=float)
+    if np.isnan(x_arr).any():
+        raise DomainError(f"trunc_normal_cdf requires x to be a number, got {x}")
     xc = np.clip(x_arr, -m, m)
     # (Phi(x) - Phi(-m)) / (Phi(m) - Phi(-m)), written with erf so the
     # m -> 0 limit stays finite.
@@ -174,7 +176,7 @@ def absmax_pdf(m, block_size):
     """Density of the block absmax: 2B * erf(m/sqrt2)^(B-1) * phi(m)."""
     B = check_block_size(block_size, MAX_BLOCK_SIZE)
     m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0.0):
+    if not np.all(m_arr >= 0.0):
         raise DomainError(f"absmax_pdf requires m >= 0, got {m}")
     if B == 1:
         out = 2.0 * normal_pdf(m_arr)
@@ -331,9 +333,9 @@ class ScaledMaxDistribution:
         a = np.asarray(points, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise DomainError("points must be a non-empty 1-D array")
-        if np.any(np.diff(a) <= 0):
+        if not np.all(np.diff(a) > 0):
             raise DomainError("points must be strictly increasing")
-        if a[0] < -1.0 or a[-1] > 1.0:
+        if not (a[0] >= -1.0 and a[-1] <= 1.0):
             raise DomainError("points must lie within [-1, 1]")
         atom = self.atom_mass * (
             np.min(np.abs(-1.0 - a)) + np.min(np.abs(1.0 - a))

@@ -109,8 +109,8 @@ def _uniform(raw):
 def sample_block_values(cfg, start=0, stop=None):
     """Normalized values for blocks [start, stop) of the run, shape
     (stop-start, B); every row's absmax is exactly 1."""
-    if stop is None:
-        stop = cfg.num_blocks
+    start = _check_integer(start, "start")
+    stop = cfg.num_blocks if stop is None else _check_integer(stop, "stop")
     if not 0 <= start <= stop <= cfg.num_blocks:
         raise DomainError(f"invalid block range [{start}, {stop})")
     z = ndtri(_uniform(_raw_block_range(cfg.seed, cfg.block_size, start, stop)))

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -201,6 +202,7 @@ class TestNearestIndexThresholds:
         ints = [np.arange(-3, 4, dtype=t) for t in (np.int8, np.int32)]
         ints.append(np.arange(7, dtype=np.uint8))
         ints.append(np.array([-(1 << 62), -1, 0, 1, 1 << 62], dtype=np.int64))
+        ints.append(np.array([True, False, True]))
         for name, code in threshold_codes.items():
             for x in [halves] + ints:
                 got = bq.nearest_index(x, code.values)
@@ -256,6 +258,27 @@ class TestQuantize:
         expected_idx = int(np.argmin(np.abs(code.values)))
         assert np.all(bq.unpack_nibbles(qt.packed, 64) == expected_idx)
         assert np.all(bq.dequantize(qt) == 0.0)
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.5 + 1j, -1.0, 2j, 0.25]),
+        np.array(["1", "2", "-3", "4"]),
+        np.array(["2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04"],
+                 dtype="datetime64[D]"),
+    ], ids=["complex", "str", "datetime64"])
+    def test_values_that_are_not_real_numbers(self, codes, values):
+        # rejected by dtype before any element is converted: a complex
+        # input would otherwise lose its imaginary part
+        with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
+            bq.quantize(values, codes["nf4"], 2)
+        with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
+            bq.nearest_index(values, codes["nf4"].values)
+
+    def test_bool_and_integer_values_quantize_as_float32(self, codes):
+        ints = np.array([[3, -1], [0, 2]], dtype=np.int16)
+        for values in (ints, np.abs(ints).astype(np.uint8), ints > 0):
+            expected = bq.quantize(values.astype(np.float32), codes["nf4"], 2)
+            assert bq.quantize(values, codes["nf4"], 2).records.tobytes() == (
+                expected.records.tobytes())
 
     def test_oracle_equivalence_random_blocks(self, codes):
         rng = np.random.default_rng(11)

@@ -236,7 +236,7 @@ class TestQuantizeDequantize:
     @pytest.mark.parametrize("where", ["option", "code file"])
     def test_header_block_size_is_checked_before_the_tensor_is_read(
             self, capsys, monkeypatch, tmp_path, nf4_file, where):
-        monkeypatch.setattr(bq, "_fqt1_elements", fail_to_open)
+        monkeypatch.setattr(bq, "_read_header", fail_to_open)
         if where == "option":
             extra = ["--code", str(nf4_file), "--block-size", str(1 << 32)]
         else:
@@ -253,7 +253,7 @@ class TestQuantizeDequantize:
     @pytest.mark.parametrize("block_size", ["0", "-3"])
     def test_bad_block_size_is_checked_before_the_tensor_is_read(
             self, capsys, monkeypatch, tmp_path, nf4_file, block_size):
-        monkeypatch.setattr(bq, "_fqt1_elements", fail_to_open)
+        monkeypatch.setattr(bq, "_read_header", fail_to_open)
         out_q = tmp_path / "o.fqz"
         code, out, err = run(capsys, "quantize", str(tmp_path / "nope.fqt"),
                              str(out_q), "--code", str(nf4_file),
@@ -999,15 +999,15 @@ def test_scales_changed_between_the_passes(capsys, monkeypatch, tmp_path):
     w = np.random.default_rng(3).standard_normal((32, 40)).astype(np.float32)
     src, out = tmp_path / "w.fqz", tmp_path / "back.fqt"
     bq.qtensor_write(bq.quantize(w, qc.nf4_code(), 8), src)
-    real = bq._dequantized_runs
+    real = bq.tensor_writer
 
-    def corrupting(slabs):
+    def corrupting(dims, path):
         data = bytearray(src.read_bytes())
         data[-8:-4] = struct.pack("<f", -1.0)  # the last record's scale
         src.write_bytes(bytes(data))
-        yield from real(slabs)
+        return real(dims, path)
 
-    monkeypatch.setattr(bq, "_dequantized_runs", corrupting)
+    monkeypatch.setattr(bq, "tensor_writer", corrupting)
     assert run(capsys, "dequantize", str(src), str(out)) == (
         2, "", f"error: {src}: block scales must be finite and nonnegative\n")
     assert not out.exists()
@@ -1023,14 +1023,13 @@ def test_colliding_code_fails_before_the_tensor_is_read(capsys, monkeypatch,
     code_path, src, dst = tmp_path / "c.json", tmp_path / "w.fqt", tmp_path / "w.fqz"
     qc.code_write(qc.Code16(values), code_path)
     bq.tensor_write(np.full((4, 8), np.nan, dtype=np.float32), src)
-    real, calls = bq._fqt1_elements, []
+    real, calls = bq._payload, []
 
-    @contextlib.contextmanager
-    def counted(path):
-        with real(path) as (dims, elements):
-            yield dims, lambda start, stop: calls.append(start) or elements(start, stop)
+    def counted(*args):
+        read = real(*args)
+        return lambda offset, out: calls.append(offset) or read(offset, out)
 
-    monkeypatch.setattr(bq, "_fqt1_elements", counted)
+    monkeypatch.setattr(bq, "_payload", counted)
     assert run(capsys, "quantize", str(src), str(dst), "--code", str(code_path),
                "--block-size", "8") == (
         2, "", "error: code values collide after float32 rounding; cannot serialize\n")

@@ -398,6 +398,22 @@ def test_nan_argument_is_domain_error(fn, B):
         fn(math.nan, B)
 
 
+@pytest.mark.parametrize("call", [
+    lambda nan: qd.normal_quantile(nan),
+    lambda nan: qd.halfnormal_quantile(nan),
+    lambda nan: qd.trunc_normal_cdf(nan, 1.0),
+    lambda nan: qd.absmax_pdf(nan, 64),
+    lambda nan: qd.scaled_max_distribution(64).expected_min_abs_distance(nan),
+], ids=["normal_quantile", "halfnormal_quantile", "trunc_normal_cdf", "absmax_pdf",
+        "expected_min_abs_distance"])
+@pytest.mark.parametrize("nan", [math.nan, [math.nan, 0.5], [0.25, math.nan, 0.5]],
+                         ids=["scalar", "first", "middle"])
+def test_nan_in_a_helper_is_domain_error(call, nan):
+    # a NaN fails an in-domain test, so it raises instead of passing through
+    with pytest.raises(DomainError):
+        call(nan)
+
+
 class TestSettingsAndConcurrency:
     def test_concurrent_calls_agree(self):
         dist = qd.ScaledMaxDistribution(128)

@@ -48,6 +48,19 @@ class TestReproducibility:
             with pytest.raises(DomainError, match="invalid block range"):
                 qmc.sample_block_values(cfg, a, b)
 
+    def test_block_bounds_are_integers(self):
+        # numpy integers are the same bounds as Python's; a float or a bool
+        # is no block number
+        cfg = qmc.McConfig(seed=0, block_size=4, num_blocks=4)
+        whole = qmc.sample_block_values(cfg)
+        np.testing.assert_array_equal(
+            qmc.sample_block_values(cfg, np.int64(1), np.uint8(3)), whole[1:3])
+        np.testing.assert_array_equal(qmc.sample_block_values(cfg, np.int32(2)),
+                                      whole[2:])
+        for a, b in ((1.0, 3), (True, 3), (0, 3.0), (0, np.True_)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                qmc.sample_block_values(cfg, a, b)
+
     def test_different_seeds_differ(self):
         a = qmc.sample_block_values(qmc.McConfig(seed=1, block_size=8, num_blocks=4))
         b = qmc.sample_block_values(qmc.McConfig(seed=2, block_size=8, num_blocks=4))
