@@ -19,8 +19,10 @@ gives
 
 where Psi(.; m) is the CDF of a standard normal truncated to [-m, m].
 The integral is evaluated by adaptive Gauss-Legendre quadrature: the node
-count is doubled until two successive estimates agree within the
-quadrature tolerance.  Tail truncation of the m-range is chosen so that the
+count is doubled from 64 until two successive estimates agree within the
+quadrature tolerance.  The 64- and 128-node rules share one integrand call
+on their 192 nodes, so an integral that stops at 128 nodes, as every one
+measured does, costs one call.  Tail truncation of the m-range is chosen so that the
 omitted absmax mass is far below the quadrature tolerance.
 
 Accuracy is decided in this module alone, by constants: no function, class
@@ -194,15 +196,28 @@ def _leggauss(n):
     return nodes, weights
 
 
-# A block size uses at most 14 rules: 7 node counts times 2 lower cuts.
+# A block size uses at most 14 rules (7 node counts times 2 lower cuts) and 2
+# pair rules (one per lower cut): each cache holds 18 block sizes.
 @lru_cache(maxsize=256)
 def _rule(block_size, m_hi, n, lo):
     """The n-node Gauss-Legendre rule on [lo, m_hi] against the absmax
-    density: nodes m, weights times the density, and erf(m / sqrt2)."""
+    density: nodes m, weights times the density, erf(m / sqrt2) and twice
+    that."""
     x, w = _leggauss(n)
     half = 0.5 * (m_hi - lo)
     m = half * x + 0.5 * (m_hi + lo)
-    return m, half * w * absmax_pdf(m, block_size), erf(m / _SQRT2)
+    thorn = erf(m / _SQRT2)
+    return m, half * w * absmax_pdf(m, block_size), thorn, 2.0 * thorn
+
+
+@lru_cache(maxsize=36)
+def _pair_rule(block_size, m_hi, lo):
+    """The 64- and 128-node rules of ``_rule`` joined, so that one integrand
+    call serves both: the 192 nodes, erf(m / sqrt2) and twice that, with
+    the 64-node rule's part first, then each rule's weights."""
+    r64, r128 = _rule(block_size, m_hi, 64, lo), _rule(block_size, m_hi, 128, lo)
+    m, thorn, twice = (np.concatenate((r64[i], r128[i])) for i in (0, 2, 3))
+    return m, thorn, twice, r64[1], r128[1]
 
 
 class ScaledMaxDistribution:
@@ -213,8 +228,10 @@ class ScaledMaxDistribution:
     the degenerate two-atom case: ``fx_cdf`` still works but ``gb_cdf``
     raises, since there is no continuous part to describe.
 
-    Instances are safe to share across threads: the quadrature rules are
-    built lazily into a module-level cache (``_rule``).
+    Instances are safe to share across threads: what they share is the
+    quadrature rules, built lazily into module-level caches (``_rule`` and
+    the joined first two rules, ``_pair_rule``), which are never written
+    after they are built.
     """
 
     def __init__(self, block_size):
@@ -237,26 +254,31 @@ class ScaledMaxDistribution:
 
     # -- quadrature machinery -------------------------------------------
 
-    _BASE_NODES = 64
+    def _integrate(self, values, lo):
+        """Adaptive refinement: double the node count from 64 until two
+        successive Gauss-Legendre estimates agree within DEFAULT_ABS_TOL.
 
-    def _integrate(self, node_func, lo):
-        """Adaptive refinement: double the node count until two successive
-        Gauss-Legendre estimates agree within DEFAULT_ABS_TOL."""
-        n = self._BASE_NODES
-        prev = node_func(*_rule(self.block_size, self.m_hi, n, lo))
-        deltas = []
-        for _ in range(MAX_REFINEMENTS):
+        ``values(m, thorn, twice)`` gives the integrand at nodes m, without
+        the weights.  The 64- and 128-node estimates come from one call on
+        ``_pair_rule``'s 192 nodes; each later level is a call of its own.
+        """
+        B, hi = self.block_size, self.m_hi
+        m, thorn, twice, w64, w128 = _pair_rule(B, hi, lo)
+        v = values(m, thorn, twice)
+        prev, cur = float(w64.dot(v[:64])), float(w128.dot(v[64:]))
+        n, deltas = 128, [abs(cur - prev)]
+        while deltas[-1] > DEFAULT_ABS_TOL:
+            if len(deltas) >= MAX_REFINEMENTS:
+                raise NumericalError(
+                    f"quadrature did not converge to abs_tol={DEFAULT_ABS_TOL:g} "
+                    f"within {MAX_REFINEMENTS} refinements "
+                    f"(final {n} nodes, successive deltas {deltas})"
+                )
             n *= 2
-            cur = node_func(*_rule(self.block_size, self.m_hi, n, lo))
+            m, w, thorn, twice = _rule(B, hi, n, lo)
+            prev, cur = cur, float(w.dot(values(m, thorn, twice)))
             deltas.append(abs(cur - prev))
-            if deltas[-1] <= DEFAULT_ABS_TOL:
-                return cur
-            prev = cur
-        raise NumericalError(
-            f"quadrature did not converge to abs_tol={DEFAULT_ABS_TOL:g} "
-            f"within {MAX_REFINEMENTS} refinements "
-            f"(final {n} nodes, successive deltas {deltas})"
-        )
+        return cur
 
     # -- CDFs and quantiles ----------------------------------------------
 
@@ -270,12 +292,14 @@ class ScaledMaxDistribution:
         if not (-1.0 <= x <= 1.0):
             raise DomainError(f"gb_cdf requires -1 <= x <= 1, got {x}")
 
-        def node_func(m, weights, thorn):
+        def psi(m, thorn, twice):
             # Psi(m*x; m) = (erf(m*x/sqrt2) + erf(m/sqrt2)) / (2 erf(m/sqrt2))
-            psi = (erf(m * (x / _SQRT2)) + thorn) / (2.0 * thorn)
-            return float(weights @ psi)
+            out = erf(m * (x / _SQRT2))
+            out += thorn
+            out /= twice
+            return out
 
-        return self._integrate(node_func, self.m_lo)
+        return self._integrate(psi, self.m_lo)
 
     def _with_atoms(self, x, continuous_cdf):
         """Mixed-law CDF at x, right-continuous, given the CDF of the
@@ -347,7 +371,7 @@ class ScaledMaxDistribution:
         # Nearest-point region boundaries in normalized coordinates.
         c = np.concatenate(([-1.0], 0.5 * (a[:-1] + a[1:]), [1.0]))
 
-        def node_func(m, weights, thorn):
+        def expected(m, thorn, twice):
             mc = m[:, None] * c[None, :]          # region edges, y-space
             ystar = m[:, None] * a[None, :]       # kink locations, y-space
             cdf_c = ndtr(mc)
@@ -357,10 +381,9 @@ class ScaledMaxDistribution:
             # integral over one region of |y/m - a| against phi(y)
             piece = a[None, :] * (2.0 * cdf_s - cdf_c[:, :-1] - cdf_c[:, 1:])
             piece += (2.0 * pdf_s - pdf_c[:, :-1] - pdf_c[:, 1:]) / m[:, None]
-            e = piece.sum(axis=1) / thorn
-            return float(weights @ e)
+            return piece.sum(axis=1) / thorn
 
-        cont = self._integrate(node_func, self._m_lo_expect)
+        cont = self._integrate(expected, self._m_lo_expect)
         return float(atom + (1.0 - 1.0 / B) * cont)
 
 

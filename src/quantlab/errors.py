@@ -9,6 +9,7 @@ specific type that applies rather than bare ValueError/RuntimeError.
 import contextlib
 import numbers
 import os
+import stat
 
 
 class QuantLabError(Exception):
@@ -61,9 +62,11 @@ def output_file(path):
     """A binary file whose bytes replace ``path`` only if the block ends
     without an exception.  They go to a new sibling file, which replaces
     ``path`` on success and is removed on any failure, so a failed write
-    leaves neither a partial file nor a changed ``path``.  An existing path
-    that is not a regular file, such as a device, a pipe or /dev/stdout on
-    one, is written in place; a symbolic link is written through."""
+    leaves neither a partial file nor a changed ``path``.  A new file gets
+    the umask's permissions, and a rewritten regular file keeps its own.  An
+    existing path that is not a regular file, such as a device, a pipe or
+    /dev/stdout on one, is written in place; a symbolic link is written
+    through."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as fh:
             yield fh
@@ -77,6 +80,8 @@ def output_file(path):
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "wb") as fh:
+            if os.path.isfile(target):
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
             yield fh
         os.replace(tmp, target)
     except BaseException:

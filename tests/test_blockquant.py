@@ -1109,6 +1109,23 @@ class TestTensorFiles:
         assert path.read_bytes() != b"good"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
+    def test_rewrite_keeps_the_permissions(self, tmp_path, mode):
+        path = tmp_path / "code.json"
+        qc.code_write(qc.nf4_code(), path)
+        path.chmod(mode)
+        old_umask = os.umask(0o022)
+        try:
+            qc.code_write(qc.af4_code(64), path)
+            new = tmp_path / "new.json"
+            qc.code_write(qc.nf4_code(), new)
+        finally:
+            os.umask(old_umask)
+        assert qc.code_read(path).kind == "af4"
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert sorted(tmp_path.iterdir()) == [path, new]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_writes_into_a_pipe_in_place(self, tmp_path):
         w = np.arange(6, dtype=np.float32)

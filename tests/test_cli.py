@@ -871,6 +871,20 @@ class TestFailedWrites:
         if existing is not None:
             assert target.read_bytes() == existing
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0600", "0640"])
+    def test_rewritten_output_keeps_its_permissions(self, capsys, tmp_path,
+                                                    commands, mode):
+        target = tmp_path / "out.fqt"
+        target.write_bytes(b"an earlier file")
+        target.chmod(mode)
+        old_umask = os.umask(0o022)
+        try:
+            assert run(capsys, *commands["dequantize"], str(target))[0] == 0
+        finally:
+            os.umask(old_umask)
+        assert bq.tensor_read(target).shape == (1024, 512)
+        assert os.stat(target).st_mode & 0o7777 == mode
+
     @pytest.mark.parametrize("command", ["mc sample", "dequantize"])
     def test_same_command_unlimited_writes_the_file(self, capsys, tmp_path,
                                                     commands, command):

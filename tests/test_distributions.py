@@ -16,6 +16,7 @@ from scipy import integrate, optimize
 from scipy.special import erf, ndtr
 
 import quantlab.distributions as qd
+from quantlab.codebook import nf4_code
 from quantlab.errors import DomainError, NumericalError
 
 # frozen from an independent high-precision (mpmath) oracle run
@@ -346,6 +347,130 @@ class TestExpectedMinAbsDistance:
     def test_block_size_one_is_the_two_atoms(self, points, expected):
         # each atom has mass 1/2 and sits at distance min|+-1 - a| from the points
         assert qd.scaled_max_distribution(1).expected_min_abs_distance(points) == expected
+
+
+def per_level(dist, node_values, lo):
+    """(integral, final node count) by the per-level algorithm that
+    ``_integrate`` fused: each rule runs the integrand on its own nodes and
+    takes its weighted sum with ``@``, from 64 nodes, doubling until two
+    estimates agree within DEFAULT_ABS_TOL."""
+    def level(n):
+        x, w = qd._leggauss(n)
+        half = 0.5 * (dist.m_hi - lo)
+        m = half * x + 0.5 * (dist.m_hi + lo)
+        weights = half * w * qd.absmax_pdf(m, dist.block_size)
+        return float(weights @ node_values(m, erf(m / math.sqrt(2.0))))
+
+    n, prev, deltas = 64, level(64), []
+    for _ in range(qd.MAX_REFINEMENTS):
+        n *= 2
+        cur = level(n)
+        deltas.append(abs(cur - prev))
+        if deltas[-1] <= qd.DEFAULT_ABS_TOL:
+            return cur, n
+        prev = cur
+    raise NumericalError(
+        f"quadrature did not converge to abs_tol={qd.DEFAULT_ABS_TOL:g} "
+        f"within {qd.MAX_REFINEMENTS} refinements "
+        f"(final {n} nodes, successive deltas {deltas})"
+    )
+
+
+def per_level_gb_cdf(dist, x):
+    def psi(m, thorn):
+        return (erf(m * (x / math.sqrt(2.0))) + thorn) / (2.0 * thorn)
+    return per_level(dist, psi, dist.m_lo)
+
+
+def per_level_expected_min_abs_distance(dist, points):
+    a = np.asarray(points, dtype=float)
+    c = np.concatenate(([-1.0], 0.5 * (a[:-1] + a[1:]), [1.0]))
+
+    def expected(m, thorn):
+        mc, ystar = m[:, None] * c[None, :], m[:, None] * a[None, :]
+        cdf_c, pdf_c = ndtr(mc), qd.normal_pdf(mc)
+        cdf_s, pdf_s = ndtr(ystar), qd.normal_pdf(ystar)
+        piece = a[None, :] * (2.0 * cdf_s - cdf_c[:, :-1] - cdf_c[:, 1:])
+        piece += (2.0 * pdf_s - pdf_c[:, :-1] - pdf_c[:, 1:]) / m[:, None]
+        return piece.sum(axis=1) / thorn
+
+    atom = dist.atom_mass * (np.min(np.abs(-1.0 - a)) + np.min(np.abs(1.0 - a)))
+    cont, n = per_level(dist, expected, dist._m_lo_expect)
+    return float(atom + (1.0 - 1.0 / dist.block_size) * cont), n
+
+
+FUSED_BLOCK_SIZES = [2, 3, 32, 64, 4096, 1 << 20, 1 << 53]
+NF4_VALUES = nf4_code().values
+
+
+class TestFusedQuadrature:
+    """``_integrate`` runs the integrand once on the 64- and 128-node rules'
+    192 nodes and takes each level's sum with ``ndarray.dot``.  Every value
+    must equal, to the bit, the per-level algorithm rebuilt above from
+    ``_leggauss`` and ``absmax_pdf``."""
+
+    @pytest.mark.parametrize("B", FUSED_BLOCK_SIZES)
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-1.0, 1.0))
+    def test_cdfs_match_the_per_level_algorithm(self, B, x):
+        dist = qd.scaled_max_distribution(B)
+        expected, n = per_level_gb_cdf(dist, x)
+        assert n == 128
+        assert dist.gb_cdf(x).hex() == expected.hex()
+        if -1.0 < x < 1.0:
+            fx = dist.atom_mass + (1.0 - 1.0 / B) * expected
+            assert dist.fx_cdf(x).hex() == fx.hex()
+
+    @pytest.mark.parametrize("B", FUSED_BLOCK_SIZES)
+    @settings(max_examples=20, deadline=None)
+    @given(points=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16,
+                           unique=True).map(sorted))
+    def test_expected_min_abs_distance_matches(self, B, points):
+        dist = qd.scaled_max_distribution(B)
+        expected, n = per_level_expected_min_abs_distance(dist, points)
+        assert n == 128
+        assert dist.expected_min_abs_distance(points).hex() == expected.hex()
+
+    # At 64 -> 128 -> 256 -> 512 nodes, gb_cdf(0.5) at B=2 moves by 6.0e-15,
+    # 2.7e-15 and 2.5e-15, and NF4's expected distance at B=3 by 5.2e-16,
+    # 2.8e-16 and 1.3e-16; each tolerance falls between two of them.
+    @pytest.mark.parametrize("integral, tol, stop", [
+        ("gb_cdf", 3e-15, 256), ("gb_cdf", 2.6e-15, 512),
+        ("expected", 3e-16, 256), ("expected", 2e-16, 512)])
+    def test_refinements_after_the_pair(self, monkeypatch, integral, tol, stop):
+        monkeypatch.setattr(qd, "DEFAULT_ABS_TOL", tol)
+        if integral == "gb_cdf":
+            dist = qd.ScaledMaxDistribution(2)
+            expected, n = per_level_gb_cdf(dist, 0.5)
+            got = dist.gb_cdf(0.5)
+        else:
+            dist = qd.ScaledMaxDistribution(3)
+            expected, n = per_level_expected_min_abs_distance(dist, NF4_VALUES)
+            got = dist.expected_min_abs_distance(NF4_VALUES)
+        assert n == stop
+        assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize("refinements", [1, 2])
+    def test_non_convergence_message(self, monkeypatch, refinements):
+        monkeypatch.setattr(qd, "DEFAULT_ABS_TOL", 1e-16)
+        monkeypatch.setattr(qd, "MAX_REFINEMENTS", refinements)
+        dist = qd.ScaledMaxDistribution(32)
+        with pytest.raises(NumericalError) as expected:
+            per_level_gb_cdf(dist, 0.37)
+        with pytest.raises(NumericalError) as got:
+            dist.gb_cdf(0.37)
+        assert f"final {64 << refinements} nodes" in str(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_dot_sums_as_matmul_does(self, n):
+        # the per-level sums use ndarray.dot; it must give @'s bits
+        rng = np.random.default_rng(n)
+        for B in (2, 4096, 1 << 53):
+            dist = qd.scaled_max_distribution(B)
+            w = qd._rule(B, dist.m_hi, n, dist.m_lo)[1]
+            for v in rng.standard_normal((50, n)):
+                assert w.dot(v) == w @ v
 
 
 class TestLargestBlockSize:

@@ -5,8 +5,10 @@ The cases are shrunken copies of the benchmark workloads: ``code gen`` for
 NF4 (both variants), AF4 at three block sizes and a balanced code;
 ``quantize --report`` and ``dequantize`` on the two tensor geometries; the
 three ``validate`` reports and ``mc sample --out``; every ``dist`` query at
-B in {1, 32, 4096}; and one ``l1_statistics`` run long enough to span
-several Monte Carlo chunks.  Files and streams are pinned by sha256,
+B in {1, 32, 4096}; one ``l1_statistics`` run long enough to span several
+Monte Carlo chunks; and the scoring integrals, ``expected_l1`` and
+``code_bin_masses``, of NF4 at B = 2^k for k = 1..24 and of AF4 at B in
+{32, 64, 4096}.  Files and streams are pinned by sha256,
 library values by ``float.hex``.
 
 The values were computed with GOLDEN_VERSIONS.  They rest on numpy's
@@ -193,6 +195,21 @@ def test_dist(B):
 
 
 # ---------------------------------------------------------------------------
+# Scoring integrals: the expected L1 error and the bin masses of a code
+# ---------------------------------------------------------------------------
+
+SCORES = [("nf4", 1 << k) for k in range(1, 25)] + [("af4", B) for B in (32, 64, 4096)]
+
+
+@pytest.mark.parametrize("kind, B", SCORES, ids=[f"{k}-{B}" for k, B in SCORES])
+def test_scores(kind, B):
+    code = codebook.nf4_code() if kind == "nf4" else codebook.af4_code(B)
+    got = (codebook.expected_l1(code, B).hex(),
+           tuple(float(m).hex() for m in codebook.code_bin_masses(code, B)))
+    _check(f"{kind} scores at B={B}", got, GOLDEN_SCORES[kind, B])
+
+
+# ---------------------------------------------------------------------------
 # Golden values, computed with GOLDEN_VERSIONS
 # ---------------------------------------------------------------------------
 
@@ -314,4 +331,304 @@ GOLDEN_DIST = {
         "approx-cdf --x=0.7": (0, "0.9957277039\n", "0x1.fdd00587d146dp-1"),
         "absmax-median": (0, "3.761036006\n", "0x1.e169a0ba6748bp+1"),
     },
+}
+
+GOLDEN_SCORES = {
+    ("nf4", 2): (
+        "0x1.35508c1d06f40p-6",
+        (
+            "0x1.1abb2f7caad59p-2", "0x1.94aa05212e588p-5", "0x1.3142f900306c0p-5",
+            "0x1.0e5d74a94ffd0p-5", "0x1.f9ee94c108620p-6", "0x1.e70f6fa7b2050p-6",
+            "0x1.dd782ba3afa30p-6", "0x1.bca9512813080p-6", "0x1.a0c0b6ede4780p-6",
+            "0x1.a6f1aa93e6820p-6", "0x1.b29b6e0361a20p-6", "0x1.c67a9a9a24340p-6",
+            "0x1.e8c21fd0b1820p-6", "0x1.1536d5014b180p-5", "0x1.6ca0624f77c10p-5",
+            "0x1.1835fa8d9f00ep-2",
+        ),
+    ),
+    ("nf4", 4): (
+        "0x1.b92e85bb48a34p-6",
+        (
+            "0x1.40af810b6e341p-3", "0x1.11088502a4adep-4", "0x1.c2a8d48bc24e0p-5",
+            "0x1.a3cdfa60e35a0p-5", "0x1.95aca3cdc53b0p-5", "0x1.8ea0043fee008p-5",
+            "0x1.8b481b8d8b258p-5", "0x1.717f6b51919b0p-5", "0x1.59585b8dc32a0p-5",
+            "0x1.5b73a8a43cd00p-5", "0x1.5fa5a1d945d30p-5", "0x1.674fff02e1910p-5",
+            "0x1.758dd8cd77a20p-5", "0x1.92d7c871516e0p-5", "0x1.e61db78b87420p-5",
+            "0x1.3a583d86c4200p-3",
+        ),
+    ),
+    ("nf4", 8): (
+        "0x1.e633c8bcda041p-6",
+        (
+            "0x1.72e3751b561f6p-4", "0x1.1603299238410p-4", "0x1.fec0a2c18b96cp-5",
+            "0x1.f8ab5af4cdcd8p-5", "0x1.fa23793361aa0p-5", "0x1.fd168d2193990p-5",
+            "0x1.ff6a39e21d510p-5", "0x1.e013279c40cb0p-5", "0x1.bf49b264cb470p-5",
+            "0x1.bda00cff3a1c0p-5", "0x1.bb4733cfa72b0p-5", "0x1.b9176801d4910p-5",
+            "0x1.b8f3ec7a5df30p-5", "0x1.c014abdbbe160p-5", "0x1.e79b62c5d46c0p-5",
+            "0x1.67118364e2740p-4",
+        ),
+    ),
+    ("nf4", 16): (
+        "0x1.eb7429629022ep-6",
+        (
+            "0x1.b27009ad6ae45p-5", "0x1.f9eb9c14e7179p-5", "0x1.05abe96d07b81p-4",
+            "0x1.13d9bc2503ac8p-4", "0x1.2013b94fdd3a0p-4", "0x1.292c2d6500a38p-4",
+            "0x1.2ebde8949c374p-4", "0x1.1d7b7becdaf64p-4", "0x1.09165718d17e0p-4",
+            "0x1.0552babdbe150p-4", "0x1.fe43b20d20530p-5", "0x1.ed548aa948dc0p-5",
+            "0x1.d87cd66733c30p-5", "0x1.c1a4dd3cfdf60p-5", "0x1.b40fd3b849e10p-5",
+            "0x1.9f0a90ece9360p-5",
+        ),
+    ),
+    ("nf4", 32): (
+        "0x1.e092bfb0b6ce9p-6",
+        (
+            "0x1.008019e74279ep-5", "0x1.b1b502209c4d4p-5", "0x1.fce5db28ef9eep-5",
+            "0x1.1f4b5bb213bb8p-4", "0x1.392022b626ed0p-4", "0x1.4bb91b29b73a4p-4",
+            "0x1.56f378de19d10p-4", "0x1.44f1b39190c84p-4", "0x1.2ca904cc0c0b0p-4",
+            "0x1.251d4f51e3848p-4", "0x1.18981d17478b0p-4", "0x1.072955e94c218p-4",
+            "0x1.e1bb02c943c10p-5", "0x1.ab910e995da20p-5", "0x1.6ec6c16f98a90p-5",
+            "0x1.e35e3779703c0p-6",
+        ),
+    ),
+    ("nf4", 64): (
+        "0x1.d0c691395f3b2p-6",
+        (
+            "0x1.307b080ad7c58p-6", "0x1.66a3a15362c8dp-5", "0x1.df556202bea3fp-5",
+            "0x1.2296dc85e4b82p-4", "0x1.4b117919d081ap-4", "0x1.6888fed1eef6cp-4",
+            "0x1.7a7605321c4ecp-4", "0x1.685cb4cb6aaa0p-4", "0x1.4c3541db70ca0p-4",
+            "0x1.402a1172ffd90p-4", "0x1.2c4d8aba98fc0p-4", "0x1.10e7cfc5aefe8p-4",
+            "0x1.dc92fd09c5df0p-5", "0x1.8968505e02060p-5", "0x1.292f465b55590p-5",
+            "0x1.1adad8cb1bca0p-6",
+        ),
+    ),
+    ("nf4", 128): (
+        "0x1.c0f537e18e378p-6",
+        (
+            "0x1.6abadb67187bcp-7", "0x1.21ab5634633dap-5", "0x1.b9f3f0e07c90dp-5",
+            "0x1.2039dfb7c264fp-4", "0x1.57a580aca890ep-4", "0x1.80f6d33f37a18p-4",
+            "0x1.9a777f55396f4p-4", "0x1.88d15e720b4ecp-4", "0x1.68c405818ec38p-4",
+            "0x1.579b450741ac0p-4", "0x1.3b9e84a708310p-4", "0x1.15b160d2c4018p-4",
+            "0x1.ce08bae7ca2e0p-5", "0x1.620f70fa797d0p-5", "0x1.d5e82702848a0p-6",
+            "0x1.4c24ff4b30d00p-7",
+        ),
+    ),
+    ("nf4", 256): (
+        "0x1.b2f4c92b6122cp-6",
+        (
+            "0x1.b13aa9509a52fp-8", "0x1.cc752ccd663f8p-6", "0x1.91563fa77b896p-5",
+            "0x1.19e7a9e2cb43ep-4", "0x1.6007da0f27654p-4", "0x1.95e0b196d00dap-4",
+            "0x1.b7b50c8a98174p-4", "0x1.a6f9298adc784p-4", "0x1.82f8acf504520p-4",
+            "0x1.6c28928910bf8p-4", "0x1.477110ae02830p-4", "0x1.16bfff57bafd0p-4",
+            "0x1.b97d3154e6d00p-5", "0x1.39a8548e02450p-5", "0x1.6d44aaeee30e0p-6",
+            "0x1.86f4194a7e080p-8",
+        ),
+    ),
+    ("nf4", 512): (
+        "0x1.a736ae87f0994p-6",
+        (
+            "0x1.03363969dd389p-8", "0x1.69d87fda14722p-6", "0x1.685b49b01f624p-5",
+            "0x1.10d72fabd1707p-4", "0x1.6510a3704e672p-4", "0x1.a7e0904bc26d4p-4",
+            "0x1.d2ad2cedf3f38p-4", "0x1.c3442eb3cadf0p-4", "0x1.9b402641d73d0p-4",
+            "0x1.7e4fd9f68b7a0p-4", "0x1.506911e2d75b8p-4", "0x1.14f7695421578p-4",
+            "0x1.a14a8a03d0410p-5", "0x1.129ea9a1ef6d0p-5", "0x1.1888262e454a0p-6",
+            "0x1.ccff386bf6800p-9",
+        ),
+    ),
+    ("nf4", 1024): (
+        "0x1.9d9955805d198p-6",
+        (
+            "0x1.36a6896cfd619p-9", "0x1.1a0bf05a93b74p-6", "0x1.40c52a926e538p-5",
+            "0x1.05ec93b7efedcp-4", "0x1.67638ff24fa84p-4", "0x1.b767d956aa3cap-4",
+            "0x1.ebb9f1942905cp-4", "0x1.de01587ec6b98p-4", "0x1.b1e7c399d4770p-4",
+            "0x1.8e6ce31bbbd98p-4", "0x1.5701e7dc72348p-4", "0x1.11036d54a7640p-4",
+            "0x1.871a74a8ed540p-5", "0x1.dc91759fac120p-6", "0x1.ab27e7d1f21c0p-7",
+            "0x1.102c547312100p-9",
+        ),
+    ),
+    ("nf4", 2048): (
+        "0x1.95ca4809425ddp-6",
+        (
+            "0x1.74bf2b07ce21dp-10", "0x1.b519392b55082p-7", "0x1.1b99bf41d71fep-5",
+            "0x1.f3a34ac1fff46p-5", "0x1.6780d7ef978c3p-4", "0x1.c4cdf56494a12p-4",
+            "0x1.018f5699d8d86p-3", "0x1.f76b007d90cb4p-4", "0x1.c729259325a70p-4",
+            "0x1.9cc5ce95cd280p-4", "0x1.5b9c26444d258p-4", "0x1.0b68f75215a58p-4",
+            "0x1.6c1ae5fc4ace0p-5", "0x1.9a99b480a5f40p-6", "0x1.431f89456f4c0p-7",
+            "0x1.41be483262e00p-10",
+        ),
+    ),
+    ("nf4", 4096): (
+        "0x1.8f70e024af57fp-6",
+        (
+            "0x1.bfb3e09e14d83p-11", "0x1.513bc13dce388p-7", "0x1.f2c49e9621e70p-6",
+            "0x1.da0b3b74f9e96p-5", "0x1.65cf45838dca7p-4", "0x1.d0588f484563ap-4",
+            "0x1.0c87cef4ed102p-3", "0x1.07d6fc25704d8p-3", "0x1.db30e4e298018p-4",
+            "0x1.a9921d2d75428p-4", "0x1.5e858b234a5b8p-4", "0x1.04908eb596f58p-4",
+            "0x1.5120d1a4120f0p-5", "0x1.5fc63fb854480p-6", "0x1.e68779237e400p-8",
+            "0x1.7cb1bd9912800p-11",
+        ),
+    ),
+    ("nf4", 8192): (
+        "0x1.8a3e8ec13ff30p-6",
+        (
+            "0x1.0d17bd43ea162p-11", "0x1.035d219199c85p-7", "0x1.b4acd9b73bd28p-6",
+            "0x1.bfcfc434a3945p-5", "0x1.62a29e9fe4abap-4", "0x1.da4099ad280fap-4",
+            "0x1.16db3f3e41d58p-3", "0x1.1376dac8818e6p-3", "0x1.ee22899e38460p-4",
+            "0x1.b4feed902dfd8p-4", "0x1.5ffdf5905fd50p-4", "0x1.f99a8d43b2a90p-5",
+            "0x1.36c0348712150p-5", "0x1.2c00fe9e07800p-6", "0x1.6cfcd924e4a80p-8",
+            "0x1.c2cc92980f000p-12",
+        ),
+    ),
+    ("nf4", 16384): (
+        "0x1.85f33546658a9p-6",
+        (
+            "0x1.43b6409d2ce69p-12", "0x1.8e08658436d9ep-8", "0x1.7cf23d6045ae3p-6",
+            "0x1.a57f64e11f8f8p-5", "0x1.5e3ffd80f0f1fp-4", "0x1.e2b58bb2d78c4p-4",
+            "0x1.209ab3afbd658p-3", "0x1.1ea3779655360p-3", "0x1.000d8513f0f9cp-3",
+            "0x1.bf31b272c9368p-4", "0x1.603aaef013cb0p-4", "0x1.e8c32dcbfd880p-5",
+            "0x1.1d5d45aafd500p-5", "0x1.fdcc1ae745480p-7", "0x1.1116338c9dd00p-8",
+            "0x1.0b1602a196000p-12",
+        ),
+    ),
+    ("nf4", 32768): (
+        "0x1.825c96be2b374p-6",
+        (
+            "0x1.85a999ec61f1fp-13", "0x1.30ea1bac27aa4p-8", "0x1.4b59831d597c1p-6",
+            "0x1.8b839e7e4024cp-5", "0x1.58e0e660d1ae4p-4", "0x1.e9df9206888d8p-4",
+            "0x1.29d45b3cc5f4ap-3", "0x1.2968aa940360cp-3", "0x1.089938a5b0bd4p-3",
+            "0x1.c84a04c914fa0p-4", "0x1.5f68b3cd10d30p-4", "0x1.d705c5d5bdf00p-5",
+            "0x1.053903496d4a0p-5", "0x1.afd0fa11c4a00p-7", "0x1.97da4ca546a00p-9",
+            "0x1.3caaa0c89e000p-13",
+        ),
+    ),
+    ("nf4", 65536): (
+        "0x1.7f5420fbd7e6ap-6",
+        (
+            "0x1.d54ef74932a9ep-14", "0x1.d29ce88ffde11p-9", "0x1.1f8113631a50dp-6",
+            "0x1.72296e4742207p-5", "0x1.52b58cb731330p-4", "0x1.efe11aa4bc11ap-4",
+            "0x1.32942fcea60c0p-3", "0x1.33d05f26669dap-3", "0x1.10be8077e5158p-3",
+            "0x1.d062ea0839dd8p-4", "0x1.5dae5a9a125d0p-4", "0x1.c4b83d80621a0p-5",
+            "0x1.dcf4f9021bcc0p-6", "0x1.6cd3babd0bd40p-7", "0x1.3020155547200p-9",
+            "0x1.77a49895bc000p-14",
+        ),
+    ),
+    ("nf4", 131072): (
+        "0x1.7cbc759beead3p-6",
+        (
+            "0x1.1ac152e6dafc2p-14", "0x1.64bdccfa823f8p-9", "0x1.f1e66ccefcec0p-7",
+            "0x1.59a7c3f2866b4p-5", "0x1.4be68b48914f2p-4", "0x1.f4d7f56916bf0p-4",
+            "0x1.3ae46e68f5f26p-3", "0x1.3de2ff1b4d1aap-3", "0x1.188600ad805ccp-3",
+            "0x1.d793c04c29518p-4", "0x1.5b2c8eeb24d08p-4", "0x1.b21face211330p-5",
+            "0x1.b26b80a962540p-6", "0x1.3391e4e278340p-7", "0x1.c5161a6d1b200p-10",
+            "0x1.bdce136df8000p-15",
+        ),
+    ),
+    ("nf4", 262144): (
+        "0x1.7a7f3b828a6c0p-6",
+        (
+            "0x1.54dd67136b651p-15", "0x1.109863a7c3fafp-9", "0x1.ae644d537d7ffp-7",
+            "0x1.42247c03aa518p-5", "0x1.449638da5e292p-4", "0x1.f8de2c3cb350ap-4",
+            "0x1.42cdef7578e5ap-3", "0x1.47a7c0e5930c8p-3", "0x1.1ff72ca635494p-3",
+            "0x1.ddf0ee0dd9590p-4", "0x1.57ffc272363a0p-4", "0x1.9f7386d80a2f0p-5",
+            "0x1.8ae2242a450e0p-6", "0x1.02d50d58978c0p-7", "0x1.5141cf5418800p-10",
+            "0x1.08a487eb40000p-15",
+        ),
+    ),
+    ("nf4", 524288): (
+        "0x1.788b5d90b05d4p-6",
+        (
+            "0x1.9b13ec587eb54p-16", "0x1.a0756b78451abp-10", "0x1.737fcb21083c6p-7",
+            "0x1.2bb83d7e04fa9p-5", "0x1.3ce1b4cef6566p-4", "0x1.fc0aa8b379abcp-4",
+            "0x1.4a586938d5de6p-3", "0x1.5124e234ec5c8p-3", "0x1.27188028b7830p-3",
+            "0x1.e38c67e620670p-4", "0x1.5440a90a17078p-4", "0x1.8ce01ade2cd10p-5",
+            "0x1.6651a93f30f80p-6", "0x1.b2f96bf3a6900p-8", "0x1.f5d3e84c03400p-11",
+            "0x1.3a501e5dc8000p-16",
+        ),
+    ),
+    ("nf4", 1048576): (
+        "0x1.76d3b284080b5p-6",
+        (
+            "0x1.efedd5343c2e1p-17", "0x1.3e11ef74b01fep-10", "0x1.404643affc380p-7",
+            "0x1.16717f4037194p-5", "0x1.34e1be20669bcp-4", "0x1.fe71b551facdap-4",
+            "0x1.518aa2d8adec5p-3", "0x1.5a5fd4bf0b294p-3", "0x1.2defab39271e0p-3",
+            "0x1.e8761857abd70p-4", "0x1.5004cdfa39220p-4", "0x1.7a8896ed5b0c0p-5",
+            "0x1.44a4fcf524ec0p-6", "0x1.6d063e8848900p-8", "0x1.753ba74862800p-11",
+            "0x1.756d8ab630000p-17",
+        ),
+    ),
+    ("nf4", 2097152): (
+        "0x1.754dfc5cb9b8ap-6",
+        (
+            "0x1.2b3e4b3db3ae8p-17", "0x1.e5d3ea46058ffp-11", "0x1.13d43675bc083p-7",
+            "0x1.0256e706bafe4p-5", "0x1.2cab61a16d652p-4", "0x1.0012b20a5efc8p-3",
+            "0x1.586a9c32e9340p-3", "0x1.635d61134f728p-3", "0x1.3481b44a1f9b4p-3",
+            "0x1.ecbc31a8e1988p-4", "0x1.4b5f0c3023890p-4", "0x1.6888a6bf66a90p-5",
+            "0x1.25bda634f38e0p-6", "0x1.31fdc21dad380p-8", "0x1.158a7e4deec00p-11",
+            "0x1.bbcaef46c0000p-18",
+        ),
+    ),
+    ("nf4", 4194304): (
+        "0x1.73f22bb20d55ep-6",
+        (
+            "0x1.693b78b447e95p-18", "0x1.730c064a17322p-11", "0x1.dab0a27e8b062p-8",
+            "0x1.ded24ea5c7f42p-6", "0x1.245088c6543d6p-4", "0x1.009af071a7654p-3",
+            "0x1.5efdad6dbb126p-3", "0x1.6c21c216edb1cp-3", "0x1.3ad3134bb7a88p-3",
+            "0x1.f06b6f5a68970p-4", "0x1.465ff04fec4b0p-4", "0x1.56f5c6001c6a0p-5",
+            "0x1.09771c4f5e400p-6", "0x1.00450ce40eb80p-8", "0x1.9cbc3f0b4c000p-12",
+            "0x1.07c790e4e0000p-18",
+        ),
+    ),
+    ("nf4", 8388608): (
+        "0x1.72b9d5c72c8fap-6",
+        (
+            "0x1.b42de9e8d0b93p-19", "0x1.1b69dc5b4e960p-11", "0x1.9829530597568p-8",
+            "0x1.bb48f0b32eeebp-6", "0x1.1be06fbe8f734p-4", "0x1.00d8da56b4121p-3",
+            "0x1.6548a049e9ebap-3", "0x1.74b0bafd55468p-3", "0x1.40e7c75b2bd00p-3",
+            "0x1.f38f4b2885870p-4", "0x1.41160995020b8p-4", "0x1.45e055820d700p-5",
+            "0x1.df5289e0db1c0p-7", "0x1.acebffc0d8200p-9", "0x1.32e4da1598000p-12",
+            "0x1.39a55e5ec0000p-19",
+        ),
+    ),
+    ("nf4", 16777216): (
+        "0x1.719fcfba96075p-6",
+        (
+            "0x1.07672616d0f14p-19", "0x1.b1051228ef8e9p-12", "0x1.5ebd89dfc2c0cp-8",
+            "0x1.9a0382fb1a310p-6", "0x1.136807f03a278p-4", "0x1.00d2fe525452cp-3",
+            "0x1.6b4fc4ad7811cp-3", "0x1.7d0da90b04e3cp-3", "0x1.46c368562d238p-3",
+            "0x1.f632286f38340p-4", "0x1.3b8e2d2debf00p-4", "0x1.35547fafbbdb0p-5",
+            "0x1.b054990677100p-7", "0x1.66b5dc6c45000p-9", "0x1.c86b223fd0000p-13",
+            "0x1.75063e2800000p-20",
+        ),
+    ),
+    ("af4", 32): (
+        "0x1.dc0de18278836p-6",
+        (
+            "0x1.d219edf1ee4d6p-6", "0x1.62bb43a0cbd63p-5", "0x1.db43ce84d6072p-5",
+            "0x1.1e8af11d6adbcp-4", "0x1.446bc464df050p-4", "0x1.5f6af7bb41338p-4",
+            "0x1.6f997161c17c0p-4", "0x1.5d8c81b680cbcp-4", "0x1.427fa7d449218p-4",
+            "0x1.37abe9f34da00p-4", "0x1.259ce34257408p-4", "0x1.0c4afb21f4b40p-4",
+            "0x1.d74c25094c980p-5", "0x1.871c01cdb7350p-5", "0x1.27886ef2ee340p-5",
+            "0x1.b79a802829ae0p-6",
+        ),
+    ),
+    ("af4", 64): (
+        "0x1.d067b086c7eeap-6",
+        (
+            "0x1.2506cf8113c75p-6", "0x1.50a6a6ef0c8eep-5", "0x1.db3b2a3399506p-5",
+            "0x1.24c053ba61145p-4", "0x1.4ee2a5d524b4cp-4", "0x1.6ca53836011d4p-4",
+            "0x1.7e61dc9285944p-4", "0x1.6bd6c08a12470p-4", "0x1.4f75de9eee7a8p-4",
+            "0x1.439bae9ea2578p-4", "0x1.2fc11d3bedf90p-4", "0x1.13baaf8220188p-4",
+            "0x1.de7e71c7bbbf0p-5", "0x1.83a964432a830p-5", "0x1.154aa84a4c7d0p-5",
+            "0x1.1017ee1844680p-6",
+        ),
+    ),
+    ("af4", 4096): (
+        "0x1.6b1448e40a00cp-6",
+        (
+            "0x1.03f5622cd157dp-9", "0x1.19c6e0c67a1a9p-5", "0x1.d20741d056853p-5",
+            "0x1.2e9bc5e08e41cp-4", "0x1.621bd21ecfb06p-4", "0x1.85bcb47e1b404p-4",
+            "0x1.9ab459ea2b300p-4", "0x1.8723ba91037f8p-4", "0x1.6808d330f10b0p-4",
+            "0x1.5a17be71cd1c0p-4", "0x1.42840690bbf30p-4", "0x1.20b965415a6c0p-4",
+            "0x1.e776cebcfbf00p-5", "0x1.73a7b64ee9cd0p-5", "0x1.bebb71e719280p-6",
+            "0x1.c4318d7ee5400p-10",
+        ),
+    ),
 }
