@@ -635,8 +635,8 @@ def usage_histogram(qt):
 
 
 def reconstruction_errors(original, reconstructed):
-    """Error summaries between two same-shape tensors: {"mean_abs",
-    "mean_sq", "max_abs"} of their double precision difference.
+    """{"mean_abs", "mean_sq", "max_abs"} of the double precision difference
+    of two same-shape tensors of real numbers (see _real), else DomainError.
 
     The difference is formed and reduced _CHUNK elements at a time, in the
     order numpy's own ``diff.mean()`` sums it, and the run sums are added
@@ -646,6 +646,7 @@ def reconstruction_errors(original, reconstructed):
     a, b = np.asarray(original), np.asarray(reconstructed)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a, b = _real(a), _real(b)
     if a.size == 0:
         raise DomainError(f"no elements to compare in shape {a.shape}")
     # np.subtract lays its output out in the inputs' memory order, and
@@ -704,10 +705,12 @@ def _pairwise_sums(differences, start, n, buf, maxima):
 # ---------------------------------------------------------------------------
 
 def _header(magic, tag, dims):
-    """Header bytes: magic, tag byte, ndim byte and u32 LE extents; ndim
-    outside 1 to _MAX_NDIM or an extent of 2^32 or more raises FormatError."""
+    """Header bytes: magic, tag, ndim and u32 LE extents; FormatError for
+    ndim outside 1 to _MAX_NDIM or an extent of 0 or of 2^32 or more."""
     if not 1 <= len(dims) <= _MAX_NDIM:
         raise FormatError(f"{len(dims)} dimensions, not 1 to {_MAX_NDIM}")
+    if 0 in dims:
+        raise FormatError(f"zero extent in {tuple(dims)}")
     for d in dims:
         if d >= 1 << 32:
             raise FormatError(f"extent {d} overflows the 32-bit header")

@@ -81,10 +81,10 @@ def _build_code(args, block_size):
         return codebook.code_read(code_path)
     if args.kind is None:
         raise _UsageError("either --code or --kind is required")
-    needs_block_size, build = codebook.CODE_KINDS[args.kind]
+    kind, build = codebook.CODE_KINDS[args.kind]
     if block_size is not None:
         block_size = check_block_size(block_size)
-    elif needs_block_size:
+    elif codebook.KINDS[kind][0]:
         raise _UsageError(f"--block-size is required for kind {args.kind!r}")
     return build(block_size, (args.variant or "quantile-of-average").replace("-", "_"))
 
@@ -203,7 +203,7 @@ def cmd_mc_sample(args):
     cfg = _mc_config(args, "mc sample")
     B = cfg.block_size
     n = cfg.num_blocks * B
-    # One chunk at a time: written, then counted block by block.  The FQT1
+    # One batch at a time: written, then counted block by block.  The FQT1
     # header is checked before the first draw.
     with (blockquant.tensor_writer((cfg.num_blocks, B), args.out) if args.out
           else contextlib.nullcontext(lambda v: None)) as write:
@@ -236,14 +236,13 @@ def build_parser():
     parser = _Parser(prog="quantlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = ("quantile-of-average", "average-of-quantile")
 
     p_code = sub.add_parser("code", help="codebook operations")
     code_sub = p_code.add_subparsers(dest="code_command", required=True)
     p_gen = code_sub.add_parser("gen", help="construct a 16-value code")
     p_gen.add_argument("--kind", required=True, choices=codebook.CODE_KINDS)
-    p_gen.add_argument("--variant",
-                       choices=("quantile-of-average", "average-of-quantile"),
-                       help="NF4 construction variant")
+    p_gen.add_argument("--variant", choices=variants, help="NF4 construction variant")
     p_gen.add_argument("--out", help="write a code16/v1 file here")
     _add_common(p_gen)
     p_gen.set_defaults(func=cmd_code_gen)
@@ -282,8 +281,7 @@ def build_parser():
     p_v.add_argument("--code", help="code16/v1 file")
     p_v.add_argument("--kind", choices=codebook.CODE_KINDS,
                      help="construct this code instead of reading --code")
-    p_v.add_argument("--variant",
-                     choices=("quantile-of-average", "average-of-quantile"))
+    p_v.add_argument("--variant", choices=variants)
     p_v.add_argument("--n", type=int, default=1 << 16, help="number of blocks")
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--assert", dest="assert_", action="store_true",

@@ -4,7 +4,8 @@ Four families are provided:
 
 * ``nf4_code`` -- Gaussian-quantile codes built from two asymmetric evenly
   spaced probability grids, in both of the circulating variants (quantile of
-  averaged probabilities vs. average of quantiles).
+  averaged probabilities vs. average of quantiles), which differ by less
+  than 0.001.
 * ``af4_code`` -- the expected-L1-optimal code for a given block size,
   constrained to contain -1, 0 and 1, found by a shooting method on the
   median/stationarity recurrence.
@@ -17,7 +18,7 @@ Four families are provided:
 
 ``KINDS`` is the table of code16 ``kind`` labels and the rules each one
 imposes on a ``Code16``; ``CODE_KINDS`` maps the command-line kind names
-onto the constructors.
+onto those kinds and their constructors.
 ``expected_l1`` scores any code by its expected absolute reconstruction
 error under the block-size-dependent law of the normalized inputs.
 """
@@ -457,12 +458,13 @@ def balanced_code_with_endpoints(block_size):
     )
 
 
-# Command-line kind name -> (needs a block size, build(block_size, variant)).
+# Command-line kind name -> (code16 kind in KINDS, build(block_size, variant)).
 CODE_KINDS = {
-    "nf4": (False, lambda B, variant: nf4_code(variant)),
-    "af4": (True, lambda B, variant: af4_code(B)),
-    "balanced": (True, lambda B, variant: _midpoint_balanced_code(B)),
-    "balanced-endpoints": (True, lambda B, variant: balanced_code_with_endpoints(B)),
+    "nf4": ("nf4_quantile_of_average", lambda B, variant: nf4_code(variant)),
+    "af4": ("af4", lambda B, variant: af4_code(B)),
+    "balanced": ("balanced", lambda B, variant: _midpoint_balanced_code(B)),
+    "balanced-endpoints": ("balanced_with_endpoints",
+                           lambda B, variant: balanced_code_with_endpoints(B)),
 }
 
 

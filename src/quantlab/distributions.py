@@ -29,7 +29,8 @@ Accuracy is decided in this module alone, by constants: no function, class
 or environment variable takes an accuracy setting.  DEFAULT_ABS_TOL is the
 one quadrature tolerance, refinement stops after MAX_REFINEMENTS node
 doublings, and quantiles are bracketed to DEFAULT_ROOT_TOL by ``_brentq``,
-a port of scipy's ``brentq`` that gives the same roots.
+a port of scipy's ``brentq`` that gives the same roots, so no command
+imports ``scipy.optimize``.
 """
 
 from __future__ import annotations

@@ -29,9 +29,10 @@ draw to u is monotone, so a block's largest |z| comes from its smallest
 or its largest raw draw, and ``ndtri`` runs on three draws per block:
 entry 0 and the two extremes.  ``ndtri`` itself is monotone only up to
 rounding, between doubles closer than a measured window; a block with
-another draw that close to an extreme takes its absmax from all of its
-entries.  Entry 0 therefore comes out bit for bit as
-``sample_block_values`` gives it, at about a third of the cost.
+another draw that close to an extreme (about 2B * 2^-30 of the blocks)
+takes its absmax from all of its entries.  Entry 0 therefore comes out
+bit for bit as ``sample_block_values`` gives it, at about a third of the
+cost.
 """
 
 from __future__ import annotations

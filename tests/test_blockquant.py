@@ -264,7 +264,8 @@ class TestQuantize:
         np.array(["1", "2", "-3", "4"]),
         np.array(["2024-01-01", "2024-01-02", "2024-01-03", "2024-01-04"],
                  dtype="datetime64[D]"),
-    ], ids=["complex", "str", "datetime64"])
+        np.array([0.5, -1.0, 2, 0.25], dtype=object),
+    ], ids=["complex", "str", "datetime64", "object"])
     def test_values_that_are_not_real_numbers(self, codes, values):
         # rejected by dtype before any element is converted: a complex
         # input would otherwise lose its imaginary part
@@ -272,6 +273,10 @@ class TestQuantize:
             bq.quantize(values, codes["nf4"], 2)
         with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
             bq.nearest_index(values, codes["nf4"].values)
+        real = np.zeros(values.shape)
+        for pair in ((values, real), (real, values)):
+            with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
+                bq.reconstruction_errors(*pair)
 
     def test_bool_and_integer_values_quantize_as_float32(self, codes):
         ints = np.array([[3, -1], [0, 2]], dtype=np.int16)
@@ -1531,6 +1536,17 @@ class TestHeaderRules:
                 write(obj, path)
         assert str(exc.value) == "extent 4294967296 overflows the 32-bit header"
         assert peak[0] < 1 << 20
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dims", [(0,), (3, 0), (2, 0, 5)])
+    def test_zero_extent_on_write_creates_no_file(self, tmp_path, dims):
+        # the reader rejects a zero extent, so the writer must not make one
+        path = tmp_path / "t.fqt"
+        with pytest.raises(FormatError, match=re.escape(f"zero extent in {dims}")):
+            bq.tensor_write(np.zeros(dims, np.float32), path)
+        with pytest.raises(FormatError, match=re.escape(f"zero extent in {dims}")):
+            with bq.tensor_writer(dims, path):
+                pass
         assert not path.exists()
 
     @pytest.mark.parametrize("ndim", [65, 256])
