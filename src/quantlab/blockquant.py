@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Code16
-from .errors import (DataError, DomainError, FormatError, _check_integer,
+from .errors import (DataError, DomainError, FormatError, _check_integer, _real,
                      check_block_size, output_file)
 
 FQT1_MAGIC = b"FQT1"
@@ -349,6 +349,8 @@ def _thresholds(code_bytes, dtype):
     0) and +inf (the last index), with the rule as the oracle.
     """
     q = np.frombuffer(code_bytes, dtype=np.float64)
+    if not (2 <= q.size <= 256 and np.isfinite(q).all() and (q[1:] > q[:-1]).all()):
+        raise DomainError(f"code values: need 2 to 256 finite, increasing; got {q}")
     ks = np.arange(1, q.size)
     inf = np.full(ks.size, np.inf, dtype=dtype)
     lo, hi = _to_ordered(-inf), _to_ordered(inf)
@@ -363,15 +365,6 @@ def _thresholds(code_bytes, dtype):
     return t
 
 
-def _real(values):
-    """``values`` as an array of bool, integer or float dtype, else
-    DomainError: no element of any other dtype is read or converted."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"expected real numbers, got an array of dtype {arr.dtype}")
-    return arr
-
-
 def nearest_index(normalized, code_values):
     """Nearest code index for each element, ties toward the lower index.
 
@@ -381,11 +374,11 @@ def nearest_index(normalized, code_values):
     for any other bool, integer or float input (which is converted first)
     -- so the result equals the double-precision rule of
     ``_nearest_index_reference`` for every finite or infinite input.  NaN
-    maps to index 0.  Input of any other dtype raises DomainError.
+    maps to index 0.  Other dtypes, and bad codes (``_thresholds``), raise DomainError.
     """
-    x = _real(normalized)
+    x = _real(normalized, "normalized")
     dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
-    q = np.ascontiguousarray(code_values, dtype=np.float64)
+    q = np.ascontiguousarray(_real(code_values, "code values"), dtype=np.float64)
     t = _thresholds(q.tobytes(), dtype)
     x = x.astype(dtype, copy=False)
     out = np.greater_equal(x, t[0], out=np.empty(x.shape, dtype=np.uint8))
@@ -423,7 +416,7 @@ def quantize(values, code, block_size, axis=0):
     dtype, and DataError for non-finite input and for a block whose absmax
     overflows the float32 scale.
     """
-    arr = _real(values)
+    arr = _real(values, "values")
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float32)
     if arr.ndim == 0:
@@ -636,17 +629,19 @@ def usage_histogram(qt):
 
 def reconstruction_errors(original, reconstructed):
     """{"mean_abs", "mean_sq", "max_abs"} of the double precision difference
-    of two same-shape tensors of real numbers (see _real), else DomainError.
+    of two same-shape tensors of real numbers (``errors._real``), else DomainError.
 
     The difference is formed and reduced _CHUNK elements at a time, in the
     order numpy's own ``diff.mean()`` sums it, and the run sums are added
     up numpy's pairwise tree; so every figure equals the unchunked numpy
     expression bit for bit, NaN included.
     """
-    a, b = np.asarray(original), np.asarray(reconstructed)
-    if a.shape != b.shape:
-        raise DomainError(f"shape mismatch: {a.shape} vs {b.shape}")
-    a, b = _real(a), _real(b)
+    shapes = None, None  # shapes first: a QuantizedTensor reads as a mismatch
+    with contextlib.suppress(ValueError):  # ragged nesting, which _real names
+        shapes = np.shape(original), np.shape(reconstructed)
+    if shapes[0] != shapes[1]:
+        raise DomainError(f"shape mismatch: {shapes[0]} vs {shapes[1]}")
+    a, b = _real(original, "original"), _real(reconstructed, "reconstructed")
     if a.size == 0:
         raise DomainError(f"no elements to compare in shape {a.shape}")
     # np.subtract lays its output out in the inputs' memory order, and
@@ -706,14 +701,17 @@ def _pairwise_sums(differences, start, n, buf, maxima):
 
 def _header(magic, tag, dims):
     """Header bytes: magic, tag, ndim and u32 LE extents; FormatError for
-    ndim outside 1 to _MAX_NDIM or an extent of 0 or of 2^32 or more."""
+    ndim outside 1 to _MAX_NDIM or an extent not an integer in [1, 2^32)."""
     if not 1 <= len(dims) <= _MAX_NDIM:
         raise FormatError(f"{len(dims)} dimensions, not 1 to {_MAX_NDIM}")
+    try:
+        dims = [_check_integer(d, f"extent in {tuple(dims)}", 0) for d in dims]
+    except DomainError as exc:
+        raise FormatError(str(exc)) from None
     if 0 in dims:
         raise FormatError(f"zero extent in {tuple(dims)}")
-    for d in dims:
-        if d >= 1 << 32:
-            raise FormatError(f"extent {d} overflows the 32-bit header")
+    if max(dims) >= 1 << 32:
+        raise FormatError(f"extent {max(dims)} overflows the 32-bit header")
     return magic + struct.pack(f"<BB{len(dims)}I", tag, len(dims), *dims)
 
 
@@ -781,8 +779,8 @@ def tensor_writer(dims, path):
 
 
 def tensor_write(tensor, path):
-    """Write a tensor as FQT1 (float32, row-major, little-endian)."""
-    arr = np.asarray(tensor, dtype=np.float32)
+    """Write a real tensor as FQT1 (float32, row-major, little-endian)."""
+    arr = _real(tensor, "tensor").astype(np.float32, copy=False)
     with tensor_writer(arr.shape or (1,), path) as write:
         write(arr)
 

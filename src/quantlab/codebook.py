@@ -34,8 +34,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import scaled_max_distribution
-from .errors import (ConstructionError, DomainError, FormatError, check_block_size,
-                     output_file)
+from .errors import (ConstructionError, DomainError, FormatError, _check_real, _real,
+                     check_block_size, output_file)
 
 # code16 kind -> (needs a block size, holds -1, 0, 1 at positions 1, 8, 16).
 KINDS = {
@@ -54,17 +54,15 @@ BALANCED_SCAN_POINTS = 1024
 
 
 def _reals(values, requirement):
-    """values as a new float64 array; DomainError(requirement) unless they
-    are real numbers, where numpy would warn, or raise an error of its own."""
-    try:
-        vals = np.array(values)
-        if vals.dtype == object:  # e.g. Fraction or Decimal values
-            vals = vals.astype(float)
-    except (TypeError, ValueError) as exc:  # ragged, or not numbers
-        raise DomainError(f"{requirement}: {exc}") from None
-    if vals.dtype.kind not in "iuf":
+    """values as a new float64 array, else DomainError(requirement): what
+    ``errors._real`` takes, or a list of numbers (Fraction, Decimal); no bools."""
+    if isinstance(values, (list, tuple)):
+        values = [v if isinstance(v, (bool, np.bool_, float))
+                  else _check_real(v, requirement) for v in values]
+    vals = _real(values, requirement)
+    if vals.dtype.kind == "b":
         raise DomainError(f"{requirement}, got {vals.dtype}")
-    return vals.astype(float, copy=False)  # np.array made it a copy
+    return vals.astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +197,7 @@ def stationarity_step(a_prev, a_cur, block_size):
     solved as a_next = 2 * F^-1(rho) - a_cur with
     rho = 2 F(a_cur) - F((a_prev + a_cur)/2).
     """
-    a_prev = float(a_prev)
-    a_cur = float(a_cur)
+    a_prev, a_cur = _check_real(a_prev, "a_prev"), _check_real(a_cur, "a_cur")
     if not a_prev < a_cur:
         raise DomainError(f"need a_prev < a_cur, got {a_prev} >= {a_cur}")
     mid = 0.5 * (a_prev + a_cur)
@@ -379,7 +376,7 @@ def balanced_code(q1_seed, bins, *, block_size=None):
     the result is labeled "custom", since "balanced" only means something
     relative to a block size.
     """
-    q1_seed = float(q1_seed)
+    q1_seed = _check_real(q1_seed, "q1 seed")
     edges = bins.edges
     if not (edges[0] <= q1_seed <= edges[1]):
         raise DomainError(
@@ -524,11 +521,8 @@ def code_read(path):
     if not isinstance(values, list) or len(values) != 16:
         n = len(values) if isinstance(values, list) else "none"
         raise FormatError(f"{path}: expected 16 code values, got {n}")
-    # Exact int/float comparisons: no NaN, infinity or out-of-range integer
-    # reaches the float conversion.
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               and -1 <= v <= 1 for v in values):
-        raise FormatError(f"{path}: code values must be numbers in [-1, 1]")
+    if any(isinstance(v, bool) for v in values):  # Code16 checks the rest
+        raise FormatError(f"{path}: code values must be numbers, not true or false")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FormatError(f"{path}: params must be an object")

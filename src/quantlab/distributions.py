@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfc, erfinv, ndtr, ndtri
 
-from .errors import DomainError, NumericalError, check_block_size
+from .errors import DomainError, NumericalError, _check_real, _real, check_block_size
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -57,12 +57,6 @@ DEFAULT_TAIL_CUT = 1e-12
 MAX_REFINEMENTS = 6
 #: Largest block size the distribution layer accepts.
 MAX_BLOCK_SIZE = 1 << 53
-
-
-def _not_nan(name, value):
-    if math.isnan(value := float(value)):
-        raise DomainError(f"{name} must be a number, got nan")
-    return value
 
 
 def _brentq(f, xa, xb, xtol):
@@ -123,21 +117,23 @@ def _brentq(f, xa, xb, xtol):
 
 def normal_quantile(p):
     """Inverse standard normal CDF; requires 0 < p < 1."""
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = _real(p, "p")
     if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise DomainError(f"normal_quantile requires 0 < p < 1, got {p}")
-    return ndtri(p)
+    return ndtri(p_arr)
 
 
 def normal_pdf(x):
-    """Standard normal density."""
-    x = np.asarray(x, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    """Standard normal density; requires x not NaN."""
+    x_arr = _real(x, "x").astype(float, copy=False)
+    if np.isnan(x_arr).any():
+        raise DomainError(f"normal_pdf requires x to be a number, got {x}")
+    return _INV_SQRT_2PI * np.exp(-0.5 * x_arr * x_arr)
 
 
 def halfnormal_quantile(p):
     """Inverse half-normal CDF; requires 0 <= p < 1."""
-    p_arr = np.asarray(p, dtype=float)
+    p_arr = _real(p, "p").astype(float, copy=False)
     if not np.all((p_arr >= 0.0) & (p_arr < 1.0)):
         raise DomainError(f"halfnormal_quantile requires 0 <= p < 1, got {p}")
     out = _SQRT2 * erfinv(p_arr)
@@ -149,9 +145,9 @@ def trunc_normal_cdf(x, m):
 
     Values of x outside [-m, m] clamp to 0/1.  Requires m > 0 and x not NaN.
     """
-    if not (m > 0):
+    if not (m := _check_real(m, "m")) > 0:
         raise DomainError(f"trunc_normal_cdf requires m > 0, got m={m}")
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = _real(x, "x").astype(float, copy=False)
     if np.isnan(x_arr).any():
         raise DomainError(f"trunc_normal_cdf requires x to be a number, got {x}")
     xc = np.clip(x_arr, -m, m)
@@ -172,13 +168,13 @@ def _halfnormal_log_cdf(m):
     # log(erf(m/sqrt(2))) evaluated as log1p(-erfc(.)) so powers with huge
     # exponents stay accurate near the upper tail.
     with np.errstate(divide="ignore"):
-        return np.log1p(-erfc(np.asarray(m, dtype=float) / _SQRT2))
+        return np.log1p(-erfc(m / _SQRT2))
 
 
 def absmax_pdf(m, block_size):
     """Density of the block absmax: 2B * erf(m/sqrt2)^(B-1) * phi(m)."""
     B = check_block_size(block_size, MAX_BLOCK_SIZE)
-    m_arr = np.asarray(m, dtype=float)
+    m_arr = _real(m, "m").astype(float, copy=False)
     if not np.all(m_arr >= 0.0):
         raise DomainError(f"absmax_pdf requires m >= 0, got {m}")
     if B == 1:
@@ -289,7 +285,7 @@ class ScaledMaxDistribution:
             raise DomainError(
                 "block size 1 has no continuous part: the law is two atoms at +/-1"
             )
-        x = float(x)
+        x = _check_real(x, "x")
         if not (-1.0 <= x <= 1.0):
             raise DomainError(f"gb_cdf requires -1 <= x <= 1, got {x}")
 
@@ -305,7 +301,7 @@ class ScaledMaxDistribution:
     def _with_atoms(self, x, continuous_cdf):
         """Mixed-law CDF at x, right-continuous, given the CDF of the
         continuous part on (-1, 1)."""
-        x = _not_nan("x", x)
+        x = _check_real(x, "x")
         if x < -1.0:
             return 0.0
         if x >= 1.0:
@@ -324,7 +320,7 @@ class ScaledMaxDistribution:
         Only probabilities strictly between the atom masses are invertible;
         anything else, and NaN, raises DomainError.
         """
-        p = _not_nan("p", p)
+        p = _check_real(p, "p")
         if p <= self.atom_mass:
             raise DomainError(
                 f"p={p:g} falls in the atom at -1 (mass {self.atom_mass:g}); "
@@ -355,7 +351,7 @@ class ScaledMaxDistribution:
         normal (conditioning on the absmax), leaving a single outer
         quadrature over the absmax density.
         """
-        a = np.asarray(points, dtype=float)
+        a = _real(points, "points").astype(float, copy=False)
         if a.ndim != 1 or a.size == 0:
             raise DomainError("points must be a non-empty 1-D array")
         if not np.all(np.diff(a) > 0):

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the one integer rule (block
-sizes, Monte Carlo seeds and block counts), and the one way an output file
-is written (``output_file``).
+"""Exception types shared across the package, the argument rules that say
+what every module takes as a number (``_check_integer``, ``_check_real``,
+``_real``), and the one way an output file is written (``output_file``).
 
 The CLI maps these onto exit codes, so library code should raise the most
 specific type that applies rather than bare ValueError/RuntimeError.
@@ -10,6 +10,8 @@ import contextlib
 import numbers
 import os
 import stat
+
+import numpy as np
 
 
 class QuantLabError(Exception):
@@ -55,6 +57,31 @@ def _check_integer(value, name, minimum=None, maximum=None):
     if maximum is not None and value > maximum:
         raise DomainError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
+
+
+def _check_real(value, name):
+    """value as a float if it is one real number, not NaN; else DomainError."""
+    if not isinstance(value, float) and (not isinstance(value, numbers.Number)
+                                         or np.iscomplexobj(value)):
+        value = _real(value, name)  # a 0-d array passes; a complex number does not
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. [0.5], 10**400
+        raise DomainError(f"{name}: expected one real number ({exc})") from None
+    if value != value:
+        raise DomainError(f"{name} must be a number, got nan")
+    return value
+
+
+def _real(values, name):
+    """values as an array of bool, integer or float dtype, else DomainError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise DomainError(f"{name}: ragged nesting, not real numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{name}: expected real numbers, got dtype {arr.dtype}")
+    return arr
 
 
 @contextlib.contextmanager

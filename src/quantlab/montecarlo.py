@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import blockquant
-from .errors import DomainError, _check_integer, check_block_size
+from .errors import DomainError, _check_integer, _real, check_block_size
 
 # Elements per summation group (chunk).  The draws and every count taken
 # from them are the same whatever it is; a float sum over chunks, as in
@@ -189,7 +189,7 @@ def empirical_cdf_stream(cfg, xs):
     error that understates the truth, since entries within a block are
     dependent.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = np.atleast_1d(_real(xs, "xs")).astype(float)
     if np.isnan(xs).any():
         raise DomainError("xs must not contain NaN")
     counts = np.zeros(xs.shape, dtype=np.int64)

@@ -128,6 +128,24 @@ class TestNearestIndex:
         # np.argmin picks the first minimum, i.e. the lower index
         assert np.all(got == np.arange(15))
 
+    @pytest.mark.parametrize("code_values", [
+        [0.5, -0.5, 0.0], [-0.5, np.nan, 0.5], [-0.5, 0.5, np.inf], [-0.5, 0.0, 0.0],
+        [0.5], [], np.linspace(-1, 1, 257), np.linspace(-1, 1, 300),
+    ], ids=["unsorted", "nan", "inf", "repeated", "one", "none", "257", "300"])
+    def test_code_values_that_are_not_a_code(self, code_values):
+        # these gave wrong indices ([0, 2, 2, 2] unsorted, all 0 with a NaN,
+        # [15, 135, 149, 149] from 300 values through the uint8 output) or
+        # raised IndexError
+        with pytest.raises(DomainError, match="need 2 to 256 finite, increasing"):
+            bq.nearest_index([-0.9, -0.1, 0.2, 0.95], code_values)
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256])
+    def test_codes_of_2_to_256_values(self, n):
+        q = np.linspace(-1, 1, n)
+        x = np.random.default_rng(n).uniform(-1.1, 1.1, 4096)
+        np.testing.assert_array_equal(bq.nearest_index(x, q),
+                                      bq._nearest_index_reference(x, q))
+
 
 @pytest.fixture(scope="module")
 def threshold_codes(codes):
@@ -266,11 +284,14 @@ class TestQuantize:
                  dtype="datetime64[D]"),
         np.array([0.5, -1.0, 2, 0.25], dtype=object),
     ], ids=["complex", "str", "datetime64", "object"])
-    def test_values_that_are_not_real_numbers(self, codes, values):
+    def test_values_that_are_not_real_numbers(self, codes, values, tmp_path):
         # rejected by dtype before any element is converted: a complex
         # input would otherwise lose its imaginary part
         with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
             bq.quantize(values, codes["nf4"], 2)
+        with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
+            bq.tensor_write(values, tmp_path / "t.fqt")
+        assert not (tmp_path / "t.fqt").exists()
         with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
             bq.nearest_index(values, codes["nf4"].values)
         real = np.zeros(values.shape)
@@ -1538,13 +1559,19 @@ class TestHeaderRules:
         assert peak[0] < 1 << 20
         assert not path.exists()
 
-    @pytest.mark.parametrize("dims", [(0,), (3, 0), (2, 0, 5)])
+    @pytest.mark.parametrize("dims", [(0,), (3, 0), (2, 0, 5), (-1, 3), (2.5,)])
     def test_zero_extent_on_write_creates_no_file(self, tmp_path, dims):
-        # the reader rejects a zero extent, so the writer must not make one
+        # the reader rejects a zero extent, so the writer must not make one;
+        # a negative or fractional extent, which no numpy shape has, must
+        # not reach struct.pack
         path = tmp_path / "t.fqt"
-        with pytest.raises(FormatError, match=re.escape(f"zero extent in {dims}")):
-            bq.tensor_write(np.zeros(dims, np.float32), path)
-        with pytest.raises(FormatError, match=re.escape(f"zero extent in {dims}")):
+        if 0 in dims:
+            message = f"zero extent in {dims}"
+            with pytest.raises(FormatError, match=re.escape(message)):
+                bq.tensor_write(np.zeros(dims, np.float32), path)
+        else:
+            message = f"extent in {dims} must be"
+        with pytest.raises(FormatError, match=re.escape(message)):
             with bq.tensor_writer(dims, path):
                 pass
         assert not path.exists()

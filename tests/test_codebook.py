@@ -599,13 +599,17 @@ class TestCodeFile:
         ("values", json_list([10**400] + np.linspace(-1, 1, 16).tolist()[1:])),
         ("values", json_list(["NaN"] + np.linspace(-1, 1, 16).tolist()[1:])),
         ("values", json_list(np.linspace(-1, 1, 16).tolist()[:-1] + ["1e999"])),
+        ("values", json_list(['"-1"'] + np.linspace(-1, 1, 16).tolist()[1:])),
+        ("values", json_list(["[-1]"] + np.linspace(-1, 1, 16).tolist()[1:])),
+        ("values", json_list(["null"] + np.linspace(-1, 1, 16).tolist()[1:])),
         ("block_size", "-5"),
         ("block_size", "0"),
         ("block_size", "2.5"),
         ("block_size", "true"),
         ("kind", '["custom"]'),
-    ], ids=["deep-nesting", "int-overflow", "nan", "inf", "block-size-negative",
-            "block-size-zero", "block-size-float", "block-size-bool", "kind-list"])
+    ], ids=["deep-nesting", "int-overflow", "nan", "inf", "string", "nested", "null",
+            "block-size-negative", "block-size-zero", "block-size-float",
+            "block-size-bool", "kind-list"])
     def test_malformed_fields_are_format_errors(self, tmp_path, field, text):
         doc = {"format": '"code16/v1"', "kind": '"custom"', "block_size": "null",
                "values": json_list(np.linspace(-1, 1, 16).tolist()),
