@@ -374,11 +374,14 @@ def nearest_index(normalized, code_values):
     for any other bool, integer or float input (which is converted first)
     -- so the result equals the double-precision rule of
     ``_nearest_index_reference`` for every finite or infinite input.  NaN
-    maps to index 0.  Other dtypes, and bad codes (``_thresholds``), raise DomainError.
+    maps to index 0.  Other dtypes, and bad codes (``_thresholds``, or of
+    more than one dimension), raise DomainError.
     """
     x = _real(normalized, "normalized")
     dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
     q = np.ascontiguousarray(_real(code_values, "code values"), dtype=np.float64)
+    if q.ndim != 1:
+        raise DomainError(f"code values: need one dimension, got shape {q.shape}")
     t = _thresholds(q.tobytes(), dtype)
     x = x.astype(dtype, copy=False)
     out = np.greater_equal(x, t[0], out=np.empty(x.shape, dtype=np.uint8))
@@ -389,8 +392,16 @@ def nearest_index(normalized, code_values):
 
 
 def pack_nibbles(indices):
-    """Pack rows of 4-bit values: element 2k -> low nibble of byte k."""
-    idx = np.asarray(indices, dtype=np.uint8)
+    """Pack rows of 4-bit values: element 2k -> low nibble of byte k.
+    Raises DomainError unless indices has integer dtype, at least one
+    dimension and values from 0 to 15."""
+    idx = _real(indices, "indices")
+    if idx.dtype.kind not in "iu" or idx.ndim == 0:
+        raise DomainError(f"indices: need rows of integers, got dtype {idx.dtype}"
+                          f" and shape {idx.shape}")
+    if idx.size and (idx.max() > 15 or (idx.dtype.kind == "i" and idx.min() < 0)):
+        raise DomainError("indices: need values from 0 to 15")
+    idx = idx.astype(np.uint8, copy=False)
     packed = np.array(idx[..., 0::2], order="K")
     packed[..., :idx.shape[-1] // 2] |= idx[..., 1::2] << 4
     return packed

@@ -20,9 +20,10 @@ users are ``usage_statistics``, ``l1_statistics`` and the command line's
 A chunk (``CHUNK_ELEMENTS``) is the summation group: float results are
 summed chunk by chunk, which fixes their last bits.  A batch
 (``_BATCH_ELEMENTS``, at least one block) is the working set, sized to stay
-in a core's L2 cache; integer counts are summed batch by batch.
-``block_moments`` takes at most ``_BATCH_ELEMENTS // 16`` blocks a batch,
-so a per-block row of 16 counts takes no more room than the batch.
+in a core's L2 cache; integer counts are summed batch by batch.  A batch
+holds at most ``_BATCH_ELEMENTS // 16`` blocks, so a per-block row of 16
+counts, or the CDF estimator's few values a block, take no more room than
+the batch.
 
 The CDF estimator never normalizes a whole block.  The map from a raw
 draw to u is monotone, so a block's largest |z| comes from its smallest
@@ -33,10 +34,27 @@ another draw that close to an extreme (about 2B * 2^-30 of the blocks)
 takes its absmax from all of its entries.  Entry 0 therefore comes out
 bit for bit as ``sample_block_values`` gives it, at about a third of the
 cost.
+
+Batches run on a pool of one thread per CPU the process may use
+(``_THREADS``), at most one batch a thread alive at once (``_in_order``).
+The CDF estimator hands each batch's draws, ``_first_values``, sort and
+``searchsorted`` to the pool.  ``block_moments`` hands it the draws alone,
+each a thread's share of a batch, so that the batches alive take about
+one batch's room; it runs ``per_block`` on the calling thread, batch by
+batch in block order, since ``mc sample`` writes from inside it.  The pool
+runs only private functions, so a tracer that wraps the public ones sees
+every span on one thread.  Nothing a thread does can move a result: each
+block's draws are fixed by its counter range, counts are exact integers
+added in block order, and float results are summed chunk by chunk as
+before.  At one CPU every batch runs inline.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +69,13 @@ from .errors import DomainError, _check_integer, _real, check_block_size
 # changing it moves the `validate l1` digits of runs longer than one chunk:
 # a golden re-pin (tests/test_golden.py pins a four-chunk run).
 CHUNK_ELEMENTS = 1 << 21
-# Elements drawn and processed at once; results do not depend on it.
+# Elements drawn and processed at once, shared among the threads; results
+# do not depend on it.
 _BATCH_ELEMENTS = 1 << 16
+# Threads that run batches: the CPUs this process may run on.  Results do
+# not depend on it either.
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 # Largest block size McConfig accepts: one block fits in one default chunk.
 MAX_BLOCK_SIZE = 1 << 21
 
@@ -114,6 +137,11 @@ def sample_block_values(cfg, start=0, stop=None):
     stop = cfg.num_blocks if stop is None else _check_integer(stop, "stop")
     if not 0 <= start <= stop <= cfg.num_blocks:
         raise DomainError(f"invalid block range [{start}, {stop})")
+    return _block_values(cfg, start, stop)
+
+
+def _block_values(cfg, start, stop):
+    """sample_block_values without its argument checks, for the pool."""
     z = ndtri(_uniform(_raw_block_range(cfg.seed, cfg.block_size, start, stop)))
     # The extreme entry divides to exactly +/-1; everything else stays
     # strictly inside (-1, 1) after rounding.
@@ -138,6 +166,25 @@ def _ranges(cfg, elements, start=0, stop=None):
     step = max(1, elements // cfg.block_size)
     for a in range(start, stop, step):
         yield a, min(a + step, stop)
+
+
+def _in_order(fn, ranges):
+    """fn(a, b) for each (a, b) of ranges, yielded in that order.  On
+    _THREADS threads, at most _THREADS calls are alive at once, counting the
+    result being consumed; the next call starts when the consumer asks for
+    the next result.  At one thread each call runs inline when it is due."""
+    if _THREADS == 1:
+        for a, b in ranges:
+            yield fn(a, b)
+        return
+    with ThreadPoolExecutor(_THREADS) as pool:
+        alive = deque()
+        for a, b in ranges:
+            alive.append(pool.submit(fn, a, b))
+            if len(alive) == _THREADS:
+                yield alive.popleft().result()
+        while alive:
+            yield alive.popleft().result()
 
 
 def iter_sample_chunks(cfg):
@@ -192,10 +239,17 @@ def empirical_cdf_stream(cfg, xs):
     xs = np.atleast_1d(_real(xs, "xs")).astype(float)
     if np.isnan(xs).any():
         raise DomainError("xs must not contain NaN")
-    counts = np.zeros(xs.shape, dtype=np.int64)
-    for start, stop in _ranges(cfg, _BATCH_ELEMENTS):
+
+    def count(start, stop):
         first = _first_values(_raw_block_range(cfg.seed, cfg.block_size, start, stop))
-        counts += np.searchsorted(np.sort(first), xs, side="right")
+        return np.searchsorted(np.sort(first), xs, side="right")
+
+    # A whole batch a thread: a thread's share would hand off twice as many
+    # batches, each of too little work.
+    batch = _BATCH_ELEMENTS // max(cfg.block_size, 16) * cfg.block_size
+    counts = np.zeros(xs.shape, dtype=np.int64)
+    for c in _in_order(count, _ranges(cfg, batch)):
+        counts += c
     n = cfg.num_blocks
     p = counts / n
     stderr = np.sqrt(p * (1.0 - p) / n)
@@ -210,22 +264,26 @@ def block_moments(cfg, per_block):
     their last bits rest on CHUNK_ELEMENTS, never on the batch size."""
     total = sq = 0
     # At most _BATCH_ELEMENTS // 16 blocks: 16 counts a block fit in a batch.
-    batch = _BATCH_ELEMENTS // max(cfg.block_size, 16) * cfg.block_size
-    for start, stop in _ranges(cfg, CHUNK_ELEMENTS):
-        floats = None  # this chunk's float results, summed once it is whole
-        for a, b in _ranges(cfg, batch, start, stop):
-            s = per_block(sample_block_values(cfg, a, b))
-            if np.issubdtype(s.dtype, np.integer):
-                total, sq = total + s.sum(axis=0), sq + (s * s).sum(axis=0)
-            else:
-                if floats is None:
-                    floats = np.empty((stop - start,) + s.shape[1:], s.dtype)
-                floats[a - start:b - start] = s
-            del s  # released before the next batch is drawn
-        if floats is not None:
-            total = total + floats.sum(axis=0)
-            floats *= floats  # squared in place: no second chunk-sized array
-            sq = sq + floats.sum(axis=0)
+    batch = _BATCH_ELEMENTS // _THREADS // max(cfg.block_size, 16) * cfg.block_size
+    batches = ((a, b) for chunk in _ranges(cfg, CHUNK_ELEMENTS)
+               for a, b in _ranges(cfg, batch, *chunk))
+    draws = _in_order(lambda a, b: _block_values(cfg, a, b), batches)
+    with contextlib.closing(draws):  # the pool ends here if per_block raises
+        for start, stop in _ranges(cfg, CHUNK_ELEMENTS):
+            floats = None  # this chunk's float results, summed once it is whole
+            for a, b in _ranges(cfg, batch, start, stop):
+                s = per_block(next(draws))
+                if np.issubdtype(s.dtype, np.integer):
+                    total, sq = total + s.sum(axis=0), sq + (s * s).sum(axis=0)
+                else:
+                    if floats is None:
+                        floats = np.empty((stop - start,) + s.shape[1:], s.dtype)
+                    floats[a - start:b - start] = s
+                del s  # released before another batch is drawn
+            if floats is not None:
+                total = total + floats.sum(axis=0)
+                floats *= floats  # squared in place: no second chunk-sized array
+                sq = sq + floats.sum(axis=0)
     total, sq = np.asarray(total, dtype=float), np.asarray(sq, dtype=float)
     nb = cfg.num_blocks
     if nb < 2:

@@ -139,6 +139,12 @@ class TestNearestIndex:
         with pytest.raises(DomainError, match="need 2 to 256 finite, increasing"):
             bq.nearest_index([-0.9, -0.1, 0.2, 0.95], code_values)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 1), (1, 16), (2, 2, 4)])
+    def test_code_of_more_than_one_dimension(self, shape):
+        # a (4, 4) code's values gave index 10 for 0.3 as if flattened
+        with pytest.raises(DomainError, match="need one dimension"):
+            bq.nearest_index([0.3], np.linspace(-1, 1, 16).reshape(shape))
+
     @pytest.mark.parametrize("n", [2, 3, 255, 256])
     def test_codes_of_2_to_256_values(self, n):
         q = np.linspace(-1, 1, n)
@@ -1060,6 +1066,35 @@ class TestPacking:
         packed = bq.pack_nibbles(np.array([[1, 2, 3, 4]], dtype=np.uint8))
         # element 2k -> low nibble of byte k
         np.testing.assert_array_equal(packed, [[0x21, 0x43]])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.uint64])
+    def test_every_integer_dtype_packs_alike(self, dtype):
+        idx = np.arange(16).reshape(2, 8)
+        packed = bq.pack_nibbles(idx.astype(dtype))
+        np.testing.assert_array_equal(packed, bq.pack_nibbles(idx.astype(np.uint8)))
+        np.testing.assert_array_equal(bq.unpack_nibbles(packed, 8), idx)
+
+    @pytest.mark.parametrize("indices, message", [
+        ([17, 3], "0 to 15"),            # packed as [1, 3]: 17's fifth bit spilled
+        ([3, 16], "0 to 15"),
+        ([-1, 3], "0 to 15"),
+        (np.array([[0, 255]], np.uint8), "0 to 15"),
+        ([1.7, 3], "integers"),         # truncated to [1, 3]
+        ([1.0, 3.0], "integers"),
+        ([True, False], "integers"),
+        ([], "integers"),               # float64 when empty
+        (5, "integers"),                # no rows
+        (["5", "3"], "real numbers"),   # parsed as [5, 3]
+        ([1j, 3], "real numbers"),
+    ], ids=["17", "16", "negative", "uint8-255", "fraction", "whole-floats", "bool",
+            "empty-list", "scalar", "strings", "complex"])
+    def test_indices_that_are_not_nibbles(self, indices, message):
+        with pytest.raises(DomainError, match=message):
+            bq.pack_nibbles(indices)
+
+    def test_empty_rows_of_integers(self):
+        packed = bq.pack_nibbles(np.zeros((3, 0), dtype=np.uint8))
+        assert packed.shape == (3, 0) and packed.dtype == np.uint8
 
 
 @contextlib.contextmanager

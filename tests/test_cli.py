@@ -1100,6 +1100,23 @@ class TestMcSample:
             assert out == whole
             assert path.read_bytes() == (tmp_path / "whole.fqt").read_bytes()
 
+    @pytest.mark.parametrize("B", [1, 5, 32, 4096])
+    def test_threads_do_not_change_the_output(self, B, capsys, tmp_path, monkeypatch):
+        # Batches of 7 blocks shared among one, two and three threads, in
+        # chunks of 50, write the same bytes and print the same summary.
+        argv = ("mc", "sample", "--block-size", str(B), "--n", "230", "--seed", "3",
+                "--csv", "--out")
+        monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 50 * B)
+        monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", 7 * B)
+        monkeypatch.setattr(qmc, "_THREADS", 1)
+        _, one, _ = run(capsys, *argv, str(tmp_path / "one.fqt"))
+        for threads in (2, 3):
+            monkeypatch.setattr(qmc, "_THREADS", threads)
+            path = tmp_path / f"threads{threads}.fqt"
+            _, out, _ = run(capsys, *argv, str(path))
+            assert out == one
+            assert path.read_bytes() == (tmp_path / "one.fqt").read_bytes()
+
     def test_stderr_is_clustered_by_block(self, capsys):
         # Over K seeds, (K-1) var(estimates) / mean(stderr^2) follows
         # chi2(K-1) when the printed stderr is the true one.  Entries of a

@@ -1,6 +1,7 @@
 """Tests for the deterministic sampling process and its estimators."""
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -533,12 +534,20 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
+@pytest.fixture(params=[1, 2, 4], ids=lambda t: f"threads{t}")
+def threads(request, monkeypatch):
+    monkeypatch.setattr(qmc, "_THREADS", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("threads")
 class TestBatchMemory:
     """Every estimator holds a fixed number of batches of float64, plus
     l1_statistics' per-block means of one chunk, however many blocks the
-    run has and whatever the block size.  Counts per block are int64 and
-    never copied to float: at B = 1 usage_statistics' (blocks, 16) table and
-    its square take 32 batches, where a chunk-sized table took 631 MiB."""
+    run has, whatever the block size and however many threads draw the
+    batches.  Counts per block are int64 and never copied to float: at B =
+    1 usage_statistics' (blocks, 16) table and its square take 32 batches,
+    where a chunk-sized table took 631 MiB."""
 
     @pytest.mark.parametrize("B", [1, 4, 64])
     def test_peaks_are_batches_not_chunks(self, B):
@@ -562,6 +571,77 @@ class TestBatchMemory:
         unit = qmc._BATCH_ELEMENTS * 8
         cfg = qmc.McConfig(seed=30, block_size=B, num_blocks=qmc.CHUNK_ELEMENTS // B)
         assert _traced_peak(lambda: qmc.usage_statistics(cfg, qc.nf4_code())) <= 3 * unit
+
+
+class TestThreads:
+    """The pool only changes which thread runs a batch: every estimate is
+    bit for bit the same at one, two and three threads, in chunks and
+    batches that do not divide the run, and an error inside a batch
+    reaches the caller as raised, with the pool's threads gone."""
+
+    @pytest.mark.parametrize("B", [1, 5, 32, 4096])
+    def test_estimates_do_not_depend_on_threads(self, B, monkeypatch):
+        code = qc.nf4_code()
+        xs = np.linspace(-1.0, 1.0, 9)
+        cfg = qmc.McConfig(seed=31, block_size=B, num_blocks=230)
+        monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 50 * B)
+        monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", 7 * B)
+
+        def estimates(threads):
+            monkeypatch.setattr(qmc, "_THREADS", threads)
+            results = (qmc.empirical_cdf_stream(cfg, xs),
+                       qmc.usage_statistics(cfg, code),
+                       qmc.l1_statistics(cfg, code))
+            return [float(v).hex() for pair in results for part in pair
+                    for v in np.ravel(part)]
+
+        one = estimates(1)
+        assert estimates(2) == one
+        assert estimates(3) == one
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("estimator", ["cdf", "usage", "l1"])
+    def test_error_in_a_batch_propagates(self, estimator, threads, monkeypatch):
+        cfg = qmc.McConfig(seed=32, block_size=16, num_blocks=400)
+        monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", 16 * 16)
+        monkeypatch.setattr(qmc, "_THREADS", threads)
+        error = RuntimeError("batch failed")
+        draw = qmc._raw_block_range
+
+        def failing(seed, block_size, start, stop):
+            if start <= 100 < stop:
+                raise error
+            return draw(seed, block_size, start, stop)
+
+        monkeypatch.setattr(qmc, "_raw_block_range", failing)
+        run = {"cdf": lambda: qmc.empirical_cdf_stream(cfg, [0.0]),
+               "usage": lambda: qmc.usage_statistics(cfg, qc.nf4_code()),
+               "l1": lambda: qmc.l1_statistics(cfg, qc.nf4_code())}[estimator]
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run()
+        assert info.value is error
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_error_in_per_block_propagates(self, threads, monkeypatch):
+        cfg = qmc.McConfig(seed=33, block_size=16, num_blocks=400)
+        monkeypatch.setattr(qmc, "_BATCH_ELEMENTS", 16 * 16)
+        monkeypatch.setattr(qmc, "_THREADS", threads)
+        error = RuntimeError("per_block failed")
+        seen = []
+
+        def per_block(values):
+            seen.append(len(values))
+            if len(seen) == 3:
+                raise error
+            return np.ones(len(values), dtype=np.int64)
+
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            qmc.block_moments(cfg, per_block)
+        assert info.value is error
+        assert threading.active_count() == baseline
 
 
 def _balanced(B):
