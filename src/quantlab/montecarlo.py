@@ -244,8 +244,8 @@ def empirical_cdf_stream(cfg, xs):
         first = _first_values(_raw_block_range(cfg.seed, cfg.block_size, start, stop))
         return np.searchsorted(np.sort(first), xs, side="right")
 
-    # A whole batch a thread: a thread's share would hand off twice as many
-    # batches, each of too little work.
+    # A whole batch a thread: a thread's share of one would multiply the
+    # hand-offs, each over too little work.
     batch = _BATCH_ELEMENTS // max(cfg.block_size, 16) * cfg.block_size
     counts = np.zeros(xs.shape, dtype=np.int64)
     for c in _in_order(count, _ranges(cfg, batch)):
