@@ -35,18 +35,20 @@ takes its absmax from all of its entries.  Entry 0 therefore comes out
 bit for bit as ``sample_block_values`` gives it, at about a third of the
 cost.
 
-Batches run on a pool of one thread per CPU the process may use
-(``_THREADS``), at most one batch a thread alive at once (``_in_order``).
-The CDF estimator hands each batch's draws, ``_first_values``, sort and
-``searchsorted`` to the pool.  ``block_moments`` hands it the draws alone,
-each a thread's share of a batch, so that the batches alive take about
-one batch's room; it runs ``per_block`` on the calling thread, batch by
-batch in block order, since ``mc sample`` writes from inside it.  The pool
-runs only private functions, so a tracer that wraps the public ones sees
-every span on one thread.  Nothing a thread does can move a result: each
-block's draws are fixed by its counter range, counts are exact integers
-added in block order, and float results are summed chunk by chunk as
-before.  At one CPU every batch runs inline.
+Batches run on a pool of ``_THREADS`` threads, one per CPU the process
+may use but no more than ``_MAX_THREADS`` (two), with at most one call a
+thread alive at once (``_in_order``).  The CDF estimator hands the pool
+each call's draws, ``_first_values``, sort and ``searchsorted``; its calls
+alive share ``_MAX_THREADS`` batches, a whole batch a thread at the most
+threads.  ``block_moments`` hands it the draws alone, its calls alive
+sharing one batch, and runs ``per_block`` on the calling thread, batch by
+batch in block order, since ``mc sample`` writes from inside it.  So
+neither holds more at more threads.  The pool runs only private
+functions, so a tracer that wraps the public ones sees every span on one
+thread.  Nothing a thread does can move a result: each block's draws are
+fixed by its counter range, counts are exact integers added in block
+order, and float results are summed chunk by chunk as before.  At one CPU
+every batch runs inline.
 """
 
 from __future__ import annotations
@@ -72,10 +74,13 @@ CHUNK_ELEMENTS = 1 << 21
 # Elements drawn and processed at once, shared among the threads; results
 # do not depend on it.
 _BATCH_ELEMENTS = 1 << 16
-# Threads that run batches: the CPUs this process may run on.  Results do
-# not depend on it either.
-_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# Threads that run batches: the CPUs this process may run on, but at most
+# _MAX_THREADS, which leaves a thread 2^15 elements of a batch of blocks of
+# 16 or more (shares of 2^14 lost the pool's gain to hand-offs).  Results
+# do not depend on it either.
+_MAX_THREADS = max(1, _BATCH_ELEMENTS >> 15)
+_THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, _MAX_THREADS)
 # Largest block size McConfig accepts: one block fits in one default chunk.
 MAX_BLOCK_SIZE = 1 << 21
 
@@ -244,11 +249,12 @@ def empirical_cdf_stream(cfg, xs):
         first = _first_values(_raw_block_range(cfg.seed, cfg.block_size, start, stop))
         return np.searchsorted(np.sort(first), xs, side="right")
 
-    # A whole batch a thread: a thread's share of one would multiply the
+    # _MAX_THREADS batches shared among the threads, a whole batch a thread
+    # at the most threads: a thread's share of one would multiply the
     # hand-offs, each over too little work.
     batch = _BATCH_ELEMENTS // max(cfg.block_size, 16) * cfg.block_size
     counts = np.zeros(xs.shape, dtype=np.int64)
-    for c in _in_order(count, _ranges(cfg, batch)):
+    for c in _in_order(count, _ranges(cfg, _MAX_THREADS * batch // _THREADS)):
         counts += c
     n = cfg.num_blocks
     p = counts / n

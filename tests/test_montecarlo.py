@@ -1,6 +1,9 @@
 """Tests for the deterministic sampling process and its estimators."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -544,10 +547,11 @@ def threads(request, monkeypatch):
 class TestBatchMemory:
     """Every estimator holds a fixed number of batches of float64, plus
     l1_statistics' per-block means of one chunk, however many blocks the
-    run has, whatever the block size and however many threads draw the
-    batches.  Counts per block are int64 and never copied to float: at B =
-    1 usage_statistics' (blocks, 16) table and its square take 32 batches,
-    where a chunk-sized table took 631 MiB."""
+    run has, whatever the block size, at one, two and four threads (the
+    module takes at most two; TestThreads checks sixteen).  Counts per
+    block are int64 and never copied to float: at B = 1 usage_statistics'
+    (blocks, 16) table and its square take 32 batches, where a chunk-sized
+    table took 631 MiB."""
 
     @pytest.mark.parametrize("B", [1, 4, 64])
     def test_peaks_are_batches_not_chunks(self, B):
@@ -622,6 +626,31 @@ class TestThreads:
             run()
         assert info.value is error
         assert threading.active_count() == baseline
+
+    def test_threads_leave_a_thread_two_to_the_fifteen_elements(self):
+        # On 64 CPUs the pool still has _BATCH_ELEMENTS >> 15 threads.
+        script = ("import os; os.sched_getaffinity = lambda pid: set(range(64))\n"
+                  "from quantlab import montecarlo; print(montecarlo._THREADS)")
+        src = os.path.dirname(os.path.dirname(qmc.__file__))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=dict(os.environ, PYTHONPATH=src),
+                                timeout=120)
+        assert result.stdout == f"{qmc._BATCH_ELEMENTS >> 15}\n"
+
+    @pytest.mark.parametrize("B", [1, 64])
+    def test_memory_at_sixteen_threads(self, B, monkeypatch):
+        # Past the module's own thread count the calls alive still share a
+        # fixed number of batches, so TestBatchMemory's bounds hold.
+        monkeypatch.setattr(qmc, "_THREADS", 16)
+        unit = qmc._BATCH_ELEMENTS * 8
+        n = qmc.CHUNK_ELEMENTS // B
+        cfg = qmc.McConfig(seed=34, block_size=B, num_blocks=n)
+        xs = np.linspace(-1.0, 1.0, 33)
+        assert _traced_peak(lambda: qmc.empirical_cdf_stream(cfg, xs)) <= 16 * unit
+        if B >= 16:  # smaller blocks split a batch 16 ways into too many calls
+            code = qc.nf4_code()
+            assert _traced_peak(lambda: qmc.usage_statistics(cfg, code)) <= 40 * unit
+            assert _traced_peak(lambda: qmc.l1_statistics(cfg, code)) <= 16 * unit + 8 * n
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_error_in_per_block_propagates(self, threads, monkeypatch):
