@@ -25,8 +25,8 @@ _EXPORTS = {
         scaled_max_distribution trunc_normal_cdf""",
     "errors": """ConstructionError DataError DomainError FormatError
         NumericalError QuantLabError""",
-    "montecarlo": """McConfig empirical_cdf_stream iter_sample_chunks l1_statistics
-        sample_block_values usage_statistics""",
+    "montecarlo": """McConfig empirical_cdf_stream l1_statistics sample_block_values
+        usage_statistics""",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -408,9 +408,17 @@ def pack_nibbles(indices):
 
 
 def unpack_nibbles(packed, length):
-    """Inverse of pack_nibbles for the first ``length`` elements of each
-    row; bytes past them are not unpacked."""
-    b = np.asarray(packed, dtype=np.uint8)[..., :(length + 1) // 2]
+    """Inverse of pack_nibbles for the first ``length`` (an integer >= 0)
+    elements of each row; bytes past them are not unpacked.  Raises
+    DomainError unless packed is rows of integers from 0 to 255."""
+    b = _real(packed, "packed")
+    if b.dtype.kind not in "iu" or b.ndim == 0:
+        raise DomainError(f"packed: need rows of integers, got dtype {b.dtype}"
+                          f" and shape {b.shape}")
+    if b.dtype != np.uint8 and b.size and (b.max() > 255 or b.min() < 0):
+        raise DomainError("packed: need values from 0 to 255")
+    length = _check_integer(length, "length", 0)
+    b = b[..., :(length + 1) // 2].astype(np.uint8, copy=False)
     out = np.empty(b.shape[:-1] + (b.shape[-1] * 2,), dtype=np.uint8)
     out[..., 0::2] = b & 0x0F
     out[..., 1::2] = b >> 4

@@ -107,11 +107,6 @@ class Code16:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "params", dict(self.params))
 
-    def bin_edges(self):
-        """Nearest-value region boundaries: midpoints, padded to [-1, 1]."""
-        v = self.values
-        return np.concatenate(([-1.0], 0.5 * (v[:-1] + v[1:]), [1.0]))
-
 
 @dataclass(frozen=True, eq=False)
 class BinEdges:
@@ -477,8 +472,8 @@ def expected_l1(code, block_size):
 def code_bin_masses(code, block_size):
     """Probability of each code value being selected, under the mixed law."""
     dist = scaled_max_distribution(block_size)
-    edges = code.bin_edges()
-    cdf_at = np.array([dist.fx_cdf(e) for e in edges[1:-1]])
+    v = code.values
+    cdf_at = np.array([dist.fx_cdf(m) for m in 0.5 * (v[:-1] + v[1:])])
     return np.diff(np.concatenate(([0.0], cdf_at, [1.0])))
 
 

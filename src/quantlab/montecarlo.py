@@ -47,8 +47,7 @@ neither holds more at more threads.  The pool runs only private
 functions, so a tracer that wraps the public ones sees every span on one
 thread.  Nothing a thread does can move a result: each block's draws are
 fixed by its counter range, counts are exact integers added in block
-order, and float results are summed chunk by chunk as before.  At one CPU
-every batch runs inline.
+order, and float results are summed chunk by chunk as before.
 """
 
 from __future__ import annotations
@@ -174,14 +173,9 @@ def _ranges(cfg, elements, start=0, stop=None):
 
 
 def _in_order(fn, ranges):
-    """fn(a, b) for each (a, b) of ranges, yielded in that order.  On
-    _THREADS threads, at most _THREADS calls are alive at once, counting the
-    result being consumed; the next call starts when the consumer asks for
-    the next result.  At one thread each call runs inline when it is due."""
-    if _THREADS == 1:
-        for a, b in ranges:
-            yield fn(a, b)
-        return
+    """fn(a, b) for each (a, b) of ranges, in that order, from a pool of
+    _THREADS threads with at most _THREADS calls alive, counting the result
+    being consumed; the next call starts when the consumer asks for it."""
     with ThreadPoolExecutor(_THREADS) as pool:
         alive = deque()
         for a, b in ranges:
@@ -190,13 +184,6 @@ def _in_order(fn, ranges):
                 yield alive.popleft().result()
         while alive:
             yield alive.popleft().result()
-
-
-def iter_sample_chunks(cfg):
-    """Yield the run as consecutive (blocks, B) arrays of about
-    CHUNK_ELEMENTS elements (at least one block each)."""
-    for start, stop in _ranges(cfg, CHUNK_ELEMENTS):
-        yield sample_block_values(cfg, start, stop)
 
 
 # Raw units (2^-30 in u) within which ndtri is not trusted to be monotone.

@@ -643,6 +643,25 @@ class TestReconstructionError:
                 bq.reconstruction_errors(a, b)
             assert peak[0] < 16 * bq._CHUNK
 
+    @pytest.mark.parametrize("layout", ["transposed", "fortran-against-c", "strided"])
+    def test_report_memory_on_other_layouts(self, layout):
+        # An input that is not C-contiguous is read through the iterator's
+        # buffers too, never copied whole (16 MiB for 2^22 float32 elements).
+        rng = np.random.default_rng(41)
+        cols = 4100 if layout == "strided" else 2050
+        x, y = (rng.standard_normal((2048, cols), dtype=np.float32) for _ in "xy")
+        if layout == "transposed":
+            a, b = x.T, y.T
+        elif layout == "fortran-against-c":
+            a, b = np.asfortranarray(x), y
+        else:
+            a, b = x[:, ::2], y[:, ::2]
+        assert a.size >= 1 << 22 and not a.flags.c_contiguous
+        assert_same_report(a, b)
+        with traced_peak() as peak:
+            bq.reconstruction_errors(a, b)
+        assert peak[0] < 16 * bq._CHUNK
+
     def test_empty_tensors_rejected(self):
         with pytest.raises(DomainError, match="no elements"):
             bq.reconstruction_errors(np.ones((3, 0)), np.ones((3, 0)))
@@ -1061,6 +1080,9 @@ class TestPacking:
             packed = bq.pack_nibbles(idx)
             assert packed.shape == (5, (n + 1) // 2)
             np.testing.assert_array_equal(bq.unpack_nibbles(packed, n), idx)
+            # bytes of a wider integer dtype unpack alike
+            np.testing.assert_array_equal(
+                bq.unpack_nibbles(packed.astype(np.int64), n), idx)
 
     def test_layout(self):
         packed = bq.pack_nibbles(np.array([[1, 2, 3, 4]], dtype=np.uint8))
@@ -1095,6 +1117,21 @@ class TestPacking:
     def test_empty_rows_of_integers(self):
         packed = bq.pack_nibbles(np.zeros((3, 0), dtype=np.uint8))
         assert packed.shape == (3, 0) and packed.dtype == np.uint8
+
+    @pytest.mark.parametrize("packed, length, message", [
+        ([1.7, 3.2], 4, "integers"),            # truncated to [1, 3]
+        (["5", "3"], 4, "real numbers"),        # parsed as [5, 3]
+        (np.array([300, -1]), 4, "0 to 255"),   # wrapped to [44, 255]
+        ([True], 2, "integers"),
+        ([[0x21]], -1, "length must be >= 0"),  # unpacked to nothing
+        ([300], 2, "0 to 255"),                 # OverflowError
+        ([0x21], 2.5, "length must be an integer"),  # TypeError
+        (np.uint8(33), 2, "integers"),          # IndexError: no rows
+    ], ids=["fraction", "strings", "wrapped", "bool", "negative-length", "300",
+            "fractional-length", "scalar"])
+    def test_bytes_that_cannot_be_unpacked(self, packed, length, message):
+        with pytest.raises(DomainError, match=message):
+            bq.unpack_nibbles(packed, length)
 
 
 @contextlib.contextmanager

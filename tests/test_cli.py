@@ -792,12 +792,11 @@ PUBLIC_NAMES = [
     "af4_code", "balanced_code", "balanced_code_with_endpoints",
     "code_bin_masses", "code_read", "code_write", "dequantize",
     "empirical_cdf_stream", "expected_l1", "feasible_seed_interval", "fx_cdf",
-    "fx_cdf_approx", "fx_quantile", "halfnormal_quantile", "iter_sample_chunks",
-    "l1_statistics", "median_condition_residuals", "nf4_code",
-    "normal_quantile", "qtensor_read", "qtensor_write", "quantize",
-    "reconstruction_errors", "sample_block_values", "scaled_max_distribution",
-    "stationarity_step", "tensor_read", "tensor_write", "trunc_normal_cdf",
-    "uniform_bins", "usage_histogram", "usage_statistics",
+    "fx_cdf_approx", "fx_quantile", "halfnormal_quantile", "l1_statistics",
+    "median_condition_residuals", "nf4_code", "normal_quantile", "qtensor_read",
+    "qtensor_write", "quantize", "reconstruction_errors", "sample_block_values",
+    "scaled_max_distribution", "stationarity_step", "tensor_read", "tensor_write",
+    "trunc_normal_cdf", "uniform_bins", "usage_histogram", "usage_statistics",
 ]
 
 

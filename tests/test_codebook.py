@@ -490,9 +490,10 @@ class TestExpectedL1:
         cfg = qmc.McConfig(seed=11, block_size=B, num_blocks=1 << 16)
         q = code.values
         means = []
-        for chunk in qmc.iter_sample_chunks(cfg):
+        for start in range(0, cfg.num_blocks, 1 << 12):
             import quantlab.blockquant as bq
 
+            chunk = qmc.sample_block_values(cfg, start, start + (1 << 12))
             idx = bq.nearest_index(chunk, q)
             d = np.abs(chunk - q[idx])
             means.append(d.mean(axis=1))

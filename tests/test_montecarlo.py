@@ -28,12 +28,12 @@ class TestReproducibility:
         b = qmc.sample_block_values(cfg)
         assert np.array_equal(a, b)
 
-    def test_chunking_never_changes_values(self, monkeypatch):
+    def test_chunking_never_changes_values(self):
         cfg = qmc.McConfig(seed=7, block_size=16, num_blocks=1000)
         whole = qmc.sample_block_values(cfg)
         for blocks_per_chunk in (1, 7, 128, 999, 1000):
-            monkeypatch.setattr(qmc, "CHUNK_ELEMENTS", 16 * blocks_per_chunk)
-            parts = list(qmc.iter_sample_chunks(cfg))
+            parts = [qmc.sample_block_values(cfg, a, min(a + blocks_per_chunk, 1000))
+                     for a in range(0, 1000, blocks_per_chunk)]
             assert len(parts) == -(-1000 // blocks_per_chunk)
             assert np.array_equal(np.concatenate(parts), whole)
 
