@@ -3,7 +3,8 @@
 Subcommands: ``code gen``, ``quantize``, ``dequantize``, ``dist``,
 ``validate``, ``mc sample``.  Exit codes: 0 success, 1 usage error,
 2 data/format error, 3 numerical-convergence error (also used by
-``validate --assert`` when an estimate disagrees with its analytic value).
+``validate --assert`` when an estimate disagrees with its analytic value),
+130 interrupted (SIGINT).
 
 ``--csv`` switches standard output to machine-parseable CSV.
 """
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT
 
 DEFAULT_BLOCK_SIZE = 64
 
@@ -315,6 +317,9 @@ def main(argv=None):
         if isinstance(exc, DomainError):
             return EXIT_USAGE
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ keyed on the run seed, with block k owning the counter range
 in isolation and the sampled values never depend on how the run is chunked
 or parallelized.  Normals come from inverting the Gaussian CDF on uniform
 64-bit draws, which is slower than ziggurat-style samplers but exactly
-reproducible across platforms.  Samples are plain (blocks, B) arrays.
+reproducible given the same numpy, scipy and libm.  Samples are plain
+(blocks, B) arrays.
 
 Every estimator takes a ``McConfig`` first and returns ``(estimate,
 stderr)``.  Within one block the normalized entries are dependent (they

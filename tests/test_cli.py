@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -1185,3 +1186,40 @@ class TestExitCodes:
         code, out, err = run(capsys, "dist", "absmax-median")
         assert code == expected and out == ""
         assert err == "error: boom\n"
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_dist", interrupted)
+        assert run(capsys, "dist", "absmax-median") == (130, "", "error: interrupted\n")
+
+    def test_sigint_during_a_run_exits_130(self, tmp_path):
+        # The run announces its first Monte Carlo batch on stderr; SIGINT
+        # follows it, a billion blocks before the run could end.
+        script = """import sys
+from quantlab import cli, montecarlo
+run = montecarlo._in_order
+def announced(fn, ranges):
+    for i, result in enumerate(run(fn, ranges)):
+        if i == 0:
+            print("first batch", file=sys.stderr, flush=True)
+        yield result
+montecarlo._in_order = announced
+sys.exit(cli.main(sys.argv[1:]))
+"""
+        src = os.path.dirname(os.path.dirname(quantlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "validate", "cdf", "--n", "1000000000"],
+            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            assert proc.stderr.readline() == "first batch\n"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []

@@ -273,6 +273,74 @@ class TestAf4:
             qc.af4_code(1)
 
 
+# _shoot_side's two problems: (left, lo, hi, num_steps, target).
+SHOOTING_SIDES = {"negative": (-1.0, -1.0, 0.0, 6, 0.0),
+                  "positive": (0.0, 0.0, 1.0, 7, 1.0)}
+SHOOTING_BLOCK_SIZES = [1 << k for k in range(1, 25)] + [3, 5, 100, 1000]
+
+
+def _grid(lo, hi):
+    return np.linspace(lo, hi, qc.SEED_SCAN_POINTS + 2)[1:-1]
+
+
+def _grid_residuals(left, lo, hi, num_steps, target, B):
+    """The shooting residual at every seed of _shoot_side's grid, +inf where
+    the trajectory escapes the support."""
+    r = []
+    for seed in _grid(lo, hi):
+        a, b = left, seed
+        try:
+            for _ in range(num_steps):
+                a, b = b, qc.stationarity_step(a, b, B)
+        except qc.EscapedSupportError:
+            b = np.inf
+        r.append(b - target)
+    return np.array(r)
+
+
+class TestShootingGrid:
+    """_shoot_side bisects over its grid's indices, which finds the bracket
+    a full scan would find only if the grid holds one sign change.  These
+    scans are the evidence that it does."""
+
+    @pytest.mark.parametrize("side", SHOOTING_SIDES)
+    @pytest.mark.parametrize("B", SHOOTING_BLOCK_SIZES)
+    def test_one_bracket_and_rising_residuals(self, B, side):
+        r = _grid_residuals(*SHOOTING_SIDES[side], B)
+        assert not np.isnan(r).any()
+        brackets = np.flatnonzero((r[:-1] < 0.0) & (r[1:] >= 0.0))
+        assert brackets.size == 1, r
+        escaped = np.flatnonzero(r == np.inf)
+        top = escaped[0] if escaped.size else r.size
+        assert np.all(r[top:] == np.inf), r
+        assert np.all(np.diff(r[:top]) >= 0.0), r
+
+    def test_no_sign_change_when_every_seed_escapes(self, monkeypatch):
+        def escape(a_prev, a_cur, block_size):
+            raise qc.EscapedSupportError("escaped")
+
+        monkeypatch.setattr(qc, "stationarity_step", escape)
+        with pytest.raises(ConstructionError, match="no sign change"):
+            qc.af4_code(64)
+
+    @pytest.mark.parametrize("B", [2, 64, 4096])
+    def test_at_most_eight_grid_seeds_per_side(self, B, monkeypatch):
+        step = qc.stationarity_step
+        starts = []
+
+        def counted(a_prev, a_cur, block_size):
+            starts.append((a_prev, a_cur))
+            return step(a_prev, a_cur, block_size)
+
+        monkeypatch.setattr(qc, "stationarity_step", counted)
+        qc.af4_code(B)
+        for left, lo, hi, *_ in SHOOTING_SIDES.values():
+            grid = set(_grid(lo, hi))
+            seeds = [a_cur for a_prev, a_cur in starts
+                     if a_prev == left and a_cur in grid]
+            assert 2 <= len(seeds) <= 8
+
+
 @pytest.mark.parametrize("build", [qc.af4_code, qc.uniform_bins,
                                    qc._midpoint_balanced_code,
                                    qc.balanced_code_with_endpoints])
@@ -336,6 +404,14 @@ class TestBalanced:
         bins = qc.uniform_bins(64)
         with pytest.raises(DomainError, match="first bin"):
             qc.balanced_code(0.5, bins, block_size=64)
+
+    def test_no_feasible_seed_names_the_scanned_interval(self):
+        # Every seed's second value lands in the wide second bin, and its
+        # third is reflected past 1 by the narrow bins above it.
+        bins = qc.BinEdges(np.concatenate([[-1.0, -0.99], np.linspace(0.9, 1.0, 15)]))
+        with pytest.raises(ConstructionError, match=r"no feasible balanced-code seed "
+                           r"among 1024 scanned values in \[-1, -0\.99\]"):
+            qc.feasible_seed_interval(bins)
 
     def test_feasible_interval_inside_first_bin(self):
         bins = qc.uniform_bins(256)

@@ -8,8 +8,9 @@ three ``validate`` reports and ``mc sample --out``; every ``dist`` query at
 B in {1, 32, 4096}; one ``l1_statistics`` run long enough to span several
 Monte Carlo chunks; and the scoring integrals, ``expected_l1`` and
 ``code_bin_masses``, of NF4 at B = 2^k for k = 1..24 and of AF4 at B in
-{32, 64, 4096}.  Files and streams are pinned by sha256,
-library values by ``float.hex``.
+{32, 64, 4096}; and AF4's values and shooting seeds at B = 2^k for
+k = 1..24 and at B in {3, 5, 100, 1000}.  Files and streams are pinned by
+sha256, library values by ``float.hex``.
 
 The values were computed with GOLDEN_VERSIONS.  They rest on numpy's
 Philox stream, pairwise sums and ``standard_normal``, and on scipy's
@@ -207,6 +208,22 @@ def test_scores(kind, B):
     got = (codebook.expected_l1(code, B).hex(),
            tuple(float(m).hex() for m in codebook.code_bin_masses(code, B)))
     _check(f"{kind} scores at B={B}", got, GOLDEN_SCORES[kind, B])
+
+
+# ---------------------------------------------------------------------------
+# AF4: every value and both shooting seeds, bit for bit
+# ---------------------------------------------------------------------------
+
+AF4_BLOCK_SIZES = [1 << k for k in range(1, 25)] + [3, 5, 100, 1000]
+
+
+@pytest.mark.parametrize("B", AF4_BLOCK_SIZES)
+def test_af4_code(B):
+    code = codebook.af4_code(B)
+    got = (tuple(float(v).hex() for v in code.values),
+           float(code.params["seed_negative"]).hex(),
+           float(code.params["seed_positive"]).hex())
+    _check(f"af4 code at B={B}", got, GOLDEN_AF4[B])
 
 
 # ---------------------------------------------------------------------------
@@ -630,5 +647,316 @@ GOLDEN_SCORES = {
             "0x1.e776cebcfbf00p-5", "0x1.73a7b64ee9cd0p-5", "0x1.bebb71e719280p-6",
             "0x1.c4318d7ee5400p-10",
         ),
+    ),
+}
+
+GOLDEN_AF4 = {
+    2: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.a89c6fa95a95ap-1", "-0x1.57fbf168159fap-1",
+            "-0x1.0cd5d1494e43ep-1", "-0x1.8bef612777ef0p-2", "-0x1.048149853f4eep-2",
+            "-0x1.027276a22dc68p-3", "0x0.0p+0", "0x1.c40afdd89d89fp-4",
+            "0x1.c6cbbb5fd220cp-3", "0x1.588e04232eeeap-2", "0x1.d1e87f0e63302p-2",
+            "0x1.2877d83c6218dp-1", "0x1.6b97d600bfa8bp-1", "0x1.b32584ec890ddp-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.a89c6fa95a95ap-1", "0x1.c40afdd89d89fp-4",
+    ),
+    4: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.a036260fc0fc2p-1", "-0x1.4c7260dd91062p-1",
+            "-0x1.014605764d5e0p-1", "-0x1.7864981579eacp-2", "-0x1.ed31de9181318p-3",
+            "-0x1.e826015b995bcp-4", "0x0.0p+0", "0x1.aad1de07e07e2p-4",
+            "0x1.ae2f6cc2cb033p-3", "0x1.46f0f967f8f56p-2", "0x1.bc3ba9c1377b2p-2",
+            "0x1.1ca52b8bdc2bap-1", "0x1.607b5e95970b6p-1", "0x1.ab740f006533ap-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.a036260fc0fc2p-1", "0x1.aad1de07e07e2p-4",
+    ),
+    8: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.9569e56666666p-1", "-0x1.3eba7308f6e5cp-1",
+            "-0x1.e87ab62ee1860p-2", "-0x1.6322dfc242b9ap-2", "-0x1.cf9e97d79c270p-3",
+            "-0x1.c9f7590af3140p-4", "0x0.0p+0", "0x1.9058b17237238p-4",
+            "0x1.941b6c58d8d18p-3", "0x1.33f57eb7b47cep-2", "0x1.a44287574f94cp-2",
+            "0x1.0f12041db48f8p-1", "0x1.53092bf3f6706p-1", "0x1.a16fa3d9ae690p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.9569e56666666p-1", "0x1.9058b17237238p-4",
+    ),
+    16: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.88a4806a56a56p-1", "-0x1.2fd24cde421fep-1",
+            "-0x1.cd8fb2734d5acp-2", "-0x1.4ddce971ac8acp-2", "-0x1.b2925e7f72090p-3",
+            "-0x1.ac9e29eb0c614p-4", "0x0.0p+0", "0x1.769c227e07e08p-4",
+            "0x1.7a8fee6d76ddap-3", "0x1.211b419156972p-2", "0x1.8beb48e924f66p-2",
+            "0x1.00cfbe78a4ac7p-1", "0x1.44283457b17ffp-1", "0x1.956776bc77f6bp-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.88a4806a56a56p-1", "0x1.769c227e07e08p-4",
+    ),
+    32: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.7a7dc70bd0bd0p-1", "-0x1.20a1e52f2fe66p-1",
+            "-0x1.b354b7228e342p-2", "-0x1.39a75f693e548p-2", "-0x1.976030aacfc88p-3",
+            "-0x1.9158dc25286dcp-4", "0x0.0p+0", "0x1.5eb263d4ad4aep-4",
+            "0x1.62b11d825571dp-3", "0x1.0f4d60b572002p-2", "0x1.74866cf84c9cap-2",
+            "0x1.e56cde0b76684p-2", "0x1.34bc5fb115642p-1", "0x1.87d84f9e026dep-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.7a7dc70bd0bd0p-1", "0x1.5eb263d4ad4aep-4",
+    ),
+    64: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.6b9859a17a178p-1", "-0x1.11d45f51aa33ep-1",
+            "-0x1.9ab0f2c02935ep-2", "-0x1.270aacfa2a21ep-2", "-0x1.7e99d99137f4cp-3",
+            "-0x1.78a45a87b9d90p-4", "0x0.0p+0", "0x1.49088913b13b2p-4",
+            "0x1.4cf9fb9ba650ep-3", "0x1.fdf4476d30b52p-3", "0x1.5ec90fac3ac3dp-2",
+            "0x1.ca9fb893149e1p-2", "0x1.257b6d68d830ep-1", "0x1.795417f827d74p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.6b9859a17a178p-1", "0x1.49088913b13b2p-4",
+    ),
+    128: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.5c89b391b91bap-1", "-0x1.03d57192dfb7cp-1",
+            "-0x1.841049bb99f22p-2", "-0x1.1634054af96e0p-2", "-0x1.685df6fbd8a3ap-3",
+            "-0x1.628f695bc396cp-4", "0x0.0p+0", "0x1.35ab9b999999ap-4",
+            "0x1.398212d4853c0p-3", "0x1.e083291f46c7cp-3", "0x1.4afc2913daed0p-2",
+            "0x1.b1c96679b835ap-2", "0x1.16e240c849a3fp-1", "0x1.6a6c7baa45723p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.5c89b391b91bap-1", "0x1.35ab9b999999ap-4",
+    ),
+    256: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.4dc9b0d4ad4acp-1", "-0x1.edb9c30a1d458p-2",
+            "-0x1.6f8f0285fcf6cp-2", "-0x1.071d0649582e8p-2", "-0x1.548f34f4a5d5ep-3",
+            "-0x1.4ef220044a31ap-4", "0x0.0p+0", "0x1.2478fb95a95a8p-4",
+            "0x1.282dbeef76250p-3", "0x1.c631c8a644f92p-3", "0x1.39279606feeebp-2",
+            "0x1.9b2085a7d4e5dp-2", "0x1.0939d4bac6bdcp-1", "0x1.5b9ffc07f461cp-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.4dc9b0d4ad4acp-1", "0x1.2478fb95a95a8p-4",
+    ),
+    512: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.3fabf25e85e86p-1", "-0x1.d5fb213213498p-2",
+            "-0x1.5d1b7f9573926p-2", "-0x1.f34afc7e63ec0p-3", "-0x1.42f548828283ep-3",
+            "-0x1.3d8daa49e9d14p-4", "0x0.0p+0", "0x1.1539ef8000000p-4",
+            "0x1.18ca91d42c65ep-3", "0x1.aec1119702c6ap-3", "0x1.293016c87159bp-2",
+            "0x1.86a3498818b6fp-2", "0x1.f945ad03404ddp-2", "0x1.4d4e4e6fa49d2p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.3fabf25e85e86p-1", "0x1.1539ef8000000p-4",
+    ),
+    1024: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.32621d4ad4ad4p-1", "-0x1.c0665f7b1cb78p-2",
+            "-0x1.4c8d13d16e04cp-2", "-0x1.db45950db14a8p-3", "-0x1.334f4c847e000p-3",
+            "-0x1.2e1d589b493bep-4", "0x0.0p+0", "0x1.07b26f92b52b6p-4",
+            "0x1.0b1efdd47d13ap-3", "0x1.99e223a127216p-3", "0x1.1aea41d483169p-2",
+            "0x1.7430c4a56c51fp-2", "0x1.e244f11dcf14bp-2", "0x1.3fb60145e8e44p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.32621d4ad4ad4p-1", "0x1.07b26f92b52b6p-4",
+    ),
+    2048: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.2602fa95a95aap-1", "-0x1.acd95071e249ep-2",
+            "-0x1.3db21e4e98736p-2", "-0x1.c5d0c13ea40e4p-3", "-0x1.255d4ce0d42f6p-3",
+            "-0x1.205f286e1e616p-4", "0x0.0p+0", "0x1.f7513a0bd0bd2p-5",
+            "0x1.fde4f148526e9p-4", "0x1.8744544192968p-3", "0x1.0e25aa2568defp-2",
+            "0x1.6399b22b3ee49p-2", "0x1.cd5ac961ff317p-2", "0x1.32f8e8ded1c74p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.2602fa95a95aap-1", "0x1.f7513a0bd0bd2p-5",
+    ),
+    4096: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.1a92a11b91b92p-1", "-0x1.9b262870f0edep-2",
+            "-0x1.305803fddc9aep-2", "-0x1.b2983d3e2f330p-3", "-0x1.18e4b49d9b2e8p-3",
+            "-0x1.1417815d4cf82p-4", "0x0.0p+0", "0x1.e1d0312b52b53p-5",
+            "0x1.e8228dd715a7ap-4", "0x1.769c2704adc71p-3", "0x1.02b2e838f7c94p-2",
+            "0x1.54aa9e7cf17d8p-2", "0x1.ba5f68f921e8ep-2", "0x1.272360d564721p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.1a92a11b91b92p-1", "0x1.e1d0312b52b53p-5",
+    ),
+    8192: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.10097b91b91b8p-1", "-0x1.8b1bed01c7ca0p-2",
+            "-0x1.244f3b992529ap-2", "-0x1.a1504c6f216d4p-3", "-0x1.0db1e8a160980p-3",
+            "-0x1.0912607474ccep-4", "0x0.0p+0", "0x1.ce8631cccccd0p-5",
+            "0x1.d49bba6f7bda2p-4", "0x1.67a63452e9d41p-3", "0x1.f0ccf904e1a1fp-3",
+            "0x1.473179344e966p-2", "0x1.a92437330170ep-2", "0x1.1c3376a039004p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.10097b91b91b8p-1", "0x1.ce8631cccccd0p-5",
+    ),
+    16384: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.06597991b91b8p-1", "-0x1.7c8b15fb7838ap-2",
+            "-0x1.196d061bddcd2p-2", "-0x1.91b6c0bb131a8p-3", "-0x1.03986bc605260p-3",
+            "-0x1.fe46700fd42d0p-5", "0x0.0p+0", "0x1.bd24b56fc0fc2p-5",
+            "0x1.c301fb47126a7p-4", "0x1.5a27da930fdeep-3", "0x1.de33c370ae3c4p-3",
+            "0x1.3b00432682880p-2", "0x1.9979e173e7350p-2", "0x1.121ea762304a4p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.06597991b91b8p-1", "0x1.bd24b56fc0fc2p-5",
+    ),
+    32768: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.fae3144ec4ec4p-2", "-0x1.6f47cc1f3b738p-2",
+            "-0x1.0f8be06a676e0p-2", "-0x1.8392a9ef1001ap-3", "-0x1.f4e4a80f92094p-4",
+            "-0x1.ec4876ac67af4p-5", "0x0.0p+0", "0x1.ad69173c8dc90p-5",
+            "0x1.b3127b0c1f88ep-4", "0x1.4deed66fe4479p-3", "0x1.cd57506f94655p-3",
+            "0x1.2fee0e7586672p-2", "0x1.8b33937c9c8fap-2", "0x1.08d5f27d58ad4p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.fae3144ec4ec4p-2", "0x1.ad69173c8dc90p-5",
+    ),
+    65536: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.ea7f8be07e07fp-2", "-0x1.632ac5aef3fa7p-2",
+            "-0x1.068b51c016dedp-2", "-0x1.76b37157d1820p-3", "-0x1.e43f00c60fca8p-4",
+            "-0x1.dbeafc7e5a5ecp-5", "0x0.0p+0", "0x1.9f1b0c799999ap-5",
+            "0x1.a494a261654fbp-4", "0x1.42d06357e44dap-3", "0x1.bdfe3659d5940p-3",
+            "0x1.25d717d804fc4p-2", "0x1.7e286ffb86bfap-2", "0x1.0048816063fb8p-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.ea7f8be07e07fp-2", "0x1.9f1b0c799999ap-5",
+    ),
+    131072: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.db655fd0bd0b9p-2", "-0x1.581161a4d2e7fp-2",
+            "-0x1.fc9ee1ec9a5aap-3", "-0x1.6aefc3c9935aap-3", "-0x1.d50982cd918c8p-4",
+            "-0x1.ccf81c5175c80p-5", "0x0.0p+0", "0x1.920b17a6e46e6p-5",
+            "0x1.97589c9a9c4c3p-4", "0x1.38a839fa8e91ap-3", "0x1.aff76e7f47414p-3",
+            "0x1.1c9c70064b5f9p-2", "0x1.7234093414c93p-2", "0x1.f0ca8a51c037bp-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.db655fd0bd0b9p-2", "0x1.920b17a6e46e6p-5",
+    ),
+    262144: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.cd73bff81f820p-2", "-0x1.4ddd645b7962ap-2",
+            "-0x1.ed80a89a82698p-3", "-0x1.602482548e298p-3", "-0x1.c71628b82bb60p-4",
+            "-0x1.bf42508338e88p-5", "0x0.0p+0", "0x1.86111d889d89fp-5",
+            "0x1.8b35f6526e12ap-4", "0x1.2f57964df9102p-3", "0x1.a3192f9f6766ep-3",
+            "0x1.1423778c81ddbp-2", "0x1.67365124197bdp-2", "0x1.e237c10f6d48bp-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.cd73bff81f820p-2", "0x1.86111d889d89fp-5",
+    ),
+    524288: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.c08ca05e85e86p-2", "-0x1.447489ad96606p-2",
+            "-0x1.df93024185708p-3", "-0x1.5633c8baf1c5ap-3", "-0x1.ba3de5af7ef58p-4",
+            "-0x1.b2a305a5bdb14p-5", "0x0.0p+0", "0x1.7b0b29d50bd0cp-5",
+            "0x1.800a671427a86p-4", "0x1.26c456f13a8bep-3", "0x1.973fd8e1a90a2p-3",
+            "0x1.0c55501112bacp-2", "0x1.5d1347ba70576p-2", "0x1.d4ba3e15c7450p-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.c08ca05e85e86p-2", "0x1.7b0b29d50bd0cp-5",
+    ),
+    1048576: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.b494e703f03f2p-2", "-0x1.3bc00c68dce6ap-2",
+            "-0x1.d2b2d26d6a000p-3", "-0x1.4d041738c4e92p-3", "-0x1.ae5f7ef9642d4p-4",
+            "-0x1.a6f9734917b08p-5", "0x0.0p+0", "0x1.70dc64f627628p-5",
+            "0x1.75b8c97470662p-4", "0x1.1ed83b587fd12p-3", "0x1.8c4cfb9334900p-3",
+            "0x1.051e541157e5cp-2", "0x1.53b28eb59b23ap-2", "0x1.c8364d09b4a08p-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.b494e703f03f2p-2", "0x1.70dc64f627628p-5",
+    ),
+    2097152: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.a9745bf03f03ep-2", "-0x1.33ac303fdbfb6p-2",
+            "-0x1.c6c1ef1af75f0p-3", "-0x1.447f9b78560f4p-3", "-0x1.a35e92c083450p-4",
+            "-0x1.9c299fe771914p-5", "0x0.0p+0", "0x1.676c36b313b12p-5",
+            "0x1.6c283e967078fp-4", "0x1.1780403abfc3ap-3", "0x1.822687315a088p-3",
+            "0x1.fcdb389db3f60p-3", "0x1.4afef858cbbeap-2", "0x1.bc92ff719e04ap-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.a9745bf03f03ep-2", "0x1.676c36b313b12p-5",
+    ),
+    4194304: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.9f15799999998p-2", "-0x1.2c27d5b37d648p-2",
+            "-0x1.bba65b489ea44p-3", "-0x1.3c9397299f6cap-3", "-0x1.9922c94e6af2cp-4",
+            "-0x1.921b907fb2becp-5", "0x0.0p+0", "0x1.5ea58fc372372p-5",
+            "0x1.634377cd2525bp-4", "0x1.10ac174a0cac6p-3", "0x1.78b61658b94c6p-3",
+            "0x1.f0692a4c5b2cap-3", "0x1.42e61b9ed2285p-2", "0x1.b1ba1140634b9p-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.9f15799999998p-2", "0x1.5ea58fc372372p-5",
+    ),
+    8388608: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.95652f9999998p-2", "-0x1.25241afb11476p-2",
+            "-0x1.b149a16d74240p-3", "-0x1.352fe21d07de8p-3", "-0x1.8f972e0e9bfd6p-4",
+            "-0x1.88baa4ead1928p-5", "0x0.0p+0", "0x1.567653f0dc8dcp-5",
+            "0x1.5af8205f93766p-4", "0x1.0a4db65234faap-3", "0x1.6fe858e8bbc9ep-3",
+            "0x1.e4cd46b1fa9e8p-3", "0x1.3b57f277e3e4ap-2", "0x1.a797b6cd1da2ap-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.95652f9999998p-2", "0x1.567653f0dc8dcp-5",
+    ),
+    16777216: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.8c52a0dc8dc8ep-2", "-0x1.1e9408f0c5c3ep-2",
+            "-0x1.a798472b38b18p-3", "-0x1.2e46804442a4ap-3", "-0x1.86a9a221d80f8p-4",
+            "-0x1.7ff508f2f8d74p-5", "0x0.0p+0", "0x1.4ecedf288dc90p-5",
+            "0x1.5336620bc6e9fp-4", "0x1.0458fa0c91268p-3", "0x1.67ac9758c58c4p-3",
+            "0x1.d9f1adfbcb9b2p-3", "0x1.344683b7e6321p-2", "0x1.9e1a6190ba671p-2",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.8c52a0dc8dc8ep-2", "0x1.4ecedf288dc90p-5",
+    ),
+    3: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.a400e46a56a56p-1", "-0x1.518d5f6d10cc8p-1",
+            "-0x1.06508b4925892p-1", "-0x1.80d32013807b6p-2", "-0x1.f91cf8d29e388p-3",
+            "-0x1.f46acd68b5e48p-4", "0x0.0p+0", "0x1.b5956742f42f4p-4",
+            "0x1.b8b81652e4f00p-3", "0x1.4e850273b7f5ep-2", "0x1.c5a1a4e99ff52p-2",
+            "0x1.21d3b3c734a13p-1", "0x1.656bf3290bf5bp-1", "0x1.aeefe91d1acabp-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.a400e46a56a56p-1", "0x1.b5956742f42f4p-4",
+    ),
+    5: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.9cfb554ad4ad6p-1", "-0x1.4838db733032ap-1",
+            "-0x1.fa5e626f1b2d8p-2", "-0x1.71a4fbac7b2b2p-2", "-0x1.e3bca16e2b674p-3",
+            "-0x1.de75555c32220p-4", "0x0.0p+0", "0x1.a251cd9999999p-4",
+            "0x1.a5d6371dd557ap-3", "0x1.40e59fed68611p-2", "0x1.b4a9ece4e9acfp-2",
+            "0x1.1869ba36db2c4p-1", "0x1.5c5e14b1fef52p-1", "0x1.a878ddcae621ap-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.9cfb554ad4ad6p-1", "0x1.a251cd9999999p-4",
+    ),
+    100: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.61e2f4a95a95ap-1", "-0x1.08b55a7540cd2p-1",
+            "-0x1.8be1357033852p-2", "-0x1.1bfed2e5fdb7ep-2", "-0x1.6fff88f6b8c6ap-3",
+            "-0x1.6a21750e7d5bcp-4", "0x0.0p+0", "0x1.3c4f01b13b13cp-4",
+            "0x1.403025bfc1e6ep-3", "0x1.eaa16b1601f22p-3", "0x1.51cf02a07b341p-2",
+            "0x1.ba6349937d857p-2", "0x1.1bfc6a23126e2p-1", "0x1.6fbe41846a89cp-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.61e2f4a95a95ap-1", "0x1.3c4f01b13b13cp-4",
+    ),
+    1000: (
+        (
+            "-0x1.0000000000000p+0", "-0x1.32d2b385e85e8p-1", "-0x1.c11a948b47674p-2",
+            "-0x1.4d169c7f4881ap-2", "-0x1.dc0ca3d707f98p-3", "-0x1.33d0cf8ed17fap-3",
+            "-0x1.2e9d0b5e1b272p-4", "0x0.0p+0", "0x1.082251bb13b12p-4",
+            "0x1.0b90178194f0dp-3", "0x1.9a8ef74019c53p-3", "0x1.1b60a200c7714p-2",
+            "0x1.74ca351d43b92p-2", "0x1.e305679b3c576p-2", "0x1.402996875763dp-1",
+            "0x1.0000000000000p+0",
+        ),
+        "-0x1.32d2b385e85e8p-1", "0x1.082251bb13b12p-4",
     ),
 }
