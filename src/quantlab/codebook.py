@@ -212,16 +212,13 @@ def _shoot_side(left, lo, hi, num_steps, target, block_size):
     """Find the seed in (lo, hi) whose trajectory endpoint hits target.
 
     The residual endpoint - target must be negative at the first of
-    SEED_SCAN_POINTS evenly spaced seeds inside (lo, hi) and not negative at
-    the last.  A bisection over the grid's indices narrows that to two
-    adjacent grid seeds, evaluating 8 of the 64; a bisection on the seed
-    then runs inside them until the residual is below DEFAULT_SHOOTING_TOL.
-    Seeds whose trajectory escapes the support overshoot: residual +inf.
-
-    The index bisection finds the bracket a scan of the whole grid would
-    find only if the grid holds one sign change.  That was measured, not
-    proven: at every block size ``tests/test_codebook.py::TestShootingGrid``
-    scans, the residual rises along the grid, escaping only at its top.
+    SEED_SCAN_POINTS evenly spaced seeds in (lo, hi) and not at the last.  A
+    bisection over the grid's indices narrows that to two adjacent seeds (8
+    trajectories, not 64), then a bisection on the seed runs inside them
+    until |residual| < DEFAULT_SHOOTING_TOL.  Escaping trajectories
+    overshoot: residual +inf.  The grid's one sign change, which makes the
+    index bisection find the bracket a full scan would, was measured, not
+    proven (``tests/test_codebook.py::TestShootingGrid``).
     """
 
     def residual(seed):
@@ -273,10 +270,9 @@ def af4_code(block_size):
     interior value to be the median of its nearest-value bin.  Two shooting
     problems solve for the free values: the seed next to -1 must make the
     recurrence land exactly on 0 six steps later, and the seed next to 0
-    must land on 1 seven steps later.  Each side brackets its seed by a
-    bisection over the indices of a 64-seed grid, which rests on a measured,
-    not proven, rise of the residual along the grid (``_shoot_side``;
-    ``tests/test_codebook.py::TestShootingGrid``).
+    must land on 1 seven steps later.  Each side brackets its seed by
+    bisecting over a 64-seed grid's indices, which rests on a measured, not
+    proven, monotonicity (``_shoot_side``, ``TestShootingGrid``).
 
     Runs in pure Python and is interruptible at any iteration.
     """

@@ -1210,16 +1210,15 @@ sys.exit(cli.main(sys.argv[1:]))
 """
         src = os.path.dirname(os.path.dirname(quantlab.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, "validate", "cdf", "--n", "1000000000"],
-            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True)
-        try:
-            assert proc.stderr.readline() == "first batch\n"
-            proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-            proc.wait()
+        with subprocess.Popen(
+                [sys.executable, "-c", script, "validate", "cdf", "--n", "1000000000"],
+                cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            try:
+                assert proc.stderr.readline() == "first batch\n"
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
         assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
         assert list(tmp_path.iterdir()) == []

@@ -326,17 +326,18 @@ class TestShootingGrid:
     @pytest.mark.parametrize("B", [2, 64, 4096])
     def test_at_most_eight_grid_seeds_per_side(self, B, monkeypatch):
         step = qc.stationarity_step
-        starts = []
+        calls = []
 
         def counted(a_prev, a_cur, block_size):
-            starts.append((a_prev, a_cur))
+            calls.append((a_prev, a_cur))
             return step(a_prev, a_cur, block_size)
 
         monkeypatch.setattr(qc, "stationarity_step", counted)
         qc.af4_code(B)
+        # A trajectory's first step starts from the side's left value.
         for left, lo, hi, *_ in SHOOTING_SIDES.values():
             grid = set(_grid(lo, hi))
-            seeds = [a_cur for a_prev, a_cur in starts
+            seeds = [a_cur for a_prev, a_cur in calls
                      if a_prev == left and a_cur in grid]
             assert 2 <= len(seeds) <= 8
 
