@@ -21,11 +21,11 @@ into slabs of whole block groups, at most a chunk of elements or one
 group; a slab is a small tensor of its own, whose records are one byte
 range of the body.  Quantization reads the tensor range by range, from an
 array or an FQT1 file, in two passes: the first raises every block's
-scale to its absmax -- in the body, or when the records go to a file, in
-an array of 4 bytes per block -- and the second encodes each range into
-the few slabs it reaches, with one nearest-value search per range, and
-hands each slab on once it is complete; the report is fused into the
-second, which dequantizes each leaf's new indices and subtracts.
+scale to its absmax in one array of 4 bytes per block, wherever the
+records go, and the second encodes each range into the few slabs it
+reaches, with one nearest-value search per range, and hands each slab on
+once it is complete; the report is fused into the second, which
+dequantizes each leaf's new indices and subtracts.
 Dequantization expands one slab at a time.  So the tensor commands never
 hold the body: ``quantize --report`` peaks at about 4 bytes per block,
 one leaf and the slabs it reaches, and ``dequantize`` at one run and one
@@ -245,17 +245,21 @@ def _slab_layout(dims, axis, block_size):
         first = (b * nblocks + lo // block_size) * after
         at = b * row_bytes + lo // block_size * after * (4 + _width(block_size))
         yield ((b * length + lo) * after, slab,
-               slice(first, first + rows * -(-(hi - lo) // block_size) * after),
+               slice(first, first + math.prod(_geometry(slab, 1, block_size)[0])),
                slice(at, at + _fqz1_body_length(slab, 1, block_size)))
 
 
-def _slabs(dims, axis, block_size, code, records):
+def _slabs(dims, axis, block_size, code, records, scales=None):
     """Per slab (_slab_layout): its first element, its blocks' slice of the
     block order, and the slab as a QuantizedTensor over ``records(part)``:
     the bytes ``part`` of the tensor's records, or an array standing in for
-    them."""
+    them.  Given the tensor's (num_blocks,) ``scales``, each slab's scales
+    are set from them."""
     for start, slab, blocks, part in _slab_layout(dims, axis, block_size):
-        yield start, blocks, QuantizedTensor(slab, 1, block_size, code, records(part))
+        qt = QuantizedTensor(slab, 1, block_size, code, records(part))
+        if scales is not None:
+            _set_scales(qt, scales[blocks])
+        yield start, blocks, qt
 
 
 def _set_scales(qt, scales):
@@ -449,31 +453,43 @@ def quantize(values, code, block_size, axis=0):
 
 def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None):
     """quantize() in two passes over ``elements(start, stop)``, the C-order
-    elements of the tensor of extents ``dims``, at most _CHUNK at a time.
-    Returns the QuantizedTensor and, if ``report``, reconstruction_errors
-    against its dequantized copy (else None).  Given ``path``, the FQZ1
-    file is written there slab by slab instead, once every input check has
-    passed (the header's before the first element is read), and the tensor
-    returned is None: no array holds its records."""
+    elements of the tensor of extents ``dims``, at most _CHUNK at a time:
+    _absmax_scales, then _encode_slabs.  Returns the QuantizedTensor and,
+    if ``report``, reconstruction_errors against its dequantized copy (else
+    None).  Given ``path``, the FQZ1 file is written there slab by slab
+    instead, once every input check has passed (the header's before the
+    first element is read), and the tensor returned is None: no array
+    holds its records."""
     axis = _check_integer(axis, "axis")
     if not -len(dims) <= axis < len(dims):
         raise DomainError(f"axis {axis} out of range for {dims}")
     axis %= len(dims)
     block_size = check_block_size(block_size)
-    header = None if path is None else _fqz1_header(dims, axis, block_size, code)
-    # The first pass raises each block's scale from zero to its absmax: in
-    # the scale fields of the body, or given a path, in a (before, blocks,
-    # after) array, 4 bytes per block.
-    grid, parts = _geometry(dims, axis, block_size)
     if path is None:
-        qt = QuantizedTensor(dims, axis, block_size, code, np.zeros(
+        qt = QuantizedTensor(dims, axis, block_size, code, np.empty(
             _fqz1_body_length(dims, axis, block_size), dtype=np.uint8))
-        layout = _layout(qt)
-    else:
-        scales = np.zeros(grid, dtype=np.float32)
-        layout = (dims, axis, block_size,
-                  [(first, n, block_len, scales[:, first:first + n], None)
-                   for first, n, block_len in parts])
+        _set_scales(qt, _absmax_scales(dims, elements, axis, block_size))
+        slabs = _slabs(dims, axis, block_size, code, qt.records.__getitem__)
+        return qt, _encode_slabs(dims, elements, slabs, report, lambda _: None)
+    header = _fqz1_header(dims, axis, block_size, code)
+    scales = _absmax_scales(dims, elements, axis, block_size)
+    slabs = _slabs(dims, axis, block_size, code, lambda part: np.empty(
+        part.stop - part.start, dtype=np.uint8), scales)
+    with output_file(path) as fh:
+        fh.write(header)
+        return None, _encode_slabs(dims, elements, slabs, report, fh.write)
+
+
+def _absmax_scales(dims, elements, axis, block_size):
+    """The first pass of _quantize: every block's absmax, as (num_blocks,)
+    float32 scales in block order, raised from zero in a (before, blocks,
+    after) array, 4 bytes per block.  Non-finite input, and a block whose
+    absmax overflows float32, raise DataError."""
+    grid, parts = _geometry(dims, axis, block_size)
+    scales = np.zeros(grid, dtype=np.float32)
+    layout = (dims, axis, block_size,
+              [(first, n, block_len, scales[:, first:first + n], None)
+               for first, n, block_len in parts])
     # A piece may hold part of a block, so the absmax is accumulated; the
     # maximum commutes with the rounding to the float32 scale.
     with np.errstate(over="ignore"):
@@ -483,34 +499,17 @@ def _quantize(dims, elements, code, block_size, axis=0, report=False, path=None)
                 np.maximum(s, np.abs(v).max(axis=2), out=s)
     # NaN and inf propagate into their block's scale, and so does an absmax
     # beyond the float32 range; max() propagates NaN.
-    if not all(s.max() < np.inf for *_, s, _ in layout[3]):
+    if not scales.max() < np.inf:
         for start, stop in _runs(dims):
             found = np.flatnonzero(~np.isfinite(elements(start, stop)))
             if found.size:
                 pos = np.unravel_index(start + found[0], dims)
                 raise DataError("non-finite input value at position "
                                 f"{tuple(int(i) for i in pos)}")
-        block = int(np.argmax(~np.isfinite(qt.scales if path is None else scales)))
+        block = int(np.argmax(~np.isfinite(scales)))
         raise DataError(f"block {block}: absmax exceeds the float32 range of "
                         "the stored scale")
-
-    if path is None:
-        slabs = _slabs(dims, axis, block_size, code, qt.records.__getitem__)
-        return qt, _encode_slabs(dims, elements, slabs, report, lambda _: None)
-    with output_file(path) as fh:
-        fh.write(header)
-        return None, _encode_slabs(dims, elements, _filled_slabs(
-            dims, axis, block_size, code, scales.reshape(-1)), report, fh.write)
-
-
-def _filled_slabs(dims, axis, block_size, code, scales):
-    """The slabs (see _slabs) of a tensor whose (num_blocks,) ``scales``
-    are known, each over new records with its scales set.  The second pass
-    of _quantize writes every index byte, so the records need no zeros."""
-    for start, blocks, slab in _slabs(dims, axis, block_size, code, lambda part:
-                                      np.empty(part.stop - part.start, dtype=np.uint8)):
-        _set_scales(slab, scales[blocks])
-        yield start, blocks, slab
+    return scales.reshape(-1)
 
 
 def _encode_slabs(dims, elements, slabs, report, write):

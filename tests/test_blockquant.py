@@ -1071,6 +1071,29 @@ class TestSlices:
             element, block, byte = start + size, blocks.stop, part.stop
         assert (element, block, byte) == (w.size, qt.num_blocks, qt.records.size)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_record_byte_is_written(self, codes, data):
+        # Neither quantize nor the quantize command fills the records before
+        # the passes: the scales and the second pass write every byte, pad
+        # nibbles included, whatever the records held.
+        shape = tuple(data.draw(st.lists(st.integers(1, 11), min_size=1, max_size=3)))
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        B = data.draw(st.integers(1, shape[axis] + 3))
+        w = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(
+            shape).astype(np.float32)
+        flat = w.reshape(-1)
+        qt = bq.quantize(w, codes["af4"], B, axis=axis)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", data.draw(st.integers(1, 40)))
+            for fill in (0x00, 0xFF, 0xA5):
+                written = []
+                slabs = bq._slabs(shape, axis, B, qt.code, lambda part: np.full(
+                    part.stop - part.start, fill, dtype=np.uint8), qt.scales)
+                bq._encode_slabs(shape, lambda start, stop: flat[start:stop], slabs,
+                                 False, written.append)
+                np.testing.assert_array_equal(np.concatenate(written), qt.records)
+
 
 class TestPacking:
     def test_roundtrip_even_and_odd(self):
@@ -1369,6 +1392,25 @@ class TestQuantizedTensorFiles:
             np.testing.assert_array_equal(got.scales.view(np.uint32),
                                           scales.view(np.uint32))
             np.testing.assert_array_equal(got.packed, packed)
+
+    @pytest.mark.parametrize("chunk", [bq._CHUNK, 7])
+    def test_readers_ignore_nonzero_pad_nibbles(self, tmp_path, codes, chunk):
+        # Blocks of 5 along an axis of 13: two full blocks and a tail of 3,
+        # so every record ends in a pad nibble; here each is 0xF.
+        w = np.random.default_rng(14).standard_normal((4, 13, 3)).astype(np.float32)
+        qt = bq.quantize(w, codes["af4"], 5, axis=1)
+        padded = bq.QuantizedTensor(qt.dims, 1, 5, qt.code, qt.records.copy())
+        for *_, pk in bq._parts(padded):
+            pk[..., -1] |= 0xF0
+        assert np.count_nonzero(padded.records != qt.records) == qt.num_blocks
+        bq.qtensor_write(padded, tmp_path / "pad.fqz")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", chunk)
+            back = bq.qtensor_read(tmp_path / "pad.fqz")
+            np.testing.assert_array_equal(back.records, padded.records)
+            np.testing.assert_array_equal(bq.usage_histogram(back),
+                                          bq.usage_histogram(qt))
+            np.testing.assert_array_equal(bq.dequantize(back), bq.dequantize(qt))
 
     def test_byte_identical_rewrite(self, tmp_path, codes):
         rng = np.random.default_rng(21)

@@ -336,6 +336,54 @@ class TestQuantizeDequantize:
         np.testing.assert_array_equal(bq.tensor_read(out_t),
                                       bq.dequantize(bq.qtensor_read(out_q)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_files_are_the_librarys_bytes(self, tmp_path_factory, data):
+        # Tail blocks, odd block sizes, blocks longer than the axis and
+        # chunks of one element up to several rows; the report's chunk is at
+        # least numpy's 128-element pairwise block, as _CHUNK's is.
+        shape = tuple(data.draw(st.lists(st.integers(1, 11), min_size=1, max_size=3)))
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        B = data.draw(st.integers(1, shape[axis] + 3))
+        report = data.draw(st.booleans())
+        w = np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(
+            shape).astype(np.float32)
+        code = qc.af4_code(64)
+        qt = bq.quantize(w, code, B, axis=axis)
+        d = tmp_path_factory.mktemp("files")
+        src, fqz, fqt = d / "w.fqt", d / "w.fqz", d / "w2.fqt"
+        bq.tensor_write(w, src)
+        bq.qtensor_write(qt, d / "lib.fqz")
+        bq.tensor_write(bq.dequantize(qt), d / "lib.fqt")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bq, "_CHUNK", data.draw(st.integers(128 if report else 1, 300)))
+            got = bq._quantize_file(src, fqz, code, B, axis, report)
+            bq._dequantize_file(fqz, fqt)
+        assert fqz.read_bytes() == (d / "lib.fqz").read_bytes()
+        assert fqt.read_bytes() == (d / "lib.fqt").read_bytes()
+        if report:
+            expected = bq.reconstruction_errors(w, bq.dequantize(qt))
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in expected.items()}
+        else:
+            assert got is None
+
+    def test_dequantize_ignores_nonzero_pad_nibbles(self, capsys, tmp_path):
+        # Blocks of 5 along 13 elements: every record ends in a pad nibble.
+        w = np.random.default_rng(14).standard_normal((4, 13)).astype(np.float32)
+        qt = bq.quantize(w, qc.nf4_code(), 5, axis=1)
+        bq.qtensor_write(qt, tmp_path / "zero.fqz")
+        for *_, pk in bq._parts(qt):
+            pk[..., -1] |= 0xF0
+        bq.qtensor_write(qt, tmp_path / "pad.fqz")
+        assert ((tmp_path / "zero.fqz").read_bytes()
+                != (tmp_path / "pad.fqz").read_bytes())
+        for name in ("zero", "pad"):
+            assert run(capsys, "dequantize", str(tmp_path / f"{name}.fqz"),
+                       str(tmp_path / f"{name}.fqt")) == (0, "", "")
+        assert ((tmp_path / "zero.fqt").read_bytes()
+                == (tmp_path / "pad.fqt").read_bytes())
+
     def test_missing_input_is_data_error(self, capsys, tmp_path, nf4_file):
         code, _, err = run(capsys, "quantize", str(tmp_path / "nope.fqt"),
                            str(tmp_path / "o.fqz"), "--code", str(nf4_file))
