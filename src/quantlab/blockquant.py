@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Code16
+from .codebook import Code16, _check_code
 from .errors import (DataError, DomainError, FormatError, _check_integer, _real,
                      check_block_size, output_file)
 
@@ -83,7 +83,8 @@ class QuantizedTensor:
     block order, the little-endian float32 absmax, then ceil(block_len / 2)
     bytes of packed indices.  ``scales`` and ``packed`` are read-only copies
     of the fields: (num_blocks,) float32, and uint8 rows as wide as the
-    longest block, a short final block's padded with zero nibbles.
+    longest block, every nibble past a block's end zero, whatever the
+    records hold there.
     """
 
     dims: tuple
@@ -102,8 +103,7 @@ class QuantizedTensor:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "block_axis", axis)
         object.__setattr__(self, "block_size", check_block_size(self.block_size))
-        if not isinstance(self.code, Code16):
-            raise DomainError(f"code must be a Code16, got {type(self.code).__name__}")
+        _check_code(self.code)
         if not isinstance(self.records, np.ndarray) or self.records.dtype != np.uint8:
             got = getattr(self.records, "dtype", type(self.records).__name__)
             raise DomainError(f"records must be a uint8 array, got {got}")
@@ -129,8 +129,10 @@ class QuantizedTensor:
     def packed(self):
         grid, parts = _geometry(self.dims, self.block_axis, self.block_size)
         out = np.zeros(grid + (_width(parts[0][2]),), dtype=np.uint8)
-        for first, n, _, _, pk in _parts(self):
+        for first, n, block_len, _, pk in _parts(self):
             out[:, first:first + n, :, :pk.shape[-1]] = pk
+            if block_len % 2:  # the record's last high nibble is a pad nibble
+                out[:, first:first + n, :, pk.shape[-1] - 1] &= 0x0F
         out.setflags(write=False)
         return out.reshape(-1, out.shape[-1])
 
@@ -353,8 +355,6 @@ def _thresholds(code_bytes, dtype):
     0) and +inf (the last index), with the rule as the oracle.
     """
     q = np.frombuffer(code_bytes, dtype=np.float64)
-    if not (2 <= q.size <= 256 and np.isfinite(q).all() and (q[1:] > q[:-1]).all()):
-        raise DomainError(f"code values: need 2 to 256 finite, increasing; got {q}")
     ks = np.arange(1, q.size)
     inf = np.full(ks.size, np.inf, dtype=dtype)
     lo, hi = _to_ordered(-inf), _to_ordered(inf)
@@ -369,7 +369,7 @@ def _thresholds(code_bytes, dtype):
     return t
 
 
-def nearest_index(normalized, code_values):
+def nearest_index(normalized, code):
     """Nearest code index for each element, ties toward the lower index.
 
     The index is the number of decision thresholds the element reaches,
@@ -378,16 +378,12 @@ def nearest_index(normalized, code_values):
     for any other bool, integer or float input (which is converted first)
     -- so the result equals the double-precision rule of
     ``_nearest_index_reference`` for every finite or infinite input.  NaN
-    maps to index 0.  Other dtypes, and bad codes (``_thresholds``, or of
-    more than one dimension), raise DomainError.
+    maps to index 0.  Other dtypes, and a code that is not a Code16 (which
+    alone holds the rules on code values), raise DomainError.
     """
     x = _real(normalized, "normalized")
-    dtype = np.dtype(np.float32 if x.dtype == np.float32 else np.float64)
-    q = np.ascontiguousarray(_real(code_values, "code values"), dtype=np.float64)
-    if q.ndim != 1:
-        raise DomainError(f"code values: need one dimension, got shape {q.shape}")
-    t = _thresholds(q.tobytes(), dtype)
-    x = x.astype(dtype, copy=False)
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
+    t = _thresholds(_check_code(code).values.tobytes(), x.dtype)
     out = np.greater_equal(x, t[0], out=np.empty(x.shape, dtype=np.uint8))
     hit = np.empty(x.shape, dtype=bool)
     for tk in t[1:]:
@@ -569,7 +565,7 @@ def _encode(slabs, start, values, *out):
             if o:
                 scaled.append((o[0], s))
     code = slabs[0][2].code
-    indices[...] = nearest_index(normalized, code.values)
+    indices[...] = nearest_index(normalized, code)
     for offset, idx, pk in pieces:
         # At an odd offset the first byte's low nibble is an earlier
         # piece's, so only the high nibble is ORed in; an odd length

@@ -17,16 +17,20 @@ import csv
 import math
 import sys
 
-import numpy as np
-
-from . import blockquant, codebook, distributions, montecarlo
-from .errors import DomainError, NumericalError, QuantLabError, check_block_size
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT
+
+try:  # 0.3-0.5 s, most of it scipy.special: long enough to be interrupted
+    import numpy as np
+
+    from . import blockquant, codebook, distributions, montecarlo
+    from .errors import DomainError, NumericalError, QuantLabError, check_block_size
+except KeyboardInterrupt:
+    print("error: interrupted", file=sys.stderr)
+    sys.exit(EXIT_INTERRUPTED)
 
 DEFAULT_BLOCK_SIZE = 64
 

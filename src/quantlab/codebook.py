@@ -16,9 +16,10 @@ Four families are provided:
 * ``balanced_code_with_endpoints`` -- a balanced code with the values
   nearest to -1, 0 and 1 snapped onto those points.
 
-``KINDS`` is the table of code16 ``kind`` labels and the rules each one
-imposes on a ``Code16``; ``CODE_KINDS`` maps the command-line kind names
-onto those kinds and their constructors.
+``Code16`` alone says what a code is; a function that takes a code checks
+only that it is one (``_check_code``).  ``KINDS`` is the table of code16
+``kind`` labels and the rules each adds; ``CODE_KINDS`` maps the
+command-line kind names onto those kinds and their constructors.
 ``expected_l1`` scores any code by its expected absolute reconstruction
 error under the block-size-dependent law of the normalized inputs.
 """
@@ -55,10 +56,13 @@ BALANCED_SCAN_POINTS = 1024
 
 def _reals(values, requirement):
     """values as a new float64 array, else DomainError(requirement): what
-    ``errors._real`` takes, or a list of numbers (Fraction, Decimal); no bools."""
+    ``errors._real`` takes, or a list of numbers (Fraction, Decimal), never
+    a bool.  Code16 and BinEdges own every other rule on their numbers."""
     if isinstance(values, (list, tuple)):
-        values = [v if isinstance(v, (bool, np.bool_, float))
-                  else _check_real(v, requirement) for v in values]
+        if any(isinstance(v, (bool, np.bool_)) for v in values):
+            raise DomainError(f"{requirement}, got a bool")
+        values = [v if isinstance(v, float) else _check_real(v, requirement)
+                  for v in values]
     vals = _real(values, requirement)
     if vals.dtype.kind == "b":
         raise DomainError(f"{requirement}, got {vals.dtype}")
@@ -106,6 +110,13 @@ class Code16:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "params", dict(self.params))
+
+
+def _check_code(code):
+    """code if it is a Code16, which has checked its values; else DomainError."""
+    if not isinstance(code, Code16):
+        raise DomainError(f"code must be a Code16, got {type(code).__name__}")
+    return code
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +322,8 @@ def median_condition_residuals(code, block_size):
     Interior means positions 2..7 and 9..15; the fixed values -1, 0, 1 carry
     no stationarity condition.
     """
+    v = _check_code(code).values
     dist = scaled_max_distribution(block_size)
-    v = code.values
     residuals = []
     for j in list(range(1, 7)) + list(range(8, 15)):
         f_cur = dist.fx_cdf(v[j])
@@ -472,13 +483,14 @@ CODE_KINDS = {
 
 def expected_l1(code, block_size):
     """E[min_j |X - q_j|] under the mixed law for the given block size."""
-    return scaled_max_distribution(block_size).expected_min_abs_distance(code.values)
+    v = _check_code(code).values
+    return scaled_max_distribution(block_size).expected_min_abs_distance(v)
 
 
 def code_bin_masses(code, block_size):
     """Probability of each code value being selected, under the mixed law."""
+    v = _check_code(code).values
     dist = scaled_max_distribution(block_size)
-    v = code.values
     cdf_at = np.array([dist.fx_cdf(m) for m in 0.5 * (v[:-1] + v[1:])])
     return np.diff(np.concatenate(([0.0], cdf_at, [1.0])))
 
@@ -493,7 +505,7 @@ def code_write(code, path):
     Values are serialized with 17 significant digits, which round-trips
     IEEE doubles exactly.
     """
-    vals = ",\n    ".join(format(float(v), ".17g") for v in code.values)
+    vals = ",\n    ".join(format(float(v), ".17g") for v in _check_code(code).values)
     bs = "null" if code.block_size is None else str(code.block_size)
     text = (
         "{\n"
@@ -509,7 +521,8 @@ def code_write(code, path):
 
 
 def code_read(path):
-    """Read a code16/v1 JSON document; Code16 checks the values' order."""
+    """Read a code16/v1 JSON document: the JSON and format marker checked
+    here, its fields by Code16, whose DomainError becomes a FormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -518,17 +531,8 @@ def code_read(path):
         raise FormatError(f"{path}: not a valid code16/v1 document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "code16/v1":
         raise FormatError(f"{path}: missing or wrong format marker 'code16/v1'")
-    values = doc.get("values")
-    if not isinstance(values, list) or len(values) != 16:
-        n = len(values) if isinstance(values, list) else "none"
-        raise FormatError(f"{path}: expected 16 code values, got {n}")
-    if any(isinstance(v, bool) for v in values):  # Code16 checks the rest
-        raise FormatError(f"{path}: code values must be numbers, not true or false")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise FormatError(f"{path}: params must be an object")
     try:
-        return Code16(values, kind=doc.get("kind"), block_size=doc.get("block_size"),
-                      params=params)
+        return Code16(doc.get("values"), kind=doc.get("kind"),
+                      block_size=doc.get("block_size"), params=doc.get("params", {}))
     except DomainError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -63,6 +63,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import blockquant
+from .codebook import _check_code
 from .errors import DomainError, _check_integer, _real, check_block_size
 
 # Elements per summation group (chunk).  The draws and every count taken
@@ -289,10 +290,11 @@ def block_moments(cfg, per_block):
 def usage_statistics(cfg, code):
     """Share of the sampled entries nearest each code value, with standard
     errors clustered by block: (proportions, stderr), two arrays of 16."""
+    _check_code(code)
 
     def counts(values):
         # Sampled rows have absmax exactly 1: quantizing is nearest_index.
-        idx = blockquant.nearest_index(values, code.values)
+        idx = blockquant.nearest_index(values, code)
         idx = idx + 16 * np.arange(len(idx))[:, None]
         return np.bincount(idx.ravel(), minlength=16 * len(idx)).reshape(-1, 16)
 
@@ -303,10 +305,10 @@ def usage_statistics(cfg, code):
 def l1_statistics(cfg, code):
     """Mean distance of a sampled entry to its nearest code value, with the
     standard error clustered by block: (mean, stderr) floats."""
-    q = code.values
+    q = _check_code(code).values
 
     def block_means(values):
-        return np.abs(values - q[blockquant.nearest_index(values, q)]).mean(axis=1)
+        return np.abs(values - q[blockquant.nearest_index(values, code)]).mean(axis=1)
 
     total, stderr = block_moments(cfg, block_means)
     return float(total / cfg.num_blocks), float(stderr)

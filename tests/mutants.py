@@ -1,14 +1,17 @@
 """Mutation testing of the source lines that a diff touches.
 
-    python tests/mutants.py BASE
+    python tests/mutants.py BASE [PATH ...]
 
-Run from anywhere inside the repository.  ``git diff BASE -- src`` names
-the lines of ``src/`` that the working tree adds or changes against the
-commit ``BASE``.  On those lines a mutation site is a comparison operator
-to swap (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) or an int literal from 0
-to 64 to raise by one; sites are found with ``ast`` and each mutant differs
-from its file in that one token.  Against git's empty tree
-(``git hash-object -t tree /dev/null``) every line counts as touched.
+Run from anywhere inside the repository.  ``git diff BASE -- PATH ...``
+names the lines of the PATHs (relative to the repository root; ``src`` if
+none is given) that the working tree adds or changes against the commit
+``BASE``; only Python files under ``src/`` are mutated.  On those lines a
+mutation site is a comparison operator to swap (``<``/``<=``, ``>``/``>=``,
+``==``/``!=``) or an int literal from 0 to 64 to raise by one; sites are
+found with ``ast`` and each mutant differs from its file in that one token.
+Against git's empty tree (``git hash-object -t tree /dev/null``) every line
+counts as touched, so ``python tests/mutants.py $(git hash-object -t tree
+/dev/null) src/quantlab/montecarlo.py`` sweeps a whole module.
 
 The working tree's files, those git tracks or would track, are copied
 into a temporary directory, and each mutant is written there in turn,
@@ -40,16 +43,17 @@ TIMEOUT_S = 600
 ADDRESS_SPACE = 6 << 30
 
 
-def touched_lines(base):
-    """{path: set of line numbers} of the ``src/`` Python lines that the
-    working tree adds or changes against ``base``."""
-    diff = subprocess.run(["git", "diff", "-U0", base, "--", "src"], cwd=ROOT,
+def touched_lines(base, paths=("src",)):
+    """{path: set of line numbers} of the Python lines under ``src/`` and
+    ``paths`` that the working tree adds or changes against ``base``."""
+    diff = subprocess.run(["git", "diff", "-U0", base, "--", *paths], cwd=ROOT,
                           capture_output=True, text=True, check=True).stdout
     lines, path = {}, None
     for line in diff.splitlines():
         if line.startswith("+++ "):
             path = line[6:] if line.startswith("+++ b/") else None
-        elif line.startswith("@@") and path and path.endswith(".py"):
+        elif (line.startswith("@@") and path and path.startswith("src/")
+              and path.endswith(".py")):
             start, count = re.match(r"@@ -\S+ \+(\d+)(?:,(\d+))? @@", line).groups()
             start = int(start)
             lines.setdefault(path, set()).update(
@@ -134,10 +138,10 @@ def run_tests(copy, files):
 
 
 def main(argv):
-    if len(argv) != 1:
+    if not argv:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    touched = touched_lines(argv[0])
+    touched = touched_lines(argv[0], argv[1:] or ("src",))
     survived = 0
     with tempfile.TemporaryDirectory() as copy:
         for name in subprocess.run(

@@ -116,41 +116,38 @@ class TestNearestIndex:
         rng = np.random.default_rng(2024)
         for code in codes.values():
             x = rng.uniform(-1.02, 1.02, size=5000)
-            got = bq.nearest_index(x, code.values)
+            got = bq.nearest_index(x, code)
             np.testing.assert_array_equal(got, brute_force_indices(x, code.values))
 
     def test_exact_midpoint_goes_low(self, codes):
-        v = codes["custom"].values
+        code = codes["custom"]
+        v = code.values
         mids = 0.5 * (v[:-1] + v[1:])
-        got = bq.nearest_index(mids, v)
+        got = bq.nearest_index(mids, code)
         expected = brute_force_indices(mids, v)
         np.testing.assert_array_equal(got, expected)
         # np.argmin picks the first minimum, i.e. the lower index
         assert np.all(got == np.arange(15))
 
-    @pytest.mark.parametrize("code_values", [
-        [0.5, -0.5, 0.0], [-0.5, np.nan, 0.5], [-0.5, 0.5, np.inf], [-0.5, 0.0, 0.0],
-        [0.5], [], np.linspace(-1, 1, 257), np.linspace(-1, 1, 300),
-    ], ids=["unsorted", "nan", "inf", "repeated", "one", "none", "257", "300"])
-    def test_code_values_that_are_not_a_code(self, code_values):
-        # these gave wrong indices ([0, 2, 2, 2] unsorted, all 0 with a NaN,
-        # [15, 135, 149, 149] from 300 values through the uint8 output) or
-        # raised IndexError
-        with pytest.raises(DomainError, match="need 2 to 256 finite, increasing"):
-            bq.nearest_index([-0.9, -0.1, 0.2, 0.95], code_values)
-
-    @pytest.mark.parametrize("shape", [(4, 4), (16, 1), (1, 16), (2, 2, 4)])
-    def test_code_of_more_than_one_dimension(self, shape):
-        # a (4, 4) code's values gave index 10 for 0.3 as if flattened
-        with pytest.raises(DomainError, match="need one dimension"):
-            bq.nearest_index([0.3], np.linspace(-1, 1, 16).reshape(shape))
-
-    @pytest.mark.parametrize("n", [2, 3, 255, 256])
-    def test_codes_of_2_to_256_values(self, n):
-        q = np.linspace(-1, 1, n)
-        x = np.random.default_rng(n).uniform(-1.1, 1.1, 4096)
-        np.testing.assert_array_equal(bq.nearest_index(x, q),
-                                      bq._nearest_index_reference(x, q))
+    @pytest.mark.parametrize("kind, block_size, variant", [
+        ("nf4", None, "quantile_of_average"), ("nf4", None, "average_of_quantile"),
+        ("af4", 2, None), ("af4", 64, None), ("af4", 4096, None),
+        ("balanced", 64, None), ("balanced-endpoints", 64, None)])
+    def test_every_code_the_cli_builds(self, tmp_path, kind, block_size, variant):
+        # and the code an FQZ1 file gives back: the values rounded to
+        # float32, as a Code16 of kind "custom"
+        code = qc.CODE_KINDS[kind][1](block_size, variant)
+        bq.qtensor_write(bq.quantize(np.ones(4, np.float32), code, 2), tmp_path / "c.fqz")
+        read = bq.qtensor_read(tmp_path / "c.fqz").code
+        x = [np.random.default_rng(block_size).uniform(-1.05, 1.05, 1 << 14)]
+        for v in (code.values, read.values):
+            x += [v, 0.5 * (v[1:] + v[:-1])]
+        x = np.concatenate(x)
+        for c in (code, read):
+            for dtype in (np.float32, np.float64):
+                np.testing.assert_array_equal(
+                    bq.nearest_index(x.astype(dtype), c),
+                    bq._nearest_index_reference(x.astype(dtype), c.values))
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +196,7 @@ class TestNearestIndexThresholds:
                 assert list(ref) == [k - 1, k], (name, k)
             x = np.concatenate([ulp_steps(tk, steps) for tk in t])
             np.testing.assert_array_equal(
-                bq.nearest_index(x, code.values),
+                bq.nearest_index(x, code),
                 bq._nearest_index_reference(x, code.values), err_msg=name)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -217,7 +214,7 @@ class TestNearestIndexThresholds:
                 q[0] - np.geomspace(1e-9, 10, 8), q[-1] + np.geomspace(1e-9, 10, 8),
             ]).astype(dtype)
             np.testing.assert_array_equal(
-                bq.nearest_index(x, q), bq._nearest_index_reference(x, q),
+                bq.nearest_index(x, code), bq._nearest_index_reference(x, q),
                 err_msg=name)
 
     def test_float16_and_integers_search_in_double(self, threshold_codes):
@@ -229,11 +226,11 @@ class TestNearestIndexThresholds:
         ints.append(np.array([True, False, True]))
         for name, code in threshold_codes.items():
             for x in [halves] + ints:
-                got = bq.nearest_index(x, code.values)
+                got = bq.nearest_index(x, code)
                 np.testing.assert_array_equal(
                     got, bq._nearest_index_reference(x, code.values), err_msg=name)
                 np.testing.assert_array_equal(
-                    got, bq.nearest_index(x.astype(np.float64), code.values))
+                    got, bq.nearest_index(x.astype(np.float64), code))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_whole_input_in_one_pass(self, threshold_codes, dtype):
@@ -246,18 +243,18 @@ class TestNearestIndexThresholds:
                   big[:-5].reshape(-1, 256).T]
         for name, code in threshold_codes.items():
             for x in inputs:
-                got = bq.nearest_index(x, code.values)
+                got = bq.nearest_index(x, code)
                 assert got.shape == np.shape(x) and got.dtype == np.uint8
                 np.testing.assert_array_equal(
                     got, bq._nearest_index_reference(x, code.values), err_msg=name)
 
     def test_shape_and_nan(self, codes):
-        q = codes["nf4"].values
+        code = codes["nf4"]
         x = np.linspace(-1, 1, 24, dtype=np.float32).reshape(2, 3, 4)[:, ::2]
-        got = bq.nearest_index(x, q)
+        got = bq.nearest_index(x, code)
         assert got.shape == x.shape and got.dtype == np.uint8
-        np.testing.assert_array_equal(got, bq._nearest_index_reference(x, q))
-        assert bq.nearest_index(np.array([np.nan]), q)[0] == 0
+        np.testing.assert_array_equal(got, bq._nearest_index_reference(x, code.values))
+        assert bq.nearest_index(np.array([np.nan]), code)[0] == 0
 
 
 class TestQuantize:
@@ -299,7 +296,7 @@ class TestQuantize:
             bq.tensor_write(values, tmp_path / "t.fqt")
         assert not (tmp_path / "t.fqt").exists()
         with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
-            bq.nearest_index(values, codes["nf4"].values)
+            bq.nearest_index(values, codes["nf4"])
         real = np.zeros(values.shape)
         for pair in ((values, real), (real, values)):
             with pytest.raises(DomainError, match=re.escape(f"dtype {values.dtype}")):
@@ -892,7 +889,7 @@ class TestWorkingSet:
         rows, _ = blocks_view(w, axis, B)
         scales = np.abs(rows).max(axis=1)
         safe = np.where(scales > 0, scales, np.float32(1))
-        idx = bq.nearest_index(rows / safe[:, None], code.values)
+        idx = bq.nearest_index(rows / safe[:, None], code)
         del rows
         tail_mask, tail_len = tail_block_mask(shape, axis, B)
         idx[np.ix_(tail_mask, np.arange(tail_len, B))] = 0
@@ -907,6 +904,8 @@ class TestWorkingSet:
             pk ^= 0xFF
         packed ^= 0xFF
         packed[np.ix_(tail_mask, np.arange((tail_len + 1) // 2, packed.shape[1]))] = 0
+        if tail_len % 2:  # the pad nibble, now 0xF in the records, reads as 0
+            packed[tail_mask, (tail_len + 1) // 2 - 1] &= 0x0F
         np.testing.assert_array_equal(qt.scales, 2 * scales)
         np.testing.assert_array_equal(qt.packed, packed)
 
@@ -1388,6 +1387,8 @@ class TestQuantizedTensorFiles:
 
         assert path.read_bytes()[4 + 2 + 4 * len(dims) + 6 + 64:] == body.tobytes()
         back = bq.qtensor_read(path)
+        if tail % 2:  # the tail's pad nibble, random in the records, reads as 0
+            packed.reshape(grid + (2,))[:, -1, :, bq._width(tail) - 1] &= 0x0F
         for got in (qt, back):
             np.testing.assert_array_equal(got.scales.view(np.uint32),
                                           scales.view(np.uint32))
@@ -1408,6 +1409,7 @@ class TestQuantizedTensorFiles:
             mp.setattr(bq, "_CHUNK", chunk)
             back = bq.qtensor_read(tmp_path / "pad.fqz")
             np.testing.assert_array_equal(back.records, padded.records)
+            np.testing.assert_array_equal(back.packed, qt.packed)
             np.testing.assert_array_equal(bq.usage_histogram(back),
                                           bq.usage_histogram(qt))
             np.testing.assert_array_equal(bq.dequantize(back), bq.dequantize(qt))

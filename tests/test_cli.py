@@ -3,8 +3,10 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -216,6 +218,24 @@ class TestQuantizeDequantize:
             return {r[0]: float(r[1]) for r in rows}["mean_abs"]
 
         assert mean_abs(af4_file) < mean_abs(nf4_file)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("values", np.linspace(-1, 1, 15).tolist(), r"got shape \(15,\)"),
+        ("values", qc.nf4_code().values.tolist()[:-1] + [True], "got a bool"),
+        ("params", [1, 2], "params must be a mapping, got list"),
+    ], ids=["15-values", "true", "list-params"])
+    def test_code_file_that_code16_rejects_is_data_error(
+            self, capsys, tmp_path, tensor_file, nf4_file, field, value, message):
+        # code_read checks only the JSON and the marker, Code16 the fields
+        doc = json.loads(nf4_file.read_text())
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out_q = tmp_path / "o.fqz"
+        code, out, err = run(capsys, "quantize", str(tensor_file), str(out_q),
+                             "--code", str(bad))
+        assert (code, out) == (2, "") and not out_q.exists()
+        assert err.startswith(f"error: {bad}: ") and re.search(message, err)
 
     def test_zero_block_size_is_usage_error(self, capsys, tmp_path,
                                             tensor_file, nf4_file):
@@ -1270,3 +1290,23 @@ sys.exit(cli.main(sys.argv[1:]))
                 proc.kill()
         assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_sigint_during_imports_exits_130(self, tmp_path):
+        # The interrupt lands where a SIGINT most often does before main
+        # runs: in the import of scipy.special, the bulk of the import time.
+        script = """import runpy, sys
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special":
+            raise KeyboardInterrupt
+assert "scipy.special" not in sys.modules
+sys.meta_path.insert(0, Interrupt())
+runpy.run_module("quantlab.cli", run_name="__main__", alter_sys=True)
+"""
+        src = os.path.dirname(os.path.dirname(quantlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, "dist", "absmax-median"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            130, "", "error: interrupted\n")

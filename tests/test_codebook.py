@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import quantlab.blockquant as bq
 import quantlab.codebook as qc
 import quantlab.distributions as qd
 import quantlab.montecarlo as qmc
@@ -91,6 +92,11 @@ class TestCode16Validation:
         ([[-1.0], [0.0, 1.0]], {}, "16 real numbers"),
         ([True] * 16, {}, "16 real numbers"),
         (np.linspace(-1, 1, 16), [1, 2], "params must be a mapping"),
+        # a bool among numbers once read as 1.0 or 0.0
+        (np.linspace(-1, 1, 16).tolist()[:-1] + [True], {},
+         "16 real numbers, got a bool"),
+        (tuple(NF4_DERIVED[:7]) + (np.False_,) + tuple(NF4_DERIVED[8:]), {},
+         "16 real numbers, got a bool"),
     ])
     def test_bad_fields_are_domain_errors_without_warnings(self, values, params,
                                                            message):
@@ -130,6 +136,9 @@ class TestBinEdges:
         ([[-1.0], [0.0, 1.0]], "17 real numbers"),
         ([True] * 17, "17 real numbers"),
         (np.r_[-1.0, np.nan, np.linspace(0, 1, 15)], "must be nondecreasing"),
+        ([-1.0] + [0.0] * 15 + [True], "17 real numbers, got a bool"),
+        ((-1.0,) + (0.0,) * 7 + (np.False_,) + (0.0,) * 7 + (1.0,),
+         "17 real numbers, got a bool"),
     ])
     def test_bad_edges_are_domain_errors_without_warnings(self, edges, message):
         # as for Code16: no ComplexWarning, no numpy ValueError, no NaN edge
@@ -568,10 +577,8 @@ class TestExpectedL1:
         q = code.values
         means = []
         for start in range(0, cfg.num_blocks, 1 << 12):
-            import quantlab.blockquant as bq
-
             chunk = qmc.sample_block_values(cfg, start, start + (1 << 12))
-            idx = bq.nearest_index(chunk, q)
+            idx = bq.nearest_index(chunk, code)
             d = np.abs(chunk - q[idx])
             means.append(d.mean(axis=1))
         means = np.concatenate(means)
@@ -625,7 +632,8 @@ class TestCodeFile:
             '{"format": "code16/v1", "kind": "custom", "block_size": null, '
             f'"values": {np.linspace(-1, 1, 15).tolist()}, "params": {{}}}}'
         )
-        with pytest.raises(FormatError, match="expected 16 code values"):
+        with pytest.raises(FormatError, match=r"code values must be 16 real numbers, "
+                           r"got shape \(15,\)"):
             qc.code_read(path)
 
     def test_non_monotone_names_index(self, tmp_path):
@@ -680,14 +688,20 @@ class TestCodeFile:
         ("values", json_list(['"-1"'] + np.linspace(-1, 1, 16).tolist()[1:])),
         ("values", json_list(["[-1]"] + np.linspace(-1, 1, 16).tolist()[1:])),
         ("values", json_list(["null"] + np.linspace(-1, 1, 16).tolist()[1:])),
+        ("values", json_list(np.linspace(-1, 1, 16).tolist()[:-1] + ["true"])),
+        ("values", json_list(np.linspace(-1, 1, 16).tolist()[:7] + ["false"]
+                             + np.linspace(-1, 1, 16).tolist()[8:])),
         ("block_size", "-5"),
         ("block_size", "0"),
         ("block_size", "2.5"),
         ("block_size", "true"),
         ("kind", '["custom"]'),
+        ("params", "[1, 2]"),
+        ("params", "null"),
     ], ids=["deep-nesting", "int-overflow", "nan", "inf", "string", "nested", "null",
-            "block-size-negative", "block-size-zero", "block-size-float",
-            "block-size-bool", "kind-list"])
+            "true", "false", "block-size-negative", "block-size-zero",
+            "block-size-float", "block-size-bool", "kind-list", "params-list",
+            "params-null"])
     def test_malformed_fields_are_format_errors(self, tmp_path, field, text):
         doc = {"format": '"code16/v1"', "kind": '"custom"', "block_size": "null",
                "values": json_list(np.linspace(-1, 1, 16).tolist()),
@@ -697,6 +711,32 @@ class TestCodeFile:
                         + "}")
         with pytest.raises(FormatError):
             qc.code_read(path)
+
+
+CODE_TAKERS = {
+    "expected_l1": lambda c, tmp: qc.expected_l1(c, 64),
+    "code_bin_masses": lambda c, tmp: qc.code_bin_masses(c, 64),
+    "median_condition_residuals": lambda c, tmp: qc.median_condition_residuals(c, 64),
+    "code_write": lambda c, tmp: qc.code_write(c, tmp / "c.json"),
+    "nearest_index": lambda c, tmp: bq.nearest_index([0.25, -0.5], c),
+    "quantize": lambda c, tmp: bq.quantize(np.ones(4, np.float32), c, 2),
+    "QuantizedTensor": lambda c, tmp: bq.QuantizedTensor(
+        (4,), 0, 2, c, np.zeros(bq._fqz1_body_length((4,), 0, 2), np.uint8)),
+    "usage_statistics": lambda c, tmp: qmc.usage_statistics(qmc.McConfig(1, 16, 4), c),
+    "l1_statistics": lambda c, tmp: qmc.l1_statistics(qmc.McConfig(1, 16, 4), c),
+}
+
+
+@pytest.mark.parametrize("take", CODE_TAKERS.values(), ids=CODE_TAKERS.keys())
+def test_functions_that_take_a_code_reject_a_bare_array(tmp_path, take):
+    # a code's values alone are not a code: several of these once raised
+    # AttributeError, and the array's values were never checked
+    take(qc.nf4_code(), tmp_path)
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    with pytest.raises(DomainError, match="^code must be a Code16, got ndarray$"):
+        take(qc.nf4_code().values, bare)
+    assert list(bare.iterdir()) == []
 
 
 class TestCodeInvariantsAcrossBlockSizes:

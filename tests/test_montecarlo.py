@@ -90,6 +90,15 @@ class TestReproducibility:
         assert (cfg.seed, cfg.num_blocks) == (5, 2)
         assert type(cfg.seed) is int and type(cfg.num_blocks) is int
 
+    @pytest.mark.parametrize("seed, stored", [
+        ((1 << 64) + 5, 5), (-1, (1 << 64) - 1), (1 << 65, 0)])
+    def test_seed_is_taken_modulo_two_to_the_64(self, seed, stored):
+        cfg, same = (qmc.McConfig(seed=s, block_size=8, num_blocks=4)
+                     for s in (seed, stored))
+        assert cfg.seed == stored
+        np.testing.assert_array_equal(qmc.sample_block_values(cfg),
+                                      qmc.sample_block_values(same))
+
     @pytest.mark.parametrize("field, value", [
         ("num_blocks", 2.5), ("num_blocks", "3"), ("num_blocks", True),
         ("num_blocks", None), ("num_blocks", -2),
@@ -263,7 +272,9 @@ class TestFirstValues:
             ([top, top - w], True), ([top, top - w - 1], False),
             ([top - 7, top], True), ([0, top], False),
             ([0, 2**63, top], False), ([top, 2**63, top - 1], True),
-            ([1, 2**63, 0], True))
+            ([1, 2**63, 0], True),
+            # one side alone at exactly the window's width
+            ([2**63, top - w, top], True), ([0, w, 2**63], True))
         for row, want in zip(rows, tied):
             raw = np.array([row], dtype=np.uint64)
             got = qmc._tied_extremes(raw, raw.min(axis=1), raw.max(axis=1))
@@ -537,6 +548,29 @@ def _traced_peak(f):
         tracemalloc.stop()
 
 
+def test_a_range_is_at_least_one_block():
+    # a batch of fewer elements than one block still holds the whole block
+    cfg = qmc.McConfig(seed=0, block_size=8, num_blocks=5)
+    assert list(qmc._ranges(cfg, 3)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    assert list(qmc._ranges(cfg, 20, 1, 5)) == [(1, 3), (3, 5)]
+
+
+def test_block_moments_takes_float_rows():
+    # per_block gives one value or one row per block, integer or float;
+    # small counts as floats sum exactly, as the integers do
+    cfg = qmc.McConfig(seed=3, block_size=4, num_blocks=50)
+
+    def rows(v):
+        return np.stack([np.count_nonzero(v > 0, axis=1), np.count_nonzero(v < 0, axis=1)],
+                        axis=1)
+
+    ints = qmc.block_moments(cfg, rows)
+    floats = qmc.block_moments(cfg, lambda v: rows(v).astype(float))
+    assert ints[0].shape == (2,)
+    for a, b in zip(ints, floats):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.fixture(params=[1, 2, 4], ids=lambda t: f"threads{t}")
 def threads(request, monkeypatch):
     monkeypatch.setattr(qmc, "_THREADS", request.param)
@@ -636,6 +670,21 @@ class TestThreads:
                                 text=True, env=dict(os.environ, PYTHONPATH=src),
                                 timeout=120)
         assert result.stdout == f"{qmc._BATCH_ELEMENTS >> 15}\n"
+
+    @pytest.mark.parametrize("patch", [
+        # the CPUs this process may run on, not those of process 1
+        "os.sched_getaffinity = lambda pid: {0} if pid == 0 else set(range(64))",
+        # no affinity call and no CPU count
+        "del os.sched_getaffinity; os.cpu_count = lambda: None",
+    ], ids=["own-affinity", "no-cpu-count"])
+    def test_one_cpu_one_thread(self, patch):
+        script = (f"import os; {patch}\n"
+                  "from quantlab import montecarlo; print(montecarlo._THREADS)")
+        src = os.path.dirname(os.path.dirname(qmc.__file__))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=dict(os.environ, PYTHONPATH=src),
+                                timeout=120)
+        assert result.stdout == "1\n"
 
     @pytest.mark.parametrize("B", [1, 64])
     def test_memory_at_sixteen_threads(self, B, monkeypatch):

@@ -98,11 +98,9 @@ CASES = {
                | {"Fraction": [Fraction(v) for v in CODE.values.tolist()]}),
     "BinEdges": (qc.BinEdges, arrays(BINS.edges.tolist(), [-1] + [0] * 15 + [1])
                  | {"Fraction": [Fraction(v) for v in BINS.edges.tolist()]}),
-    "nearest_index-normalized": (lambda v: bq.nearest_index(v, CODE.values),
+    "nearest_index-normalized": (lambda v: bq.nearest_index(v, CODE),
                                  arrays(X4, [-1, 0, 1, 1], [False, True, True, False],
                                         zero_d=True)),
-    "nearest_index-code_values": (lambda v: bq.nearest_index(X4, v),
-                                  arrays(CODE.values.tolist(), [-1, 0, 1], [False, True])),
     "quantize": (lambda v: bq.quantize(v, CODE, 2),
                  arrays([0.5, -1.0, 2.0, 0.25], [3, -1, 0, 2], [True, False, True, True])),
     "reconstruction_errors-original": (lambda v: bq.reconstruction_errors(v, REF4),
@@ -270,10 +268,6 @@ EXPECTED = {
     "nearest_index-normalized-int64": "51a7f56c77336b34",
     "nearest_index-normalized-bool": "5535f9b32dbcd808",
     "nearest_index-normalized-0d": "75ca4b33377aa585",
-    "nearest_index-code_values-list": "7c6871c8a4fb5ebe",
-    "nearest_index-code_values-float32": "7c6871c8a4fb5ebe",
-    "nearest_index-code_values-int64": "d0c7456c75f74fe0",
-    "nearest_index-code_values-bool": "7c50758aeb21334e",
     "quantize-list": "976510cdb4c5e03a",
     "quantize-float32": "976510cdb4c5e03a",
     "quantize-int64": "4c5492ebfbee6fef",
@@ -318,7 +312,7 @@ def test_invalid_value_is_domain_error(call, bad):
     qd.normal_quantile, qd.normal_pdf, qd.halfnormal_quantile,
     lambda v: qd.trunc_normal_cdf(v, 1.0), lambda v: qd.absmax_pdf(v, 64),
     DIST.expected_min_abs_distance, lambda v: mc.empirical_cdf_stream(CFG, v),
-    lambda v: bq.nearest_index(v, CODE.values), lambda v: bq.quantize(v, CODE, 2),
+    lambda v: bq.nearest_index(v, CODE), lambda v: bq.quantize(v, CODE, 2),
 ], ids=["normal_quantile", "normal_pdf", "halfnormal_quantile", "trunc_normal_cdf",
         "absmax_pdf", "expected_min_abs_distance", "empirical_cdf_stream",
         "nearest_index", "quantize"])
